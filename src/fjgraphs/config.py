@@ -10,7 +10,7 @@ GRAPH_CAP = 8       # largest n for vertex orderings, edge lists, BFS (8! = 4032
 MATRIX_CAP = 7      # largest n for dense n! x n! adjacency matrices (7! = 5040)
 EIGEN_CAP = 720     # largest matrix order accepted by the dense eigensolver
 
-EIG_TOL = 1e-12     # off-diagonal Frobenius norm at which Jacobi sweeps stop
+EIG_TOL = 1e-12     # dense symmetry tolerance; bisection width of the tridiagonal solver
 MATCH_TOL = 1e-8    # absolute tolerance when matching values across spectra
 MERGE_TOL = 1e-7    # computed eigenvalues closer than this collapse into one
 

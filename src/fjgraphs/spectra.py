@@ -11,9 +11,11 @@ eigenvalue of the small matrix is an eigenvalue of the graph.  That turns an
 n!-sized eigenproblem into an n-sized one for part of the spectrum,
 including the largest eigenvalue n-1 (constant row sums on both sides).
 
-Eigenvalues are computed by two deliberately different routes that check
-each other: a cyclic Jacobi sweep for dense symmetric matrices, and
-Sturm-count bisection for symmetric tridiagonal ones.
+Eigenvalues come from two deliberately different routes: LAPACK
+(``np.linalg.eigvalsh``) for dense symmetric matrices, and Sturm-count
+bisection for symmetric tridiagonal ones.  The tests check both against a
+cyclic Jacobi solver of their own.  Every tolerance must be finite and
+non-negative; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -101,17 +103,28 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     return M
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    # NaN compares false with everything, so it would switch off the very
+    # checks a tolerance guards; a negative one can never be met
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+
+
 def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, cap: int = EIGEN_CAP) -> Spectrum:
     """
-    Eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+    Eigenvalues of a dense symmetric matrix, by LAPACK through
+    ``np.linalg.eigvalsh``.
 
-    Sweeps rotate away each off-diagonal element in turn (rows and columns
-    updated with vectorized operations) until the off-diagonal Frobenius
-    norm falls below ``tol``.  Small elements are zeroed outright once they
-    can no longer affect the diagonal at working precision.  The trace and
-    the Frobenius norm are invariant under the rotations, which the tests
-    use as built-in sanity identities.
+    ``tol`` is the symmetry tolerance: an entry may differ from its mirror
+    by at most ``max(tol, 1e-12)`` times the largest absolute entry (or 1,
+    if larger).  The matrix is then symmetrized before the solve.  The
+    tests check this route against a cyclic Jacobi solver of their own and
+    against the trace and Frobenius-norm identities.
+
+    >>> eig_symmetric([[0, 1], [1, 0]]).values
+    (1.0, -1.0)
     """
+    _check_tolerance("tol", tol)
     A = np.array(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
@@ -120,59 +133,12 @@ def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, ca
         raise CapExceeded(f"order {m} exceeds the eigensolver cap {cap}")
     if m == 0:
         return Spectrum((), ())
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(A).max())
     if float(np.abs(A - A.T).max()) > max(tol, 1e-12) * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
-    A = (A + A.T) / 2.0
-    if m == 1:
-        return Spectrum.from_eigenvalues([A[0, 0]], merge_tol)
-
-    for sweep in range(100):
-        # Frobenius norm of the off-diagonal part, summed directly: the
-        # difference trace-based shortcut cancels catastrophically near
-        # convergence and would hide it.
-        saved_diag = np.diag(A).copy()
-        np.fill_diagonal(A, 0.0)
-        off = float(np.linalg.norm(A))
-        np.fill_diagonal(A, saved_diag)
-        if off <= tol:
-            break
-        thresh = 0.2 * off / (m * m) if sweep < 3 else 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = float(A[p, q])
-                if apq == 0.0:
-                    continue
-                g = 100.0 * abs(apq)
-                app = float(A[p, p])
-                aqq = float(A[q, q])
-                if sweep > 3 and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                if abs(apq) <= thresh:
-                    continue
-                h = aqq - app
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge in 100 sweeps")
-    return Spectrum.from_eigenvalues(np.diag(A), merge_tol)
+    return Spectrum.from_eigenvalues(np.linalg.eigvalsh((A + A.T) / 2.0), merge_tol)
 
 
 def eig_tridiagonal(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL) -> Spectrum:
@@ -183,8 +149,9 @@ def eig_tridiagonal(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL) 
     recurrence of leading principal minors of (T - xI); each eigenvalue is
     then bisected inside the Gershgorin interval until the bracket is
     narrower than ``tol``.  No similarity transforms, so this route is
-    independent of the Jacobi solver and the two can check each other.
+    independent of LAPACK and the two can check each other.
     """
+    _check_tolerance("tol", tol)
     T = np.asarray(matrix, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("a square matrix is required")
@@ -243,7 +210,7 @@ def adjacency_spectrum(
     matrix_cap: int = MATRIX_CAP,
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
-    """Full spectrum of FJ(n, k): build the adjacency matrix, run Jacobi."""
+    """Full spectrum of FJ(n, k): build the adjacency matrix, solve it densely."""
     A = adjacency_matrix(n, k, ordering, cap=matrix_cap)
     return eig_symmetric(A, tol=tol, merge_tol=merge_tol, cap=eigen_cap)
 
@@ -269,21 +236,19 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None, cap: int
     Exact integer check that block-indicator lifting commutes with the two
     matrices: A @ lift(e_i) == lift(M @ e_i) for every basis vector e_i,
     where A is the FJ(n, 1) adjacency matrix under the stacked ordering and
-    M is the regularity matrix.  No tolerances are involved -- both sides
-    are integer vectors.  When this holds, every eigenpair of M lifts to an
-    eigenpair of A.
+    M is the regularity matrix.  Column i of the left side is the row sums
+    of A over the columns of block i, so all n columns come from one
+    reduction of A, without an integer copy of it.  No tolerances are
+    involved.  When this holds, every eigenpair of M lifts to an eigenpair
+    of A.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     S = enumerate_permutations(n - 1) if ordering is None else check_ordering(ordering, n - 1)
-    A = adjacency_matrix(n, 1, concatenated_ordering(S), cap=cap).astype(np.int64)
-    M = regularity_matrix(n)
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        if not np.array_equal(A @ lift_vector(e, n), lift_vector(M @ e, n)):
-            return False
-    return True
+    A = adjacency_matrix(n, 1, concatenated_ordering(S), cap=cap)
+    b = factorial(n - 1)
+    block_sums = A.reshape(n * b, n, b).sum(axis=2, dtype=np.int64)
+    return bool(np.array_equal(block_sums, np.repeat(regularity_matrix(n), b, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -301,6 +266,7 @@ def spectrum_subset_check(small: Spectrum, big: Spectrum, tol: float = MATCH_TOL
     (multiplicities ignored)?  Returns the per-value matching on success,
     or the first unmatched value.
     """
+    _check_tolerance("tol", tol)
     matching: list[int] = []
     for x in small.values:
         hit = None
@@ -329,6 +295,7 @@ def conjecture_second_largest(
     matrix?  (The largest always is: both equal the degree n-1.)  Passing a
     precomputed ``graph_spectrum`` skips the expensive full eigensolve.
     """
+    _check_tolerance("tol", tol)
     if graph_spectrum is None:
         graph_spectrum = adjacency_spectrum(
             n, 1, tol=eig_tol, merge_tol=merge_tol, matrix_cap=matrix_cap, eigen_cap=eigen_cap

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, formats, exit codes, config precedence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,43 @@ def test_spectrum_impossible_tolerance_fails(capsys):
     assert code == 1
     assert doc["subset_ok"] is False
     assert "unmatched" in doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "4", "--eig-tol", "nan"),
+        ("spectrum", "--n", "4", "--eig-tol", "inf"),
+        ("spectrum", "--n", "4", "--full", "--eig-tol", "-1"),
+        ("spectrum", "--n", "4", "--check-subset", "--match-tol", "-1"),
+        ("spectrum", "--n", "4", "--conjecture", "--match-tol", "nan"),
+    ],
+    ids=lambda argv: " ".join(argv[3:]),
+)
+def test_spectrum_bad_tolerance_is_a_bad_argument(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("verify-all", "--max-n", "5"), "verify_all_max_n_5.json"),
+        (("spectrum", "--n", "5", "--full", "--check-subset", "--conjecture"), "spectrum_n_5_full_check_subset_conjecture.json"),
+    ],
+    ids=["verify-all", "spectrum"],
+)
+def test_report_matches_golden(capsys, argv, name):
+    # reports must stay byte-identical, apart from runtime_ms, across refactors
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    doc.pop("runtime_ms", None)
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_verify_all_small(capsys):

@@ -1,10 +1,16 @@
-"""Regularity matrices, the two eigensolvers, lifting and containment."""
+"""Regularity matrices, the two eigensolvers, lifting and containment.
+
+The dense solver (LAPACK) and the tridiagonal one (Sturm bisection) are
+both checked against the cyclic Jacobi oracle in ``jacobi_oracle``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from jacobi_oracle import jacobi_eigenvalues
 
+import fjgraphs.spectra as spectra_module
 from fjgraphs import (
     CapExceeded,
     Spectrum,
@@ -87,15 +93,41 @@ def test_eig_symmetric_rejects():
         eig_symmetric(np.eye(5), cap=4)
 
 
-def test_eig_symmetric_against_lapack_random():
+def test_eig_symmetric_rejects_bad_tolerances():
+    A = [[0.0, 1.0], [1.0, 0.0]]
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            eig_symmetric(A, tol=bad)
+    # a NaN tolerance must not switch off the symmetry check
+    with pytest.raises(ValueError):
+        eig_symmetric([[0.0, 1.0], [0.5, 0.0]], tol=math.nan)
+    assert eig_symmetric(A, tol=0.0).values == eig_symmetric(A).values
+
+
+def test_eig_symmetric_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_symmetric([[0.0, bad], [bad, 0.0]])
+
+
+def test_eig_symmetric_against_jacobi_random():
     rng = np.random.default_rng(42)
     for order in (5, 17, 40):
         B = rng.normal(size=(order, order))
         A = (B + B.T) / 2
         s = eig_symmetric(A)
         mine = spread(s.values, s.multiplicities)
-        ref = np.sort(np.linalg.eigvalsh(A))
+        ref = jacobi_eigenvalues(A)
         assert mine.shape == ref.shape
+        assert np.abs(mine - ref).max() < 1e-9
+
+
+def test_adjacency_spectra_of_fj5k_against_jacobi():
+    for k in range(1, 5):
+        s = adjacency_spectrum(5, k)
+        mine = spread(s.values, s.multiplicities)
+        ref = jacobi_eigenvalues(adjacency_matrix(5, k))
+        assert mine.shape == ref.shape == (120,)
         assert np.abs(mine - ref).max() < 1e-9
 
 
@@ -130,12 +162,12 @@ def test_eig_tridiagonal_agrees_with_jacobi_and_lapack():
     for n in range(2, 13):
         M = regularity_matrix(n)
         bisect = eig_tridiagonal(M)
-        jacobi = eig_symmetric(M)
+        lapack = eig_symmetric(M)
         sturm = spread(bisect.values, bisect.multiplicities)
-        jac = spread(jacobi.values, jacobi.multiplicities)
-        ref = np.sort(np.linalg.eigvalsh(M.astype(float)))
+        dense = spread(lapack.values, lapack.multiplicities)
+        ref = jacobi_eigenvalues(M)
         assert np.abs(sturm - ref).max() < 1e-9
-        assert np.abs(jac - ref).max() < 1e-9
+        assert np.abs(dense - ref).max() < 1e-9
 
 
 def test_eig_tridiagonal_random():
@@ -148,6 +180,23 @@ def test_eig_tridiagonal_random():
         mine = spread(s.values, s.multiplicities)
         ref = np.sort(np.linalg.eigvalsh(T))
         assert np.abs(mine - ref).max() < 1e-9
+
+
+def test_eig_tridiagonal_rejects_bad_tolerances():
+    M = regularity_matrix(4)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            eig_tridiagonal(M, tol=bad)
+    assert len(eig_tridiagonal(M, tol=0.0).values) == 4
+
+
+def test_m_spectrum_closed_form():
+    # spec(M(n)) = {n - 3 + 2 cos(pi j / n) : j = 0..n-1}
+    for n in range(2, 12):
+        s = eig_tridiagonal(regularity_matrix(n))
+        expected = sorted((n - 3 + 2 * math.cos(math.pi * j / n) for j in range(n)), reverse=True)
+        assert s.multiplicities == (1,) * n
+        assert np.abs(np.array(s.values) - expected).max() < 1e-10
 
 
 def test_eig_tridiagonal_rejects_off_band():
@@ -177,6 +226,20 @@ def test_lift_vector_linear():
 def test_intertwining_small():
     for n in (2, 3, 4, 5):
         assert verify_intertwining(n)
+
+
+def test_intertwining_fails_on_one_flipped_entry(monkeypatch):
+    # a check that always passes would survive every positive test above
+    real = spectra_module.adjacency_matrix
+
+    def flipped(*args, **kwargs):
+        A = real(*args, **kwargs)
+        A[0, 1] ^= 1
+        return A
+
+    monkeypatch.setattr(spectra_module, "adjacency_matrix", flipped)
+    for n in (3, 4, 5):
+        assert verify_intertwining(n) is False
 
 
 def test_partial_block_indicator_fails_intertwining():
@@ -225,9 +288,39 @@ def test_subset_check_edge_cases():
     assert result.unmatched == 2.5
 
 
+def test_subset_check_rejects_bad_tolerances():
+    big = Spectrum((3.0, 1.0), (1, 1))
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            spectrum_subset_check(big, big, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            conjecture_second_largest(3, tol=bad)
+    assert spectrum_subset_check(big, big, tol=0.0).ok
+
+
 def test_conjecture_small():
     assert conjecture_second_largest(3)
     assert conjecture_second_largest(4)
+
+
+def test_second_largest_closed_form(fj61_spectrum_timed):
+    # the spectral gap of the adjacent-transposition Cayley graph is
+    # 2 - 2 cos(pi / n), so lambda_2(FJ(n,1)) = n - 3 + 2 cos(pi / n)
+    for n in range(3, 7):
+        s = fj61_spectrum_timed[0] if n == 6 else adjacency_spectrum(n, 1)
+        assert abs(s.values[1] - (n - 3 + 2 * math.cos(math.pi / n))) < 1e-9
+
+
+def test_fj61_spectrum_identities(fj61_spectrum_timed):
+    s, _ = fj61_spectrum_timed
+    eigs = spread(s.values, s.multiplicities)
+    assert s.order == 720
+    assert abs(eigs.sum()) < 1e-8  # trace of A: no loops
+    assert abs((eigs**2).sum() - 720 * 5) < 1e-7  # trace of A^2: twice the edge count
+    assert abs(s.values[0] - 5.0) < 1e-9 and s.multiplicities[0] == 1
+    for j in range(6):
+        value = 3 + 2 * math.cos(math.pi * j / 6)
+        assert min(abs(value - v) for v in s.values) < 1e-9
 
 
 def test_spectrum_invariant_under_reordering():
@@ -249,8 +342,6 @@ def test_regularity_matrix_from_blocks_is_ordering_independent():
 def test_regularity_matrix_from_blocks_reports_nonregular_loudly(monkeypatch):
     # the raise path is unreachable through real inputs (the identities hold
     # for every stacked ordering), so force it to confirm the wiring
-    import fjgraphs.spectra as spectra_module
-
     monkeypatch.setattr(spectra_module, "block_regularity", lambda B: None)
     with pytest.raises(TheoremViolation):
         regularity_matrix_from_blocks(3)
