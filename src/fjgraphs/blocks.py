@@ -117,6 +117,16 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     return A
 
 
+def _stacked(n: int, k: int, ordering: Sequence[Perm] | None, cap: int):
+    """
+    The base ordering S of the permutations of [n] (lexicographic if
+    omitted), the adjacency matrix of FJ(n+1, k) under the stacked ordering
+    built from S, and the block size n!.
+    """
+    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
+    return S, adjacency_matrix(n + 1, k, concatenated_ordering(S), cap=cap), factorial(n)
+
+
 @dataclass(frozen=True)
 class BlockAssertion:
     """One checked identity about one block, with a witness on failure."""
@@ -192,9 +202,7 @@ def verify_recursive_blocks(
     """
     if k < 1:
         raise ValueError("the block identities concern k >= 1")
-    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    A = adjacency_matrix(n + 1, k, concatenated_ordering(S), cap=cap)
-    b = factorial(n)
+    S, A, b = _stacked(n, k, ordering, cap)
     corner = adjacency_matrix(n, k, S, cap=cap)
     if k == 1:
         flank = np.eye(b, dtype=np.uint8)
@@ -230,9 +238,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None, 
         compared bit for bit; its regularity is n-2 (0 when n = 2, where
         the interior generating set is empty).
     """
-    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    A = adjacency_matrix(n + 1, 1, concatenated_ordering(S), cap=cap)
-    b = factorial(n)
+    S, A, b = _stacked(n, 1, ordering, cap)
     corner = adjacency_matrix(n, 1, S, cap=cap)
     eye = np.eye(b, dtype=np.uint8)
     zero = np.zeros((b, b), dtype=np.uint8)

@@ -19,36 +19,22 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from math import comb, factorial
+from dataclasses import asdict, dataclass
 
 from . import config
-from .config import CapExceeded, TheoremViolation
+from .config import CapExceeded, TheoremViolation, check_tolerance
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
-from .graphs import (
-    FlagGraphSpec,
-    build_edges,
-    degree,
-    edges_to_csv,
-    edges_to_dot,
-    edges_to_json,
-    generators,
-    insertion_embedding_check,
-    neighbors,
-    pairwise_edges,
-)
-from .metrics import diameter, diameter_lower_bound, edge_transposition_bound_check, is_connected
-from .perms import enumerate_permutations, identity, prefix_mismatch_count, relative_pattern
+from .graphs import FlagGraphSpec, build_edges, edges_to_csv, edges_to_dot, edges_to_json
+from .metrics import diameter, diameter_lower_bound
 from .spectra import (
     Spectrum,
     adjacency_spectrum,
     conjecture_second_largest,
     eig_tridiagonal,
     regularity_matrix,
-    regularity_matrix_from_blocks,
     spectrum_subset_check,
-    verify_intertwining,
 )
+from .verify import battery
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +62,10 @@ def _env_int(name: str) -> int | None:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """CLI flags beat environment variables beat built-in defaults."""
+    """
+    CLI flags beat environment variables beat built-in defaults.  A NaN,
+    infinite or negative tolerance raises ValueError naming its flag.
+    """
 
     def pick(flag_value, env_name, default):
         if flag_value is not None:
@@ -84,13 +73,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         env_value = _env_int(env_name)
         return env_value if env_value is not None else default
 
-    return RunConfig(
+    cfg = RunConfig(
         graph_cap=pick(args.graph_cap, "FJ_GRAPH_CAP", config.GRAPH_CAP),
         matrix_cap=pick(args.matrix_cap, "FJ_MATRIX_CAP", config.MATRIX_CAP),
         eigen_cap=pick(args.eigen_cap, "FJ_EIGEN_CAP", config.EIGEN_CAP),
         eig_tol=args.eig_tol if args.eig_tol is not None else config.EIG_TOL,
         match_tol=args.match_tol if args.match_tol is not None else config.MATCH_TOL,
     )
+    check_tolerance("--eig-tol", cfg.eig_tol)
+    check_tolerance("--match-tol", cfg.match_tol)
+    return cfg
 
 
 def _round12(x: float) -> float:
@@ -189,129 +181,9 @@ def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     return status
 
 
-def _maxscan_block_count(pattern) -> int:
-    # independent reducibility route: prefix covers {1..i} iff its max is i
-    count = 0
-    high = 0
-    for i, x in enumerate(pattern, start=1):
-        if x > high:
-            high = x
-        if high == i:
-            count += 1
-    return count
-
-
-def _verify_all_checks(max_n: int, cfg: RunConfig) -> list[dict]:
-    checks: list[dict] = []
-
-    def add(name: str, params: dict, passed: bool, detail: str = "") -> None:
-        entry = {"name": name, "params": params, "passed": bool(passed)}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
-
-    # connectivity of every non-trivial graph
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            add("connectivity", {"n": n, "k": k}, is_connected(FlagGraphSpec(n, k), cap=cfg.graph_cap))
-
-    # diameters: adjacent-swap family and top family, plus the general bound
-    for n in range(2, max_n + 1):
-        got = diameter(FlagGraphSpec(n, 1), cap=cfg.graph_cap)
-        add("diameter-k1", {"n": n}, got == comb(n, 2), f"diameter {got}, expected {comb(n, 2)}")
-    for n in range(3, max_n + 1):
-        got = diameter(FlagGraphSpec(n, n - 1), cap=cfg.graph_cap)
-        add("diameter-top", {"n": n}, got == 2, f"diameter {got}, expected 2")
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            got = diameter(FlagGraphSpec(n, k), cap=cfg.graph_cap)
-            bound = diameter_lower_bound(n, k)
-            add("diameter-lower-bound", {"n": n, "k": k}, bound <= got, f"bound {bound}, diameter {got}")
-
-    # every edge stays within C(k+1,2) adjacent transpositions
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            ok, witness = edge_transposition_bound_check(FlagGraphSpec(n, k), cap=cfg.graph_cap)
-            add("edge-kendall-bound", {"n": n, "k": k}, ok, "" if ok else f"witness {witness}")
-
-    # end insertions embed FJ(n,k) into FJ(n+1,k)
-    for n in range(2, max_n):
-        for k in range(1, n):
-            for position in (1, n + 1):
-                ok, witness = insertion_embedding_check(n, k, position)
-                add(
-                    "insertion-embedding",
-                    {"n": n, "k": k, "position": position},
-                    ok,
-                    "" if ok else f"witness {witness}",
-                )
-
-    # generator-product edges match the quadratic pairwise predicate
-    for n in range(2, min(max_n, cfg.matrix_cap) + 1):
-        for k in range(1, n):
-            spec = FlagGraphSpec(n, k)
-            same = build_edges(spec, cap=cfg.graph_cap) == pairwise_edges(spec, cap=cfg.matrix_cap)
-            add("edge-oracle-equivalence", {"n": n, "k": k}, same)
-
-    # adjacency means exactly n-k irreducible windows (independent max-scan)
-    for n in range(2, min(max_n, 5) + 1):
-        perms = enumerate_permutations(n)
-        ok = True
-        for a, u in enumerate(perms):
-            for v in perms[a + 1 :]:
-                mismatches = prefix_mismatch_count(u, v)
-                if _maxscan_block_count(relative_pattern(u, v)) != n - mismatches:
-                    ok = False
-        add("reducibility-adjacency-equivalence", {"n": n}, ok)
-
-    # block identities of the stacked orderings
-    for big in range(3, min(max_n, cfg.matrix_cap) + 1):
-        n = big - 1
-        for k in range(1, n):
-            rep = verify_recursive_blocks(n, k, cap=cfg.matrix_cap)
-            add("block-recursion", {"n": n, "k": k}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-        rep = verify_permutahedron_blocks(n, cap=cfg.matrix_cap)
-        add("permutahedron-blocks", {"n": n}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-
-    # regularity matrix: empirical block route equals the closed form
-    for n in range(2, min(max_n, cfg.matrix_cap) + 1):
-        same = (regularity_matrix_from_blocks(n, cap=cfg.matrix_cap) == regularity_matrix(n)).all()
-        add("regularity-matrix", {"n": n}, bool(same))
-
-    # lifting identity and spectrum containment
-    for n in range(2, min(max_n, cfg.matrix_cap) + 1):
-        add("intertwining", {"n": n}, verify_intertwining(n, cap=cfg.matrix_cap))
-    for n in range(2, max_n + 1):
-        if factorial(n) > cfg.eigen_cap:
-            break
-        m_spec = eig_tridiagonal(regularity_matrix(n), tol=cfg.eig_tol)
-        full = adjacency_spectrum(n, 1, tol=cfg.eig_tol, matrix_cap=cfg.matrix_cap, eigen_cap=cfg.eigen_cap)
-        match = spectrum_subset_check(m_spec, full, tol=cfg.match_tol)
-        add("spectrum-subset", {"n": n}, match.ok, "" if match.ok else f"unmatched {match.unmatched}")
-        if n >= 3:
-            holds = conjecture_second_largest(n, tol=cfg.match_tol, graph_spectrum=full)
-            if n <= 5:
-                add("conjecture-second-largest", {"n": n}, holds)
-            else:
-                add("conjecture-second-largest", {"n": n, "asserted": False}, True, f"evidence only: {holds}")
-
-    # degree identities: formula vs connection set vs observed neighbors
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            formula = degree(n, k)
-            gens = generators(n, k)
-            observed = len(set(neighbors(FlagGraphSpec(n, k), identity(n))))
-            ok = formula == len(gens) == observed
-            add("degree-identities", {"n": n, "k": k}, ok, f"degree {formula}")
-    for n in range(2, min(max_n + 3, 8) + 1):
-        add("degree-k1-linear", {"n": n}, degree(n, 1) == n - 1)
-
-    return checks
-
-
 def cmd_verify_all(args: argparse.Namespace, cfg: RunConfig) -> int:
     started = time.perf_counter()
-    checks = _verify_all_checks(args.max_n, cfg)
+    checks = battery(args.max_n, **asdict(cfg))
     passed = all(c["passed"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -376,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify-all", help="run the whole verification battery up to --max-n")
-    p.add_argument("--max-n", type=int, default=5, help="largest graph size touched (default 5)")
+    p.add_argument("--max-n", type=int, default=5, help="largest graph size touched, 2..graph cap (default 5)")
     _add_common(p)
     p.set_defaults(func=cmd_verify_all)
 
@@ -386,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = resolve_config(args)
     try:
-        return args.func(args, cfg)
+        return args.func(args, resolve_config(args))
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

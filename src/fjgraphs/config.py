@@ -1,20 +1,33 @@
 """Size guards and numeric tolerances shared across the package.
 
 The defaults keep every computation interactive on one machine.  Library
-functions take them as keyword arguments, so any of these can be raised per
-call; the command-line tool additionally honours the FJ_GRAPH_CAP,
-FJ_MATRIX_CAP and FJ_EIGEN_CAP environment variables.
+functions take the caps and tolerances as keyword arguments, so any of them
+can be raised per call; the command-line tool additionally honours the
+FJ_GRAPH_CAP, FJ_MATRIX_CAP and FJ_EIGEN_CAP environment variables.  The
+edge budget is fixed: it bounds the memory of an edge list, whatever the
+caps say.
 """
+
+import math
 
 GRAPH_CAP = 8       # largest n for vertex orderings, edge lists, BFS (8! = 40320)
 MATRIX_CAP = 7      # largest n for dense n! x n! adjacency matrices (7! = 5040)
 EIGEN_CAP = 720     # largest matrix order accepted by the dense eigensolver
+EDGE_CAP = 2**24    # most edges in one edge list: admits FJ(7,6) and FJ(8,4), not FJ(8,5)
 
 EIG_TOL = 1e-12     # dense symmetry tolerance; bisection width of the tridiagonal solver
 MATCH_TOL = 1e-8    # absolute tolerance when matching values across spectra
 MERGE_TOL = 1e-7    # computed eigenvalues closer than this collapse into one
 
 PERM_STR_DIGITS = 9  # permutations up to this size serialize as digit strings
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a NaN, infinite or negative tolerance, naming it by ``name``."""
+    # NaN compares false with everything, so it would switch off the very
+    # checks a tolerance guards; a negative one can never be met
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 class CapExceeded(ValueError):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import GRAPH_CAP, MATRIX_CAP, CapExceeded
+from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .perms import (
     Perm,
     check_permutation,
@@ -191,15 +191,25 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
     return [compose(u, g) for g in generators(spec.n, spec.k)]
 
 
+def _check_edge_budget(n: int, k: int) -> None:
+    # n! * degree / 2 edges, known before a single tuple is allocated
+    edges = factorial(n) * degree(n, k) // 2
+    if edges > EDGE_CAP:
+        raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
+
+
 def build_edges(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> list[tuple[int, int]]:
     """
     Edge list as rank pairs (a, b) with a < b, sorted.  Runs in
     O(n! * degree * n) by composing every vertex with the connection set and
     ranking through a hash table, instead of testing all C(n!, 2) pairs.
-    FJ(n, 0) yields an empty list (loops are excluded by convention).
+    FJ(n, 0) yields an empty list (loops are excluded by convention).  A
+    graph with more than ``config.EDGE_CAP`` edges raises CapExceeded
+    before anything is built.
     """
     if spec.n > cap:
         raise CapExceeded(f"n={spec.n} exceeds the graph cap {cap}")
+    _check_edge_budget(spec.n, spec.k)
     if spec.k == 0:
         return []
     rank_of = spec._rank_of

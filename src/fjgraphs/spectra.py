@@ -20,17 +20,15 @@ non-negative; anything else raises ValueError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MATRIX_CAP, MERGE_TOL, CapExceeded, TheoremViolation
-from .blocks import adjacency_matrix, block, block_regularity, concatenated_ordering
-from .graphs import check_ordering
-from .perms import Perm, enumerate_permutations
+from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MATRIX_CAP, MERGE_TOL, CapExceeded, TheoremViolation, check_tolerance
+from .blocks import _stacked, adjacency_matrix, block, block_regularity
+from .perms import Perm
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,7 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    S = enumerate_permutations(n - 1) if ordering is None else check_ordering(ordering, n - 1)
-    A = adjacency_matrix(n, 1, concatenated_ordering(S), cap=cap)
-    b = factorial(n - 1)
+    _, A, b = _stacked(n - 1, 1, ordering, cap)
     M = np.zeros((n, n), dtype=np.int64)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -101,13 +97,6 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
                 raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
             M[i - 1, j - 1] = r
     return M
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    # NaN compares false with everything, so it would switch off the very
-    # checks a tolerance guards; a negative one can never be met
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, cap: int = EIGEN_CAP) -> Spectrum:
@@ -124,7 +113,7 @@ def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, ca
     >>> eig_symmetric([[0, 1], [1, 0]]).values
     (1.0, -1.0)
     """
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     A = np.array(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
@@ -151,7 +140,7 @@ def eig_tridiagonal(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL) 
     narrower than ``tol``.  No similarity transforms, so this route is
     independent of LAPACK and the two can check each other.
     """
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     T = np.asarray(matrix, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("a square matrix is required")
@@ -244,9 +233,7 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None, cap: int
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    S = enumerate_permutations(n - 1) if ordering is None else check_ordering(ordering, n - 1)
-    A = adjacency_matrix(n, 1, concatenated_ordering(S), cap=cap)
-    b = factorial(n - 1)
+    _, A, b = _stacked(n - 1, 1, ordering, cap)
     block_sums = A.reshape(n * b, n, b).sum(axis=2, dtype=np.int64)
     return bool(np.array_equal(block_sums, np.repeat(regularity_matrix(n), b, axis=0)))
 
@@ -266,7 +253,7 @@ def spectrum_subset_check(small: Spectrum, big: Spectrum, tol: float = MATCH_TOL
     (multiplicities ignored)?  Returns the per-value matching on success,
     or the first unmatched value.
     """
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     matching: list[int] = []
     for x in small.values:
         hit = None
@@ -295,7 +282,7 @@ def conjecture_second_largest(
     matrix?  (The largest always is: both equal the degree n-1.)  Passing a
     precomputed ``graph_spectrum`` skips the expensive full eigensolve.
     """
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     if graph_spectrum is None:
         graph_spectrum = adjacency_spectrum(
             n, 1, tol=eig_tol, merge_tol=merge_tol, matrix_cap=matrix_cap, eigen_cap=eigen_cap

@@ -9,20 +9,10 @@ import fjgraphs as fj
 def fj61_spectrum_timed():
     """Full FJ(6,1) spectrum (720x720 dense eigensolve) plus its wall time.
 
-    Shared across the acceptance criteria that need the n = 6 spectrum, so
-    the expensive solve runs once per session.
+    Shared across the tests that need the n = 6 spectrum, so the solve runs
+    once per session.
     """
     A = fj.adjacency_matrix(6, 1)
     started = time.perf_counter()
     spectrum = fj.eig_symmetric(A)
     return spectrum, time.perf_counter() - started
-
-
-@pytest.fixture(scope="session")
-def diameters_to_6():
-    """Measured (transitive-mode) diameters of every FJ(n, k), n <= 6."""
-    out = {}
-    for n in range(2, 7):
-        for k in range(1, n):
-            out[(n, k)] = fj.diameter(fj.FlagGraphSpec(n, k))
-    return out

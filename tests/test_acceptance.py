@@ -1,184 +1,65 @@
-"""Acceptance battery.
+"""Acceptance: the verification battery up to n = 6, one test per check family.
 
-Each numbered criterion runs at its stated tolerance and prints one
-PASS/FAIL line (visible with ``pytest -s``, or in the captured output of a
-failing run).  Expensive shared artifacts -- the full FJ(6,1) spectrum and
-the table of measured diameters up to n = 6 -- come from session fixtures.
+The battery runs once per session.  Every entry of a family must pass and
+must equal that family's entries in the golden ``verify-all --max-n 6``
+report, so a changed parameter range, detail text or evidence value shows
+up as a failure here.
 """
 
-import math
+import dataclasses
+import json
 import time
+from pathlib import Path
 
-import fjgraphs as fj
+import pytest
+
+from fjgraphs import CapExceeded, TheoremViolation, verify
+from fjgraphs.verify import battery
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_all_max_n_6.json").read_text(encoding="utf-8"))
+
+# the 16 check families, in report order
+FAMILIES = list(dict.fromkeys(c["name"] for c in GOLDEN["checks"]))
 
 
-def report(num, ok, text):
-    print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {text}")
-    assert ok, f"criterion {num} failed: {text}"
-
-
-def test_criterion_01_permutahedron_diameters():
+@pytest.fixture(scope="session")
+def battery_to_6_timed():
     started = time.perf_counter()
-    got = [fj.diameter(fj.FlagGraphSpec(n, 1)) for n in range(2, 7)]
-    elapsed = time.perf_counter() - started
-    ok = got == [1, 3, 6, 10, 15] and elapsed < 30.0
-    report(1, ok, f"FJ(n,1) diameters n=2..6 are {got} in {elapsed:.2f}s (< 30s)")
+    checks = battery(6)
+    return checks, time.perf_counter() - started
 
 
-def test_criterion_02_top_k_diameter_is_two():
-    started = time.perf_counter()
-    got = [fj.diameter(fj.FlagGraphSpec(n, n - 1)) for n in range(3, 8)]
-    elapsed = time.perf_counter() - started
-    ok = got == [2, 2, 2, 2, 2] and elapsed < 60.0
-    report(2, ok, f"FJ(n,n-1) diameters n=3..7 are {got} in {elapsed:.2f}s (< 60s)")
+def test_battery_to_6_order_and_runtime(battery_to_6_timed):
+    checks, elapsed = battery_to_6_timed
+    assert elapsed < 30.0
+    assert [c["name"] for c in checks] == [c["name"] for c in GOLDEN["checks"]]
 
 
-def test_criterion_03_lower_bound_respected(diameters_to_6):
-    bad = []
-    for (n, k), measured in diameters_to_6.items():
-        if fj.diameter_lower_bound(n, k) > measured:
-            bad.append((n, k))
-    report(3, not bad, f"ceil(C(n,2)/C(k+1,2)) <= diameter for all k < n <= 6 (violations: {bad})")
+@pytest.mark.parametrize("family", FAMILIES)
+def test_battery_family(battery_to_6_timed, family):
+    checks, _ = battery_to_6_timed
+    got = [c for c in checks if c["name"] == family]
+    assert [c for c in got if not c["passed"]] == []
+    assert got == [c for c in GOLDEN["checks"] if c["name"] == family]
 
 
-def test_criterion_04_connectivity():
-    bad = [(n, k) for n in range(2, 7) for k in range(1, n) if not fj.is_connected(fj.FlagGraphSpec(n, k))]
-    report(4, not bad, f"every non-trivial FJ(n,k), n <= 6, is connected (violations: {bad})")
+def _no_search(*args, **kwargs):
+    raise AssertionError("a check ran before the argument guards")
 
 
-def test_criterion_05_edge_oracle_equivalence():
-    bad = []
-    for n in range(2, 6):
-        for k in range(1, n):
-            spec = fj.FlagGraphSpec(n, k)
-            if fj.build_edges(spec) != fj.pairwise_edges(spec):
-                bad.append((n, k))
-    report(5, not bad, f"generator-product edges match the pairwise predicate, n <= 5 (violations: {bad})")
+@pytest.mark.parametrize(
+    "max_n, caps, error",
+    [(-2, {}, ValueError), (1, {}, ValueError), (9, {}, CapExceeded), (5, {"graph_cap": 4}, CapExceeded), (8, {}, CapExceeded)],
+    ids=["negative", "one", "over-graph-cap", "over-given-cap", "over-edge-budget"],
+)
+def test_battery_rejects_max_n_before_any_check(monkeypatch, max_n, caps, error):
+    monkeypatch.setattr(verify, "bfs", _no_search)
+    with pytest.raises(error):
+        battery(max_n, **caps)
 
 
-def _maxscan_block_count(pattern):
-    # independent route: a prefix covers {1..i} exactly when its maximum is i
-    count = 0
-    high = 0
-    for i, x in enumerate(pattern, start=1):
-        if x > high:
-            high = x
-        if high == i:
-            count += 1
-    return count
-
-
-def test_criterion_06_adjacency_is_reducibility():
-    bad = 0
-    for n in range(2, 6):
-        perms = fj.enumerate_permutations(n)
-        for a, u in enumerate(perms):
-            for v in perms[a + 1 :]:
-                mism = fj.prefix_mismatch_count(u, v)
-                if _maxscan_block_count(fj.relative_pattern(u, v)) != n - mism:
-                    bad += 1
-    report(6, bad == 0, f"adjacency in FJ(n,k) = splitting into n-k irreducible windows, n <= 5 ({bad} mismatches)")
-
-
-def test_criterion_07_recursive_block_identities():
-    failures = []
-    for big in range(3, 7):
-        n = big - 1
-        for k in range(1, n):
-            rep = fj.verify_recursive_blocks(n, k)
-            if not rep.passed:
-                failures.append(((n, k), rep.failures()[0]))
-    report(7, not failures, f"zero/corner/flank block identities hold for n+1 <= 6 (failures: {failures})")
-
-
-def test_criterion_08_permutahedron_block_identities():
-    failures = []
-    for big in range(3, 7):
-        n = big - 1
-        rep = fj.verify_permutahedron_blocks(n)
-        if not rep.passed:
-            failures.append((n, rep.failures()[0]))
-    report(8, not failures, f"tri-diagonal anatomy with rebuilt interior subgraphs holds for n+1 <= 6 (failures: {failures})")
-
-
-def test_criterion_09_fj41_spectrum_closed_forms():
-    s = fj.adjacency_spectrum(4, 1)
-    expected = sorted(
-        [3, 1 + math.sqrt(2), math.sqrt(3), 1, -1 + math.sqrt(2), 1 - math.sqrt(2), -1, -math.sqrt(3), -1 - math.sqrt(2), -3],
-        reverse=True,
-    )
-    ok = len(s.values) == 10 and max(abs(a - b) for a, b in zip(s.values, expected)) <= 1e-8
-    report(9, ok, f"FJ(4,1) has the 10 expected distinct eigenvalues within 1e-8 (got {len(s.values)})")
-
-
-def test_criterion_10_m_spectrum_and_containment(fj61_spectrum_timed):
-    m4 = fj.eig_tridiagonal(fj.regularity_matrix(4))
-    expected = [3.0, 1.0 + math.sqrt(2.0), 1.0, 1.0 - math.sqrt(2.0)]
-    ok_m4 = max(abs(a - b) for a, b in zip(m4.values, expected)) <= 1e-8
-
-    fj61_spectrum, elapsed = fj61_spectrum_timed
-    ok_time = elapsed < 600.0
-    matchings = {}
-    ok_subset = True
-    for n in range(2, 7):
-        big = fj61_spectrum if n == 6 else fj.adjacency_spectrum(n, 1)
-        small = fj.eig_tridiagonal(fj.regularity_matrix(n))
-        result = fj.spectrum_subset_check(small, big, tol=1e-8)
-        matchings[n] = result.matching
-        ok_subset = ok_subset and result.ok and len(result.matching) == n
-    ok = ok_m4 and ok_subset and ok_time
-    report(
-        10,
-        ok,
-        f"M(4) eigenvalues match closed forms; spec(M(n)) inside spec(FJ(n,1)) for n=2..6 "
-        f"with matchings {matchings}; n=6 solve took {elapsed:.0f}s (< 600s)",
-    )
-
-
-def test_criterion_11_intertwining_exact():
-    bad = [n for n in range(2, 7) if not fj.verify_intertwining(n)]
-    report(11, not bad, f"A lift(e_i) == lift(M e_i) exactly in integers for n=2..6 (violations: {bad})")
-
-
-def test_criterion_12_edge_kendall_bound():
-    bad = []
-    for n in range(2, 7):
-        for k in range(1, n):
-            ok, witness = fj.edge_transposition_bound_check(fj.FlagGraphSpec(n, k))
-            if not ok:
-                bad.append(((n, k), witness))
-    report(12, not bad, f"every edge needs at most C(k+1,2) adjacent swaps, n <= 6 (violations: {bad})")
-
-
-def test_criterion_13_second_largest_conjecture(fj61_spectrum_timed):
-    holds = {n: fj.conjecture_second_largest(n) for n in (3, 4, 5)}
-    fj61_spectrum, _ = fj61_spectrum_timed
-    evidence_n6 = fj.conjecture_second_largest(6, graph_spectrum=fj61_spectrum)
-    ok = all(holds.values())
-    report(
-        13,
-        ok,
-        f"second-largest eigenvalue of FJ(n,1) lies in spec(M(n)) for n=3..5 {holds}; "
-        f"n=6 evidence (reported, not asserted): {evidence_n6}",
-    )
-
-
-def test_criterion_14_degree_identities():
-    ok_linear = all(fj.degree(n, 1) == n - 1 for n in range(2, 9))
-    bad = []
-    for n in range(2, 7):
-        ident = fj.identity(n)
-        for k in range(1, n):
-            formula = fj.degree(n, k)
-            brute = sum(
-                1 for p in fj.enumerate_permutations(n) if len(fj.block_boundaries(ident, p)) == n - k
-            )
-            observed = len(set(fj.neighbors(fj.FlagGraphSpec(n, k), ident)))
-            if not (formula == len(fj.generators(n, k)) == brute == observed):
-                bad.append((n, k))
-    report(
-        14,
-        ok_linear and not bad,
-        f"degree(n,1) = n-1 up to n=8; composition formula = generator count = brute filter for n <= 6 "
-        f"(violations: {bad})",
-    )
+def test_battery_raises_on_a_disconnected_profile(monkeypatch):
+    real = verify.bfs
+    monkeypatch.setattr(verify, "bfs", lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), reached=1))
+    with pytest.raises(TheoremViolation, match="reached only 1 of 2"):
+        battery(3)

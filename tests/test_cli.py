@@ -113,6 +113,7 @@ def test_spectrum_impossible_tolerance_fails(capsys):
         ("spectrum", "--n", "4", "--full", "--eig-tol", "-1"),
         ("spectrum", "--n", "4", "--check-subset", "--match-tol", "-1"),
         ("spectrum", "--n", "4", "--conjecture", "--match-tol", "nan"),
+        ("spectrum", "--n", "4", "--match-tol", "nan"),
     ],
     ids=lambda argv: " ".join(argv[3:]),
 )
@@ -120,7 +121,7 @@ def test_spectrum_bad_tolerance_is_a_bad_argument(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "tol" in err and "Traceback" not in err
+    assert argv[-2] in err and "Traceback" not in err
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -197,8 +198,19 @@ def test_invalid_nk_exits_2(capsys):
     assert code == 2 and "k < n" in err
 
 
-def test_verify_all_example(capsys):
-    # the documented full battery at the default size
-    code, doc, _ = run_json(capsys, "verify-all", "--max-n", "5")
-    assert code == 0
-    assert doc["passed"] is True
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-all", "--max-n", "-2"), "at least 2"),
+        (("verify-all", "--max-n", "1"), "at least 2"),
+        (("verify-all", "--max-n", "9"), "graph cap"),
+        (("verify-all", "--max-n", "8"), "edge budget"),
+        (("export", "--n", "8", "--k", "7", "--format", "csv"), "edge budget"),
+    ],
+    ids=["max-n=-2", "max-n=1", "max-n=9", "max-n=8", "export-fj87"],
+)
+def test_out_of_range_size_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 """FJ(n, k) construction: adjacency, generators, degrees, edges, exports."""
 
 import json
+import time
 from math import factorial
 
 import pytest
@@ -28,6 +29,7 @@ from fjgraphs import (
     pairwise_edges,
     prefix_mismatch_count,
 )
+from fjgraphs.graphs import _check_edge_budget
 
 
 def gens_by_filter(n, k):
@@ -109,7 +111,7 @@ def test_generators_examples():
 
 
 def test_generators_match_brute_filter():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for k in range(n):
             assert set(generators(n, k)) == gens_by_filter(n, k)
 
@@ -201,6 +203,20 @@ def test_build_edges_sorted_and_in_range():
 def test_build_edges_cap():
     with pytest.raises(CapExceeded):
         build_edges(FlagGraphSpec(5, 1), cap=4)
+
+
+def test_build_edges_edge_budget():
+    # FJ(7,6) and FJ(8,4) fit in EDGE_CAP; FJ(8,5) and denser do not
+    _check_edge_budget(7, 6)
+    _check_edge_budget(8, 4)
+    for k in (5, 6, 7):
+        with pytest.raises(CapExceeded, match="edge budget"):
+            _check_edge_budget(8, k)
+    spec = FlagGraphSpec(8, 7)  # 586,514,880 edges
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded, match="edge budget"):
+        build_edges(spec)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_pairwise_oracle_agreement_small():

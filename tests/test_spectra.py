@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from jacobi_oracle import jacobi_eigenvalues
 
+import fjgraphs.blocks as blocks_module
 import fjgraphs.spectra as spectra_module
 from fjgraphs import (
     CapExceeded,
@@ -145,6 +146,14 @@ def test_hexagon_spectrum():
     assert s.multiplicities == (1, 2, 2, 1)
 
 
+def test_fj41_spectrum_closed_forms():
+    s = adjacency_spectrum(4, 1)
+    r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
+    expected = [3.0, 1 + r2, r3, 1.0, r2 - 1, 1 - r2, -1.0, -r3, -1 - r2, -3.0]
+    assert len(s.values) == 10
+    assert np.abs(np.array(s.values) - np.array(expected)).max() <= 1e-8
+
+
 # ---------------------------------------------------------------- tridiagonal
 
 def test_eig_tridiagonal_closed_forms():
@@ -230,14 +239,14 @@ def test_intertwining_small():
 
 def test_intertwining_fails_on_one_flipped_entry(monkeypatch):
     # a check that always passes would survive every positive test above
-    real = spectra_module.adjacency_matrix
+    real = blocks_module.adjacency_matrix
 
     def flipped(*args, **kwargs):
         A = real(*args, **kwargs)
         A[0, 1] ^= 1
         return A
 
-    monkeypatch.setattr(spectra_module, "adjacency_matrix", flipped)
+    monkeypatch.setattr(blocks_module, "adjacency_matrix", flipped)
     for n in (3, 4, 5):
         assert verify_intertwining(n) is False
 
@@ -312,7 +321,8 @@ def test_second_largest_closed_form(fj61_spectrum_timed):
 
 
 def test_fj61_spectrum_identities(fj61_spectrum_timed):
-    s, _ = fj61_spectrum_timed
+    s, elapsed = fj61_spectrum_timed
+    assert elapsed < 600.0
     eigs = spread(s.values, s.multiplicities)
     assert s.order == 720
     assert abs(eigs.sum()) < 1e-8  # trace of A: no loops
