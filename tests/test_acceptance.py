@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fjgraphs import CapExceeded, TheoremViolation, verify
+from fjgraphs import CapExceeded, FlagGraphSpec, TheoremViolation, diameter, verify
 from fjgraphs.verify import battery
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_all_max_n_6.json").read_text(encoding="utf-8"))
@@ -41,6 +41,14 @@ def test_battery_family(battery_to_6_timed, family):
     got = [c for c in checks if c["name"] == family]
     assert [c for c in got if not c["passed"]] == []
     assert got == [c for c in GOLDEN["checks"] if c["name"] == family]
+
+
+def test_criterion_02_top_k_diameter_is_two():
+    # n = 3..6 are also the battery's diameter-top family; FJ(7,6) is past it
+    started = time.perf_counter()
+    got = [diameter(FlagGraphSpec(n, n - 1)) for n in range(3, 8)]
+    assert got == [2, 2, 2, 2, 2]
+    assert time.perf_counter() - started < 60.0
 
 
 def _no_search(*args, **kwargs):
