@@ -30,8 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MATRIX_CAP, CapExceeded
-from .graphs import check_ordering, prefix_mismatch_matrix
+from .graphs import _check_matrix_cap, check_ordering, prefix_mismatch_matrix
 from .perms import Perm, enumerate_permutations, insertion, parse_permutation
 
 
@@ -49,16 +48,15 @@ def concatenated_ordering(ordering: Sequence[Perm]) -> tuple[Perm, ...]:
     return tuple(insertion(u, b) for b in range(1, n + 2) for u in S)
 
 
-def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None, cap: int = MATRIX_CAP) -> np.ndarray:
+def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
     Dense 0/1 adjacency matrix of FJ(n, k), rows and columns following
     ``ordering`` (lexicographic if omitted).  Symmetric, zero diagonal,
-    uint8 entries; every row sums to degree(n, k).
+    uint8 entries; every row sums to degree(n, k).  n above
+    ``config.MATRIX_CAP`` raises CapExceeded.
     """
     if n < 1 or not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the matrix cap {cap}")
     S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
     counts = prefix_mismatch_matrix(S)
     A = (counts == k).astype(np.uint8)
@@ -100,10 +98,12 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     the permutations of [n] generated by every adjacent-place transposition
     except the one swapping positions (skip, skip+1).  Built directly from
     the generator action; deliberately independent of any larger matrix it
-    may be compared with.
+    may be compared with.  n above ``config.MATRIX_CAP`` raises
+    CapExceeded before anything is allocated.
     """
     if not 1 <= skip <= n - 1:
         raise ValueError(f"transposition index {skip} out of range 1..{n - 1}")
+    _check_matrix_cap(n)
     S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
     index = {p: a for a, p in enumerate(S)}
     A = np.zeros((len(S), len(S)), dtype=np.uint8)
@@ -117,14 +117,14 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     return A
 
 
-def _stacked(n: int, k: int, ordering: Sequence[Perm] | None, cap: int):
+def _stacked(n: int, k: int, ordering: Sequence[Perm] | None):
     """
     The base ordering S of the permutations of [n] (lexicographic if
     omitted), the adjacency matrix of FJ(n+1, k) under the stacked ordering
     built from S, and the block size n!.
     """
     S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    return S, adjacency_matrix(n + 1, k, concatenated_ordering(S), cap=cap), factorial(n)
+    return S, adjacency_matrix(n + 1, k, concatenated_ordering(S)), factorial(n)
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,7 @@ def _compare_block(name: str, where: tuple[int, int], got: np.ndarray, expected:
     )
 
 
-def verify_recursive_blocks(
-    n: int, k: int, ordering: Sequence[Perm] | None = None, cap: int = MATRIX_CAP
-) -> BlockReport:
+def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = None) -> BlockReport:
     """
     Decompose the adjacency matrix of FJ(n+1, k) under the stacked ordering
     into (n+1)^2 blocks of size n! and check the three structural identities:
@@ -202,12 +200,12 @@ def verify_recursive_blocks(
     """
     if k < 1:
         raise ValueError("the block identities concern k >= 1")
-    S, A, b = _stacked(n, k, ordering, cap)
-    corner = adjacency_matrix(n, k, S, cap=cap)
+    S, A, b = _stacked(n, k, ordering)
+    corner = adjacency_matrix(n, k, S)
     if k == 1:
         flank = np.eye(b, dtype=np.uint8)
     else:
-        flank = adjacency_matrix(n, k - 1, S, cap=cap)
+        flank = adjacency_matrix(n, k - 1, S)
 
     checks = []
     for i in range(1, n + 2):
@@ -224,7 +222,7 @@ def verify_recursive_blocks(
     return BlockReport(n=n, k=k, assertions=tuple(checks))
 
 
-def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None, cap: int = MATRIX_CAP) -> BlockReport:
+def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) -> BlockReport:
     """
     Decompose the adjacency matrix of FJ(n+1, 1) -- the order-(n+1)
     permutahedron -- under the stacked ordering and check its full anatomy:
@@ -238,8 +236,8 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None, 
         compared bit for bit; its regularity is n-2 (0 when n = 2, where
         the interior generating set is empty).
     """
-    S, A, b = _stacked(n, 1, ordering, cap)
-    corner = adjacency_matrix(n, 1, S, cap=cap)
+    S, A, b = _stacked(n, 1, ordering)
+    corner = adjacency_matrix(n, 1, S)
     eye = np.eye(b, dtype=np.uint8)
     zero = np.zeros((b, b), dtype=np.uint8)
 

@@ -7,16 +7,18 @@ Every report is JSON with a schema_version field and a fixed key order, and
 eigenvalues are formatted to 12 decimal places, so identical configurations
 produce identical reports (timing fields excepted).
 
+Every subcommand takes --out.  spectrum and verify-all also take
+--eigen-cap, the largest dense eigensolve, and the tolerances --eig-tol and
+--match-tol; the other size guards are the fixed constants of ``config``.
+
 Exit status: 0 all requested checks passed, 1 a verification failed,
-2 invalid arguments or a size guard tripped.  Size guards resolve as
-CLI flag > FJ_*_CAP environment variable > built-in default.
+2 invalid arguments or a size guard tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -41,45 +43,16 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved caps and tolerances for one invocation."""
+    """Eigen cap and tolerances of one spectrum or verify-all run."""
 
-    graph_cap: int
-    matrix_cap: int
     eigen_cap: int
     eig_tol: float
     match_tol: float
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"error: environment variable {name}={raw!r} is not an integer", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """
-    CLI flags beat environment variables beat built-in defaults.  A NaN,
-    infinite or negative tolerance raises ValueError naming its flag.
-    """
-
-    def pick(flag_value, env_name, default):
-        if flag_value is not None:
-            return flag_value
-        env_value = _env_int(env_name)
-        return env_value if env_value is not None else default
-
-    cfg = RunConfig(
-        graph_cap=pick(args.graph_cap, "FJ_GRAPH_CAP", config.GRAPH_CAP),
-        matrix_cap=pick(args.matrix_cap, "FJ_MATRIX_CAP", config.MATRIX_CAP),
-        eigen_cap=pick(args.eigen_cap, "FJ_EIGEN_CAP", config.EIGEN_CAP),
-        eig_tol=args.eig_tol if args.eig_tol is not None else config.EIG_TOL,
-        match_tol=args.match_tol if args.match_tol is not None else config.MATCH_TOL,
-    )
+    """The flags' values; a NaN, infinite or negative tolerance raises ValueError naming its flag."""
+    cfg = RunConfig(eigen_cap=args.eigen_cap, eig_tol=args.eig_tol, match_tol=args.match_tol)
     check_tolerance("--eig-tol", cfg.eig_tol)
     check_tolerance("--match-tol", cfg.match_tol)
     return cfg
@@ -102,9 +75,9 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out_path)
 
 
-def cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     spec = FlagGraphSpec(args.n, args.k)
-    edges = build_edges(spec, cap=cfg.graph_cap)
+    edges = build_edges(spec)
     if args.format == "dot":
         text = edges_to_dot(spec, edges)
     elif args.format == "csv":
@@ -115,11 +88,11 @@ def cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_diameter(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_diameter(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec = FlagGraphSpec(args.n, args.k)
     mode = "exhaustive" if args.exhaustive else "transitive"
-    value = diameter(spec, mode=mode, cap=cfg.graph_cap)
+    value = diameter(spec, mode=mode)
     bound = diameter_lower_bound(args.n, args.k)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -136,21 +109,22 @@ def cmd_diameter(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if value >= bound else 1
 
 
-def cmd_blocks(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_blocks(args: argparse.Namespace) -> int:
     if args.check == "recursive":
-        report_obj = verify_recursive_blocks(args.n, args.k, cap=cfg.matrix_cap)
+        report_obj = verify_recursive_blocks(args.n, args.k)
     else:
         if args.k != 1:
             print("error: the permutahedron check is defined for k = 1", file=sys.stderr)
             return 2
-        report_obj = verify_permutahedron_blocks(args.n, cap=cfg.matrix_cap)
+        report_obj = verify_permutahedron_blocks(args.n)
     doc = {"schema_version": SCHEMA_VERSION, "command": "blocks", "check": args.check}
     doc.update(report_obj.to_dict())
     _emit_json(doc, args.out)
     return 0 if report_obj.passed else 1
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
     n = args.n
     m_spec = eig_tridiagonal(regularity_matrix(n), tol=cfg.eig_tol)
     report: dict = {
@@ -162,9 +136,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     status = 0
     full_spec: Spectrum | None = None
     if args.full or args.check_subset or args.conjecture:
-        full_spec = adjacency_spectrum(
-            n, 1, tol=cfg.eig_tol, matrix_cap=cfg.matrix_cap, eigen_cap=cfg.eigen_cap
-        )
+        full_spec = adjacency_spectrum(n, 1, tol=cfg.eig_tol, eigen_cap=cfg.eigen_cap)
         report["full_distinct_eigenvalues"] = [_round12(x) for x in full_spec.values]
     if args.check_subset:
         match = spectrum_subset_check(m_spec, full_spec, tol=cfg.match_tol)
@@ -181,7 +153,8 @@ def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     return status
 
 
-def cmd_verify_all(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
     started = time.perf_counter()
     checks = battery(args.max_n, **asdict(cfg))
     passed = all(c["passed"] for c in checks)
@@ -199,13 +172,15 @@ def cmd_verify_all(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--graph-cap", type=int, default=None, help="largest n for edges/BFS (env FJ_GRAPH_CAP)")
-    parser.add_argument("--matrix-cap", type=int, default=None, help="largest n for dense matrices (env FJ_MATRIX_CAP)")
-    parser.add_argument("--eigen-cap", type=int, default=None, help="largest eigensolver order (env FJ_EIGEN_CAP)")
-    parser.add_argument("--eig-tol", type=float, default=None, help="eigensolver convergence tolerance")
-    parser.add_argument("--match-tol", type=float, default=None, help="eigenvalue matching tolerance")
+
+
+def _add_spectral(parser: argparse.ArgumentParser) -> None:
+    _add_out(parser)
+    parser.add_argument("--eigen-cap", type=int, default=config.EIGEN_CAP, help="largest eigensolver order")
+    parser.add_argument("--eig-tol", type=float, default=config.EIG_TOL, help="eigensolver convergence tolerance")
+    parser.add_argument("--match-tol", type=float, default=config.MATCH_TOL, help="eigenvalue matching tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=("dot", "csv", "json"), default="json")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("diameter", help="BFS diameter of FJ(n, k) with its lower bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true", help="BFS from every source instead of one")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser(
@@ -236,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="base size n; the decomposed matrix is FJ(n+1, k)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--check", choices=("recursive", "permutahedron"), required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("spectrum", help="regularity-matrix eigenvalues, full spectrum, containment")
@@ -244,12 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="also compute the full FJ(n,1) spectrum")
     p.add_argument("--check-subset", action="store_true", help="verify spec(M) inside spec(FJ(n,1))")
     p.add_argument("--conjecture", action="store_true", help="test the second-largest-eigenvalue conjecture")
-    _add_common(p)
+    _add_spectral(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify-all", help="run the whole verification battery up to --max-n")
-    p.add_argument("--max-n", type=int, default=5, help="largest graph size touched, 2..graph cap (default 5)")
-    _add_common(p)
+    p.add_argument(
+        "--max-n", type=int, default=5, help="largest graph size touched, 2..7, as FJ(8,7) is over the edge budget (default 5)"
+    )
+    _add_spectral(p)
     p.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -259,7 +236,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, resolve_config(args))
+        return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,21 @@
 """Size guards and numeric tolerances shared across the package.
 
-The defaults keep every computation interactive on one machine.  Library
-functions take the caps and tolerances as keyword arguments, so any of them
-can be raised per call; the command-line tool additionally honours the
-FJ_GRAPH_CAP, FJ_MATRIX_CAP and FJ_EIGEN_CAP environment variables.  The
-edge budget is fixed: it bounds the memory of an edge list, whatever the
-caps say.
+The guards are fixed, and each is checked once, where its cost is paid:
+GRAPH_CAP when the n! vertex orderings are enumerated, EDGE_CAP before an
+edge list is built or a BFS composes n! * degree products, MATRIX_CAP
+before anything allocates or loops over all n! x n! vertex pairs, and
+EIGEN_CAP before a dense eigensolve or a regularity matrix.  They keep
+every computation interactive on one machine.  Only the eigensolver order
+can be set per call (``eigen_cap``, ``fjgraph --eigen-cap``); the
+tolerances are keyword arguments everywhere.
 """
 
 import math
 
-GRAPH_CAP = 8       # largest n for vertex orderings, edge lists, BFS (8! = 40320)
-MATRIX_CAP = 7      # largest n for dense n! x n! adjacency matrices (7! = 5040)
-EIGEN_CAP = 720     # largest matrix order accepted by the dense eigensolver
-EDGE_CAP = 2**24    # most edges in one edge list: admits FJ(7,6) and FJ(8,4), not FJ(8,5)
+GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320)
+MATRIX_CAP = 7      # largest n for dense n! x n! matrices and all-pairs loops (7! = 5040)
+EIGEN_CAP = 720     # largest order of a dense eigensolve or a regularity matrix
+EDGE_CAP = 2**24    # most edges, n! * degree / 2, of an edge list or a BFS: admits FJ(7,6) and FJ(8,4), not FJ(8,5)
 
 EIG_TOL = 1e-12     # dense symmetry tolerance; bisection width of the tridiagonal solver
 MATCH_TOL = 1e-8    # absolute tolerance when matching values across spectra

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
+from .config import EDGE_CAP, MATRIX_CAP, CapExceeded
 from .perms import (
     Perm,
     check_permutation,
@@ -192,13 +192,14 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
 
 
 def _check_edge_budget(n: int, k: int) -> None:
-    # n! * degree / 2 edges, known before a single tuple is allocated
+    # n! * degree / 2 edges, known before a single tuple is allocated; a BFS
+    # composes at most twice that many products, so this bounds it too
     edges = factorial(n) * degree(n, k) // 2
     if edges > EDGE_CAP:
         raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
 
 
-def build_edges(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> list[tuple[int, int]]:
+def build_edges(spec: FlagGraphSpec) -> list[tuple[int, int]]:
     """
     Edge list as rank pairs (a, b) with a < b, sorted.  Runs in
     O(n! * degree * n) by composing every vertex with the connection set and
@@ -207,8 +208,6 @@ def build_edges(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> list[tuple[int, in
     graph with more than ``config.EDGE_CAP`` edges raises CapExceeded
     before anything is built.
     """
-    if spec.n > cap:
-        raise CapExceeded(f"n={spec.n} exceeds the graph cap {cap}")
     _check_edge_budget(spec.n, spec.k)
     if spec.k == 0:
         return []
@@ -224,16 +223,23 @@ def build_edges(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> list[tuple[int, in
     return edges
 
 
+def _check_matrix_cap(n: int) -> None:
+    if n > MATRIX_CAP:
+        raise CapExceeded(f"n={n} exceeds the matrix cap {MATRIX_CAP}")
+
+
 def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     """
     Pairwise prefix-mismatch counts for every pair in the ordering, as an
     N x N uint8 array.  Prefix sets are encoded as integer bitmasks per
     vertex and compared one prefix length at a time, so memory stays at a
-    few N x N byte planes.
+    few N x N byte planes.  Orderings of permutations of [n] with n above
+    ``config.MATRIX_CAP`` raise CapExceeded before anything is allocated.
     """
     S = tuple(ordering)
     N = len(S)
     n = len(S[0])
+    _check_matrix_cap(n)
     counts = np.zeros((N, N), dtype=np.uint8)
     acc = np.zeros(N, dtype=np.int64)
     P = np.array(S, dtype=np.int64)
@@ -243,14 +249,12 @@ def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     return counts
 
 
-def pairwise_edges(spec: FlagGraphSpec, cap: int = MATRIX_CAP) -> list[tuple[int, int]]:
+def pairwise_edges(spec: FlagGraphSpec) -> list[tuple[int, int]]:
     """
     Quadratic reference route: evaluate the adjacency predicate on every
     vertex pair.  Kept as an independent cross-check for ``build_edges``
     (different algorithm, different data path).
     """
-    if spec.n > cap:
-        raise CapExceeded(f"n={spec.n} exceeds the pairwise cap {cap}")
     counts = prefix_mismatch_matrix(spec.ordering)
     hits = np.triu(counts == spec.k, k=1)
     a_idx, b_idx = np.nonzero(hits)
@@ -263,10 +267,12 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     onto an induced subgraph of FJ(n+1, k), i.e. preserves adjacency and
     non-adjacency on every vertex pair.  This holds at the end positions 1
     and n+1; interior positions generally break it, and the witness pair
-    shows where.  Returns (ok, witness_pair).
+    shows where.  Returns (ok, witness_pair).  The pairs number n!^2 / 2,
+    so n above ``config.MATRIX_CAP`` raises CapExceeded.
     """
     if not 1 <= position <= n + 1:
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
+    _check_matrix_cap(n)
     perms = enumerate_permutations(n)
     for a, u in enumerate(perms):
         for v in perms[a + 1 :]:

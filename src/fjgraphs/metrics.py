@@ -12,8 +12,8 @@ from math import comb
 
 import numpy as np
 
-from .config import GRAPH_CAP, CapExceeded, TheoremViolation
-from .graphs import FlagGraphSpec, build_edges, generators
+from .config import TheoremViolation
+from .graphs import FlagGraphSpec, _check_edge_budget, build_edges, generators
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
@@ -33,17 +33,18 @@ class DistanceProfile:
         return self.reached == len(self.distances)
 
 
-def bfs(spec: FlagGraphSpec, source, cap: int = GRAPH_CAP) -> DistanceProfile:
+def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     """
     Breadth-first distances from ``source`` to every vertex.  The frontier
     holds ranks, neighbors come from right products with the connection set,
     and expansion stops as soon as every vertex has a distance -- which cuts
     the work sharply on dense connection sets whose BFS trees are shallow.
+    A graph over the edge budget (``config.EDGE_CAP``) raises CapExceeded
+    before the search.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
-    if spec.n > cap:
-        raise CapExceeded(f"n={spec.n} exceeds the graph cap {cap}")
+    _check_edge_budget(spec.n, spec.k)
     src = spec.rank(source)
     total = spec.vertex_count
     ordering = spec.ordering
@@ -68,7 +69,7 @@ def bfs(spec: FlagGraphSpec, source, cap: int = GRAPH_CAP) -> DistanceProfile:
     return DistanceProfile(tuple(source), dist, ecc, assigned)
 
 
-def is_connected(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> bool:
+def is_connected(spec: FlagGraphSpec) -> bool:
     """
     Measured connectivity (one BFS), even though every FJ(n, k) with k >= 1
     is connected.  For k = 0 there are no edges, so only the one-vertex
@@ -76,10 +77,10 @@ def is_connected(spec: FlagGraphSpec, cap: int = GRAPH_CAP) -> bool:
     """
     if spec.k == 0:
         return spec.n == 1
-    return bfs(spec, identity(spec.n), cap=cap).connected
+    return bfs(spec, identity(spec.n)).connected
 
 
-def diameter(spec: FlagGraphSpec, mode: str = "transitive", cap: int = GRAPH_CAP) -> int:
+def diameter(spec: FlagGraphSpec, mode: str = "transitive") -> int:
     """
     Largest eccentricity.  Mode "transitive" runs a single BFS from the
     identity, valid because a Cayley graph looks the same from every vertex;
@@ -92,7 +93,7 @@ def diameter(spec: FlagGraphSpec, mode: str = "transitive", cap: int = GRAPH_CAP
         raise ValueError("FJ(n, 0) has no edges; its diameter is undefined")
     if mode not in ("transitive", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    profile = bfs(spec, identity(spec.n), cap=cap)
+    profile = bfs(spec, identity(spec.n))
     if not profile.connected:
         raise TheoremViolation(
             f"FJ({spec.n},{spec.k}) reached only {profile.reached} of {spec.vertex_count} vertices"
@@ -101,7 +102,7 @@ def diameter(spec: FlagGraphSpec, mode: str = "transitive", cap: int = GRAPH_CAP
         return profile.eccentricity
     best = profile.eccentricity
     for p in spec.ordering:
-        prof = bfs(spec, p, cap=cap)
+        prof = bfs(spec, p)
         if not prof.connected:
             raise TheoremViolation(f"FJ({spec.n},{spec.k}) disconnected from source {p}")
         best = max(best, prof.eccentricity)
@@ -123,13 +124,13 @@ def diameter_lower_bound(n: int, k: int) -> int:
     return -(-comb(n, 2) // comb(k + 1, 2))
 
 
-def edge_transposition_bound_check(spec: FlagGraphSpec, cap: int = GRAPH_CAP):
+def edge_transposition_bound_check(spec: FlagGraphSpec):
     """
     Every edge (u, v) satisfies kendall_distance(u, v) <= C(k+1, 2).
     Returns (True, None), or (False, (u, v)) with the offending edge.
     """
     bound = comb(spec.k + 1, 2)
-    for a, b in build_edges(spec, cap=cap):
+    for a, b in build_edges(spec):
         u, v = spec.ordering[a], spec.ordering[b]
         if kendall_distance(u, v) > bound:
             return False, (u, v)

@@ -271,18 +271,19 @@ def compose(u: Perm, g: Perm) -> Perm:
     return tuple(u[j - 1] for j in g)
 
 
-def enumerate_permutations(n: int, cap: int = GRAPH_CAP) -> tuple[Perm, ...]:
+def enumerate_permutations(n: int) -> tuple[Perm, ...]:
     """
     All n! permutations of [n] in lexicographic order: the identity first,
-    the reversal last.  Materializes the full list, hence the size guard.
+    the reversal last.  Materializes the full list, so n above
+    ``config.GRAPH_CAP`` raises CapExceeded.
 
     >>> enumerate_permutations(3)
     ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the ordering cap {cap} ({factorial(n)} permutations)")
+    if n > GRAPH_CAP:
+        raise CapExceeded(f"n={n} exceeds the graph cap {GRAPH_CAP} ({factorial(n)} permutations)")
     return tuple(itertools.permutations(range(1, n + 1)))
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MATRIX_CAP, MERGE_TOL, CapExceeded, TheoremViolation, check_tolerance
+from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation, check_tolerance
 from .blocks import _stacked, adjacency_matrix, block, block_regularity
 from .perms import Perm
 
@@ -63,13 +63,16 @@ def regularity_matrix(n: int) -> np.ndarray:
     The n x n symmetric tridiagonal matrix of block regularities of
     FJ(n, 1) under the stacked ordering: corners n-2, interior diagonal
     n-3, ones on the sub/super diagonal.  Every row sums to n-1, so n-1 is
-    always an eigenvalue (all-ones eigenvector).
+    always an eigenvalue (all-ones eigenvector).  n above
+    ``config.EIGEN_CAP`` raises CapExceeded.
 
     >>> regularity_matrix(4).tolist()
     [[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 2]]
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > EIGEN_CAP:
+        raise CapExceeded(f"order {n} exceeds the eigensolver cap {EIGEN_CAP}")
     M = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         M[i, i] = n - 2 if i in (0, n - 1) else n - 3
@@ -78,7 +81,7 @@ def regularity_matrix(n: int) -> np.ndarray:
     return M
 
 
-def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None, cap: int = MATRIX_CAP) -> np.ndarray:
+def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
     The same matrix read off empirically: build the adjacency matrix of
     FJ(n, 1) under the stacked ordering (from an ordering of the
@@ -88,7 +91,7 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, A, b = _stacked(n - 1, 1, ordering, cap)
+    _, A, b = _stacked(n - 1, 1, ordering)
     M = np.zeros((n, n), dtype=np.int64)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -196,11 +199,10 @@ def adjacency_spectrum(
     ordering: Sequence[Perm] | None = None,
     tol: float = EIG_TOL,
     merge_tol: float = MERGE_TOL,
-    matrix_cap: int = MATRIX_CAP,
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
     """Full spectrum of FJ(n, k): build the adjacency matrix, solve it densely."""
-    A = adjacency_matrix(n, k, ordering, cap=matrix_cap)
+    A = adjacency_matrix(n, k, ordering)
     return eig_symmetric(A, tol=tol, merge_tol=merge_tol, cap=eigen_cap)
 
 
@@ -220,7 +222,7 @@ def lift_vector(vec, n: int) -> np.ndarray:
     return np.repeat(v, factorial(n - 1))
 
 
-def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None, cap: int = MATRIX_CAP) -> bool:
+def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     """
     Exact integer check that block-indicator lifting commutes with the two
     matrices: A @ lift(e_i) == lift(M @ e_i) for every basis vector e_i,
@@ -233,7 +235,7 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None, cap: int
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, A, b = _stacked(n - 1, 1, ordering, cap)
+    _, A, b = _stacked(n - 1, 1, ordering)
     block_sums = A.reshape(n * b, n, b).sum(axis=2, dtype=np.int64)
     return bool(np.array_equal(block_sums, np.repeat(regularity_matrix(n), b, axis=0)))
 
@@ -271,7 +273,6 @@ def conjecture_second_largest(
     n: int,
     tol: float = MATCH_TOL,
     graph_spectrum: Spectrum | None = None,
-    matrix_cap: int = MATRIX_CAP,
     eigen_cap: int = EIGEN_CAP,
     eig_tol: float = EIG_TOL,
     merge_tol: float = MERGE_TOL,
@@ -284,9 +285,7 @@ def conjecture_second_largest(
     """
     check_tolerance("tol", tol)
     if graph_spectrum is None:
-        graph_spectrum = adjacency_spectrum(
-            n, 1, tol=eig_tol, merge_tol=merge_tol, matrix_cap=matrix_cap, eigen_cap=eigen_cap
-        )
+        graph_spectrum = adjacency_spectrum(n, 1, tol=eig_tol, merge_tol=merge_tol, eigen_cap=eigen_cap)
     m_spectrum = eig_tridiagonal(regularity_matrix(n), tol=eig_tol, merge_tol=merge_tol)
     if len(graph_spectrum.values) < 2:
         return True

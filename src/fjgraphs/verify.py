@@ -13,14 +13,15 @@ the same order, so the report is deterministic.
 
 Each graph is searched once: a single BFS from the identity gives its
 connectivity and, because a Cayley graph looks the same from every vertex,
-its diameter.
+its diameter.  A disconnected graph fails its connectivity entry and each
+of its diameter entries, and the battery goes on.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-from .config import EIG_TOL, EIGEN_CAP, GRAPH_CAP, MATCH_TOL, MATRIX_CAP, CapExceeded, TheoremViolation
+from .config import EIG_TOL, EIGEN_CAP, GRAPH_CAP, MATCH_TOL, MATRIX_CAP, CapExceeded
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import (
     FlagGraphSpec,
@@ -57,26 +58,19 @@ def _maxscan_block_count(pattern) -> int:
     return count
 
 
-def battery(
-    max_n: int,
-    graph_cap: int = GRAPH_CAP,
-    matrix_cap: int = MATRIX_CAP,
-    eigen_cap: int = EIGEN_CAP,
-    eig_tol: float = EIG_TOL,
-    match_tol: float = MATCH_TOL,
-) -> list[dict]:
+def battery(max_n: int, eigen_cap: int = EIGEN_CAP, eig_tol: float = EIG_TOL, match_tol: float = MATCH_TOL) -> list[dict]:
     """
     Run every check on the graphs with 2 <= n <= max_n and return the
     entries in a fixed order.  Checks on dense matrices stop at
-    ``matrix_cap`` and full spectra at order ``eigen_cap``.  ``max_n``
-    below 2 raises ValueError; ``max_n`` above ``graph_cap``, or an
-    FJ(max_n, max_n-1) over the edge budget, raises CapExceeded before any
-    check runs.  A disconnected graph raises TheoremViolation.
+    ``config.MATRIX_CAP`` and full spectra at order ``eigen_cap``.
+    ``max_n`` below 2 raises ValueError; ``max_n`` above
+    ``config.GRAPH_CAP``, or an FJ(max_n, max_n-1) over the edge budget,
+    raises CapExceeded before any check runs.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    if max_n > graph_cap:
-        raise CapExceeded(f"n={max_n} exceeds the graph cap {graph_cap}")
+    if max_n > GRAPH_CAP:
+        raise CapExceeded(f"n={max_n} exceeds the graph cap {GRAPH_CAP}")
     _check_edge_budget(max_n, max_n - 1)
 
     checks: list[dict] = []
@@ -88,13 +82,14 @@ def battery(
         checks.append(entry)
 
     graphs = [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
-    profiles = {(n, k): bfs(FlagGraphSpec(n, k), identity(n), cap=graph_cap) for n, k in graphs}
+    profiles = {(n, k): bfs(FlagGraphSpec(n, k), identity(n)) for n, k in graphs}
 
-    def measured_diameter(n: int, k: int) -> int:
+    def add_diameter(name: str, params: dict, n: int, k: int, passed: bool, detail: str) -> None:
+        # the eccentricity of a disconnected graph is no diameter
         profile = profiles[n, k]
         if not profile.connected:
-            raise TheoremViolation(f"FJ({n},{k}) reached only {profile.reached} of {len(profile.distances)} vertices")
-        return profile.eccentricity
+            passed, detail = False, f"disconnected: reached {profile.reached} of {len(profile.distances)}"
+        add(name, params, passed, detail)
 
     # connectivity of every non-trivial graph
     for n, k in graphs:
@@ -102,19 +97,19 @@ def battery(
 
     # diameters: adjacent-swap family and top family, plus the general bound
     for n in range(2, max_n + 1):
-        got = measured_diameter(n, 1)
-        add("diameter-k1", {"n": n}, got == comb(n, 2), f"diameter {got}, expected {comb(n, 2)}")
+        got = profiles[n, 1].eccentricity
+        add_diameter("diameter-k1", {"n": n}, n, 1, got == comb(n, 2), f"diameter {got}, expected {comb(n, 2)}")
     for n in range(3, max_n + 1):
-        got = measured_diameter(n, n - 1)
-        add("diameter-top", {"n": n}, got == 2, f"diameter {got}, expected 2")
+        got = profiles[n, n - 1].eccentricity
+        add_diameter("diameter-top", {"n": n}, n, n - 1, got == 2, f"diameter {got}, expected 2")
     for n, k in graphs:
-        got = measured_diameter(n, k)
+        got = profiles[n, k].eccentricity
         bound = diameter_lower_bound(n, k)
-        add("diameter-lower-bound", {"n": n, "k": k}, bound <= got, f"bound {bound}, diameter {got}")
+        add_diameter("diameter-lower-bound", {"n": n, "k": k}, n, k, bound <= got, f"bound {bound}, diameter {got}")
 
     # every edge stays within C(k+1,2) adjacent transpositions
     for n, k in graphs:
-        ok, witness = edge_transposition_bound_check(FlagGraphSpec(n, k), cap=graph_cap)
+        ok, witness = edge_transposition_bound_check(FlagGraphSpec(n, k))
         add("edge-kendall-bound", {"n": n, "k": k}, ok, "" if ok else f"witness {witness}")
 
     # end insertions embed FJ(n,k) into FJ(n+1,k)
@@ -125,10 +120,10 @@ def battery(
                 add("insertion-embedding", {"n": n, "k": k, "position": position}, ok, "" if ok else f"witness {witness}")
 
     # generator-product edges match the quadratic pairwise predicate
-    for n in range(2, min(max_n, matrix_cap) + 1):
+    for n in range(2, min(max_n, MATRIX_CAP) + 1):
         for k in range(1, n):
             spec = FlagGraphSpec(n, k)
-            same = build_edges(spec, cap=graph_cap) == pairwise_edges(spec, cap=matrix_cap)
+            same = build_edges(spec) == pairwise_edges(spec)
             add("edge-oracle-equivalence", {"n": n, "k": k}, same)
 
     # adjacency means exactly n-k irreducible windows (independent max-scan)
@@ -143,27 +138,27 @@ def battery(
         add("reducibility-adjacency-equivalence", {"n": n}, ok)
 
     # block identities of the stacked orderings
-    for big in range(3, min(max_n, matrix_cap) + 1):
+    for big in range(3, min(max_n, MATRIX_CAP) + 1):
         n = big - 1
         for k in range(1, n):
-            rep = verify_recursive_blocks(n, k, cap=matrix_cap)
+            rep = verify_recursive_blocks(n, k)
             add("block-recursion", {"n": n, "k": k}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-        rep = verify_permutahedron_blocks(n, cap=matrix_cap)
+        rep = verify_permutahedron_blocks(n)
         add("permutahedron-blocks", {"n": n}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
 
     # regularity matrix: empirical block route equals the closed form
-    for n in range(2, min(max_n, matrix_cap) + 1):
-        same = (regularity_matrix_from_blocks(n, cap=matrix_cap) == regularity_matrix(n)).all()
+    for n in range(2, min(max_n, MATRIX_CAP) + 1):
+        same = (regularity_matrix_from_blocks(n) == regularity_matrix(n)).all()
         add("regularity-matrix", {"n": n}, bool(same))
 
     # lifting identity and spectrum containment
-    for n in range(2, min(max_n, matrix_cap) + 1):
-        add("intertwining", {"n": n}, verify_intertwining(n, cap=matrix_cap))
+    for n in range(2, min(max_n, MATRIX_CAP) + 1):
+        add("intertwining", {"n": n}, verify_intertwining(n))
     for n in range(2, max_n + 1):
         if factorial(n) > eigen_cap:
             break
         m_spec = eig_tridiagonal(regularity_matrix(n), tol=eig_tol)
-        full = adjacency_spectrum(n, 1, tol=eig_tol, matrix_cap=matrix_cap, eigen_cap=eigen_cap)
+        full = adjacency_spectrum(n, 1, tol=eig_tol, eigen_cap=eigen_cap)
         match = spectrum_subset_check(m_spec, full, tol=match_tol)
         add("spectrum-subset", {"n": n}, match.ok, "" if match.ok else f"unmatched {match.unmatched}")
         if n >= 3:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fjgraphs import CapExceeded, FlagGraphSpec, TheoremViolation, diameter, verify
+from fjgraphs import CapExceeded, FlagGraphSpec, diameter, verify
 from fjgraphs.verify import battery
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_all_max_n_6.json").read_text(encoding="utf-8"))
@@ -56,18 +56,30 @@ def _no_search(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "max_n, caps, error",
-    [(-2, {}, ValueError), (1, {}, ValueError), (9, {}, CapExceeded), (5, {"graph_cap": 4}, CapExceeded), (8, {}, CapExceeded)],
-    ids=["negative", "one", "over-graph-cap", "over-given-cap", "over-edge-budget"],
+    "max_n, error",
+    [(-2, ValueError), (1, ValueError), (9, CapExceeded), (8, CapExceeded)],
+    ids=["negative", "one", "over-graph-cap", "over-edge-budget"],
 )
-def test_battery_rejects_max_n_before_any_check(monkeypatch, max_n, caps, error):
+def test_battery_rejects_max_n_before_any_check(monkeypatch, max_n, error):
     monkeypatch.setattr(verify, "bfs", _no_search)
     with pytest.raises(error):
-        battery(max_n, **caps)
+        battery(max_n)
 
 
 def test_battery_raises_on_a_disconnected_profile(monkeypatch):
+    # every profile reaches one vertex: FJ(2,1) (2 vertices) and FJ(3,k) (6)
     real = verify.bfs
-    monkeypatch.setattr(verify, "bfs", lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), reached=1))
-    with pytest.raises(TheoremViolation, match="reached only 1 of 2"):
-        battery(3)
+    monkeypatch.setattr(verify, "bfs", lambda *args: dataclasses.replace(real(*args), reached=1))
+    checks = battery(3)
+    failed = [(c["name"], c["params"], c.get("detail")) for c in checks if not c["passed"]]
+    assert failed == [
+        ("connectivity", {"n": 2, "k": 1}, None),
+        ("connectivity", {"n": 3, "k": 1}, None),
+        ("connectivity", {"n": 3, "k": 2}, None),
+        ("diameter-k1", {"n": 2}, "disconnected: reached 1 of 2"),
+        ("diameter-k1", {"n": 3}, "disconnected: reached 1 of 6"),
+        ("diameter-top", {"n": 3}, "disconnected: reached 1 of 6"),
+        ("diameter-lower-bound", {"n": 2, "k": 1}, "disconnected: reached 1 of 2"),
+        ("diameter-lower-bound", {"n": 3, "k": 1}, "disconnected: reached 1 of 6"),
+        ("diameter-lower-bound", {"n": 3, "k": 2}, "disconnected: reached 1 of 6"),
+    ]

@@ -77,8 +77,8 @@ def test_adjacency_matrix_k0_is_edgeless():
 
 
 def test_adjacency_matrix_cap():
-    with pytest.raises(CapExceeded):
-        adjacency_matrix(5, 1, cap=4)
+    with pytest.raises(CapExceeded, match="matrix cap"):
+        adjacency_matrix(8, 1)
 
 
 # ---------------------------------------------------------------- block views
@@ -211,6 +211,8 @@ def test_excluded_transposition_matrix_errors():
         excluded_transposition_matrix(3, 0)
     with pytest.raises(ValueError):
         excluded_transposition_matrix(3, 3)
+    with pytest.raises(CapExceeded, match="matrix cap"):
+        excluded_transposition_matrix(8, 1)
 
 
 # ---------------------------------------------------------------- exports

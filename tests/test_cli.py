@@ -1,10 +1,12 @@
-"""Command-line behavior: reports, formats, exit codes, config precedence."""
+"""Command-line behavior: reports, formats, exit codes, size guards."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from fjgraphs import graphs, metrics, verify
 from fjgraphs.cli import main
 
 
@@ -169,19 +171,12 @@ def test_verify_all_small(capsys):
     } <= names
 
 
-def test_graph_cap_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("FJ_GRAPH_CAP", "3")
-    code, _, err = run(capsys, "diameter", "--n", "4", "--k", "1")
-    assert code == 2 and "cap" in err
-    code, doc, _ = run_json(capsys, "diameter", "--n", "4", "--k", "1", "--graph-cap", "8")
-    assert code == 0 and doc["diameter"] == 6
-
-
-def test_bad_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FJ_MATRIX_CAP", "seven")
-    with pytest.raises(SystemExit) as info:
-        main(["spectrum", "--n", "3"])
-    assert info.value.code == 2
+def test_verify_all_reports_a_disconnected_graph(capsys, monkeypatch):
+    real = verify.bfs
+    monkeypatch.setattr(verify, "bfs", lambda *args: dataclasses.replace(real(*args), reached=1))
+    code, doc, _ = run_json(capsys, "verify-all", "--max-n", "3")
+    assert code == 1 and doc["passed"] is False
+    assert {"name": "connectivity", "params": {"n": 2, "k": 1}, "passed": False} in doc["failed"]
 
 
 def test_invalid_arguments_exit_2(capsys):
@@ -190,6 +185,9 @@ def test_invalid_arguments_exit_2(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["export", "--n", "3", "--k", "1", "--graph-cap", "3"])  # no such flag
     assert info.value.code == 2
 
 
@@ -206,10 +204,17 @@ def test_invalid_nk_exits_2(capsys):
         (("verify-all", "--max-n", "9"), "graph cap"),
         (("verify-all", "--max-n", "8"), "edge budget"),
         (("export", "--n", "8", "--k", "7", "--format", "csv"), "edge budget"),
+        (("diameter", "--n", "8", "--k", "7"), "edge budget"),
+        (("spectrum", "--n", "721"), "eigensolver cap"),
     ],
-    ids=["max-n=-2", "max-n=1", "max-n=9", "max-n=8", "export-fj87"],
+    ids=["max-n=-2", "max-n=1", "max-n=9", "max-n=8", "export-fj87", "diameter-fj87", "spectrum-721"],
 )
-def test_out_of_range_size_exits_2(capsys, argv, message):
+def test_out_of_range_size_exits_2(capsys, monkeypatch, argv, message):
+    def no_search(*args):
+        raise AssertionError("a connection set was built before the size guard")
+
+    monkeypatch.setattr(graphs, "generators", no_search)
+    monkeypatch.setattr(metrics, "generators", no_search)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -28,6 +28,7 @@ from fjgraphs import (
     neighbors,
     pairwise_edges,
     prefix_mismatch_count,
+    prefix_mismatch_matrix,
 )
 from fjgraphs.graphs import _check_edge_budget
 
@@ -201,8 +202,13 @@ def test_build_edges_sorted_and_in_range():
 
 
 def test_build_edges_cap():
-    with pytest.raises(CapExceeded):
-        build_edges(FlagGraphSpec(5, 1), cap=4)
+    # FJ(9,1) fits the edge budget; enumerating its vertices does not
+    with pytest.raises(CapExceeded, match="graph cap"):
+        build_edges(FlagGraphSpec(9, 1))
+    with pytest.raises(CapExceeded, match="matrix cap"):
+        pairwise_edges(FlagGraphSpec(8, 1))
+    with pytest.raises(CapExceeded, match="matrix cap"):
+        prefix_mismatch_matrix(enumerate_permutations(8))
 
 
 def test_build_edges_edge_budget():
@@ -252,6 +258,8 @@ def test_interior_insertion_fails_with_witness():
     assert not ok and witness is not None
     with pytest.raises(ValueError):
         insertion_embedding_check(3, 1, 5)
+    with pytest.raises(CapExceeded, match="matrix cap"):
+        insertion_embedding_check(8, 1)
 
 
 # ---------------------------------------------------------------- exports

@@ -55,7 +55,7 @@ def test_bfs_errors():
     with pytest.raises(ValueError):
         bfs(FlagGraphSpec(3, 0), (1, 2, 3))
     with pytest.raises(CapExceeded):
-        bfs(FlagGraphSpec(5, 1), identity(5), cap=4)
+        bfs(FlagGraphSpec(8, 7), identity(8))
     with pytest.raises(ValueError):
         bfs(FlagGraphSpec(3, 1), (1, 2, 4))
 

@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -323,7 +323,6 @@ def test_enumerate_permutations():
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         enumerate_permutations(9)
-    assert len(enumerate_permutations(9, cap=9)) == factorial(9)
     with pytest.raises(ValueError):
         enumerate_permutations(0)
 
