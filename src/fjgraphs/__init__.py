@@ -41,6 +41,7 @@ from .perms import (
     unrank,
 )
 from .graphs import (
+    EdgeList,
     FlagGraphSpec,
     adjacent,
     build_edges,

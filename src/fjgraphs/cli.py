@@ -91,15 +91,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_diameter(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec = FlagGraphSpec(args.n, args.k)
-    mode = "exhaustive" if args.exhaustive else "transitive"
-    value = diameter(spec, mode=mode)
+    value = diameter(spec)
     bound = diameter_lower_bound(args.n, args.k)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "diameter",
         "n": args.n,
         "k": args.k,
-        "mode": mode,
+        "mode": "transitive",
         "diameter": value,
         "lower_bound": bound,
         "connected": True,
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diameter", help="BFS diameter of FJ(n, k) with its lower bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true", help="BFS from every source instead of one")
     _add_out(p)
     p.set_defaults(func=cmd_diameter)
 

@@ -2,7 +2,8 @@
 
 The guards are fixed, and each is checked once, where its cost is paid:
 GRAPH_CAP when the n! vertex orderings are enumerated, EDGE_CAP before an
-edge list is built or a BFS composes n! * degree products, MATRIX_CAP
+edge list is built or a BFS composes n! * degree products (a BFS in
+fixed chunks, so there it bounds the time, not the memory), MATRIX_CAP
 before anything allocates or loops over all n! x n! vertex pairs, and
 EIGEN_CAP before a dense eigensolve or a regularity matrix.  They keep
 every computation interactive on one machine.  Only the eigensolver order
@@ -12,7 +13,7 @@ tolerances are keyword arguments everywhere.
 
 import math
 
-GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320)
+GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320); the byte-wide rank tables of graphs need n <= 8
 MATRIX_CAP = 7      # largest n for dense n! x n! matrices and all-pairs loops (7! = 5040)
 EIGEN_CAP = 720     # largest order of a dense eigensolve or a regularity matrix
 EDGE_CAP = 2**24    # most edges, n! * degree / 2, of an edge list or a BFS: admits FJ(7,6) and FJ(8,4), not FJ(8,5)

@@ -13,16 +13,23 @@ A ``FlagGraphSpec`` fixes (n, k) together with an explicit vertex ordering
 (lexicographic unless overridden); ranks into that ordering are the vertex
 ids used by edge lists, BFS and matrices.  Specs and generator tuples are
 immutable; all queries here are read-only.
+
+Edge lists and BFS run on arrays: the vertices form an (n!, n) uint8 array,
+a batch of products u o g is composed by fancy indexing and ranked by a
+vectorized Lehmer code, and the batches are cut into vertex chunks of about
+``CHUNK_PRODUCTS`` products, so the peak memory is fixed whatever the
+degree.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,9 +41,18 @@ from .perms import (
     enumerate_permutations,
     insertion,
     is_irreducible,
+    is_permutation,
     perm_to_string,
     prefix_mismatch_count,
+    rank,
 )
+
+CHUNK_PRODUCTS = 1 << 20  # products u o g composed at once: bounds the peak memory of edge lists and BFS
+CSV_ROWS = 1 << 16  # edges formatted per string operation in edges_to_csv, and per step of EdgeList iteration
+
+# popcount of every byte: for n <= 8 (config.GRAPH_CAP) the set of values
+# already seen at a position fits in one byte
+_POPCOUNT = np.array([bin(s).count("1") for s in range(256)], dtype=np.uint8)
 
 
 def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> tuple[Perm, ...]:
@@ -52,17 +68,55 @@ def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> t
     return S
 
 
+@lru_cache(maxsize=None)
+def _lex_vertices(n: int) -> np.ndarray:
+    # all permutations of [n] in lexicographic order, 0-based values, read-only
+    V = np.array(enumerate_permutations(n), dtype=np.uint8) - 1
+    V.flags.writeable = False
+    return V
+
+
+def _lex_ranks(columns, n: int) -> np.ndarray:
+    """
+    Lexicographic ranks, as int32, of permutations of [n] given column by
+    column: ``columns`` yields uint8 arrays of 0-based values, one per
+    position, and only the first n-1 are read.  The Lehmer digit at a
+    position is the number of smaller values not seen yet,
+    v - popcount(seen & (bit(v) - 1)), with ``seen`` the byte of values
+    already placed.
+    """
+    ranks = np.zeros(1, dtype=np.int32)  # broadcasts; also the rank of the one permutation of [1]
+    seen = np.uint8(0)
+    for i, v in zip(range(n - 1), columns):
+        bit = 1 << v
+        ranks = ranks + (v - _POPCOUNT[seen & (bit - 1)]) * np.int32(factorial(n - 1 - i))
+        seen = seen | bit
+    return ranks
+
+
 @dataclass(frozen=True)
 class FlagGraphSpec:
-    """Graph parameters plus the vertex ordering used for ranks and matrices."""
+    """
+    Graph parameters plus the vertex ordering used for ranks and matrices.
+    ``ordering`` is a tuple of permutation tuples; ranks into it index the
+    edge lists and the uint16 BFS distance arrays.  The array
+    routes read the ordering as an (n!, n) uint8 array of 0-based values
+    (one read-only array shared by the lexicographic specs of each n), rank
+    products lexicographically and map those ranks to ordering positions
+    through one int32 array; both are built on first use.  The routes
+    compose products in vertex chunks of about ``CHUNK_PRODUCTS``, so their
+    working memory stays under 64 MB at n <= 8.
+    """
 
     n: int
     k: int
     ordering: tuple[Perm, ...] = ()
+    _custom: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or not 0 <= self.k < self.n:
             raise ValueError(f"need 0 <= k < n, got n={self.n}, k={self.k}")
+        object.__setattr__(self, "_custom", bool(self.ordering))
         if self.ordering:
             object.__setattr__(self, "ordering", check_ordering(self.ordering, self.n))
         else:
@@ -73,15 +127,25 @@ class FlagGraphSpec:
         return len(self.ordering)
 
     @cached_property
-    def _rank_of(self) -> dict[Perm, int]:
-        return {p: i for i, p in enumerate(self.ordering)}
+    def _vertices(self) -> np.ndarray:
+        # row r is ordering[r] with 0-based values
+        if self._custom:
+            return np.array(self.ordering, dtype=np.uint8) - 1
+        return _lex_vertices(self.n)
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        # _positions[lexicographic rank] = rank in this ordering
+        positions = np.empty(self.vertex_count, dtype=np.int32)
+        positions[_lex_ranks(self._vertices.T, self.n)] = np.arange(self.vertex_count, dtype=np.int32)
+        return positions
 
     def rank(self, p: Sequence[int]) -> int:
         """Position of a vertex in the ordering."""
-        try:
-            return self._rank_of[tuple(p)]
-        except KeyError:
-            raise ValueError(f"{tuple(p)!r} is not a vertex of FJ({self.n},{self.k})") from None
+        p = tuple(p)
+        if len(p) != self.n or not is_permutation(p):
+            raise ValueError(f"{p!r} is not a vertex of FJ({self.n},{self.k})")
+        return int(self._positions[rank(p)])
 
 
 def adjacent(spec: FlagGraphSpec, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -192,35 +256,107 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
 
 
 def _check_edge_budget(n: int, k: int) -> None:
-    # n! * degree / 2 edges, known before a single tuple is allocated; a BFS
-    # composes at most twice that many products, so this bounds it too
+    # n! * degree / 2 edges, known before a single product is composed; a
+    # BFS composes at most twice that many products, so this bounds its
+    # time too
     edges = factorial(n) * degree(n, k) // 2
     if edges > EDGE_CAP:
         raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
 
 
-def build_edges(spec: FlagGraphSpec) -> list[tuple[int, int]]:
+def _chunks(rows: np.ndarray, width: int):
+    # consecutive slices of `rows` holding about CHUNK_PRODUCTS products with `width` generators
+    step = max(1, CHUNK_PRODUCTS // width)
+    return (rows[start : start + step] for start in range(0, len(rows), step))
+
+
+def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """
-    Edge list as rank pairs (a, b) with a < b, sorted.  Runs in
-    O(n! * degree * n) by composing every vertex with the connection set and
-    ranking through a hash table, instead of testing all C(n!, 2) pairs.
-    FJ(n, 0) yields an empty list (loops are excluded by convention).  A
-    graph with more than ``config.EDGE_CAP`` edges raises CapExceeded
-    before anything is built.
+    Ranks in ``spec``'s ordering of the products u o g, for the vertices u
+    at ranks ``rows`` and the generators g given as 0-based position rows of
+    ``gens``: a (len(rows), len(gens)) int32 array.  Column j of the
+    products is u at positions g_j, one fancy index per position.
+    """
+    U = spec._vertices[rows]
+    return spec._positions[_lex_ranks((U[:, g] for g in gens.T), spec.n)]
+
+
+def _edge_chunks(spec: FlagGraphSpec):
+    """
+    The edges (a, b) with a < b as pairs of equal-length int32 rank arrays,
+    one vertex chunk at a time; concatenated they are sorted by (a, b).
+    The edge budget is checked when iteration starts, before any product.
     """
     _check_edge_budget(spec.n, spec.k)
     if spec.k == 0:
-        return []
-    rank_of = spec._rank_of
-    gens0 = [tuple(j - 1 for j in g) for g in generators(spec.n, spec.k)]
-    edges = []
-    for a, u in enumerate(spec.ordering):
-        for g in gens0:
-            b = rank_of[tuple(u[i] for i in g)]
-            if a < b:
-                edges.append((a, b))
-    edges.sort()
-    return edges
+        return
+    gens = np.array(generators(spec.n, spec.k), dtype=np.intp) - 1
+    for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), len(gens)):
+        b = _product_ranks(spec, rows, gens)
+        b.sort(axis=1)
+        keep = b > rows[:, None]
+        yield np.broadcast_to(rows[:, None], b.shape)[keep], b[keep]
+
+
+class EdgeList(Sequence):
+    """
+    An edge list: a sequence of rank pairs (a, b) held as one (E, 2) int64
+    array.  It reads like the list of pairs it stands for -- an index gives
+    an (a, b) tuple of ints, a slice or ``+`` gives an EdgeList, iteration
+    goes ``CSV_ROWS`` pairs at a time, and it equals the list of the same
+    pairs -- while ``np.asarray(edges)`` (or ``edges.array``) is the
+    array itself, without a copy.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, pairs=()):
+        self.array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EdgeList(self.array[i])
+        a, b = self.array[operator.index(i)].tolist()
+        return a, b
+
+    def __iter__(self):
+        for start in range(0, len(self.array), CSV_ROWS):
+            yield from map(tuple, self.array[start : start + CSV_ROWS].tolist())
+
+    def __add__(self, other):
+        return EdgeList(np.concatenate([self.array, EdgeList(other).array]))
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeList):
+            return np.array_equal(self.array, other.array)
+        if isinstance(other, list):
+            return len(self) == len(other) and list(self) == other
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    def __repr__(self) -> str:
+        return f"EdgeList({len(self)} edges)"
+
+
+def build_edges(spec: FlagGraphSpec) -> EdgeList:
+    """
+    Edge list of rank pairs (a, b), a < b, sorted.  Runs in
+    O(n! * degree * n) by composing every vertex with the connection set
+    and ranking the products with a vectorized Lehmer code, instead of
+    testing all C(n!, 2) pairs.  The products are composed in vertex chunks
+    of about ``CHUNK_PRODUCTS``, so the peak is a fixed working set plus 24
+    bytes per edge: the int32 chunks and the int64 array they are joined
+    into.  FJ(n, 0) yields an empty list (loops are excluded by
+    convention).  A graph with more than ``config.EDGE_CAP`` edges raises
+    CapExceeded before anything is built.
+    """
+    parts = [np.stack(pair, axis=1) for pair in _edge_chunks(spec)]
+    return EdgeList(np.concatenate(parts, dtype=np.int64) if parts else ())
 
 
 def _check_matrix_cap(n: int) -> None:
@@ -249,16 +385,15 @@ def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     return counts
 
 
-def pairwise_edges(spec: FlagGraphSpec) -> list[tuple[int, int]]:
+def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
     """
     Quadratic reference route: evaluate the adjacency predicate on every
     vertex pair.  Kept as an independent cross-check for ``build_edges``
-    (different algorithm, different data path).
+    (different algorithm, different data path), and returns the same
+    sorted EdgeList of rank pairs a < b.
     """
     counts = prefix_mismatch_matrix(spec.ordering)
-    hits = np.triu(counts == spec.k, k=1)
-    a_idx, b_idx = np.nonzero(hits)
-    return list(zip(a_idx.tolist(), b_idx.tolist()))
+    return EdgeList(np.argwhere(np.triu(counts == spec.k, k=1)))
 
 
 def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, tuple[Perm, Perm] | None]:
@@ -283,24 +418,34 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     return True, None
 
 
-def edges_to_dot(spec: FlagGraphSpec, edges: Sequence[tuple[int, int]]) -> str:
-    """Undirected DOT text; node names are one-line permutation strings."""
+def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
+    """Undirected DOT text from rank pairs (an EdgeList, array or sequence); node names are one-line permutation strings."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    labels = [perm_to_string(p) for p in spec.ordering]
     lines = [f'graph "FJ({spec.n},{spec.k})" {{']
-    for p in spec.ordering:
-        lines.append(f'  "{perm_to_string(p)}";')
-    for a, b in edges:
-        lines.append(f'  "{perm_to_string(spec.ordering[a])}" -- "{perm_to_string(spec.ordering[b])}";')
+    lines += [f'  "{label}";' for label in labels]
+    lines += [f'  "{labels[a]}" -- "{labels[b]}";' for a, b in edges.tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def edges_to_csv(edges: Sequence[tuple[int, int]]) -> str:
-    """CSV rank pairs under a "u,v" header row."""
-    return "u,v\n" + "".join(f"{a},{b}\n" for a, b in edges)
+def edges_to_csv(edges) -> str:
+    """
+    CSV rank pairs under a "u,v" header row, from an EdgeList, an (E, 2)
+    array or any sequence of pairs.  Rows are formatted ``CSV_ROWS`` at a
+    time by one string operation each, so no string per edge is ever held.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    parts = ["u,v\n"]
+    for start in range(0, len(edges), CSV_ROWS):
+        chunk = edges[start : start + CSV_ROWS]
+        parts.append("%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
-def edges_to_json(spec: FlagGraphSpec, edges: Sequence[tuple[int, int]]) -> str:
-    """JSON document: graph parameters, vertex labels, rank-pair edge array."""
+def edges_to_json(spec: FlagGraphSpec, edges) -> str:
+    """JSON document: graph parameters, vertex labels, rank-pair edge array (from an EdgeList, array or sequence of pairs)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     doc = {
         "schema_version": 1,
         "n": spec.n,
@@ -309,7 +454,6 @@ def edges_to_json(spec: FlagGraphSpec, edges: Sequence[tuple[int, int]]) -> str:
         "degree": degree(spec.n, spec.k),
         "vertices": [perm_to_string(p) for p in spec.ordering],
         "edge_count": len(edges),
-        "edges": [[a, b] for a, b in edges],
+        "edges": edges.tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"
-

@@ -6,14 +6,13 @@ that every edge must satisfy.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .config import TheoremViolation
-from .graphs import FlagGraphSpec, _check_edge_budget, build_edges, generators
+from .graphs import FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
@@ -35,38 +34,39 @@ class DistanceProfile:
 
 def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     """
-    Breadth-first distances from ``source`` to every vertex.  The frontier
-    holds ranks, neighbors come from right products with the connection set,
-    and expansion stops as soon as every vertex has a distance -- which cuts
-    the work sharply on dense connection sets whose BFS trees are shallow.
-    A graph over the edge budget (``config.EDGE_CAP``) raises CapExceeded
-    before the search.
+    Breadth-first distances from ``source`` to every vertex, level by
+    level and top-down: the whole frontier is composed with the connection
+    set in vertex chunks of about ``graphs.CHUNK_PRODUCTS`` products, so the
+    peak memory is fixed whatever the degree.  Expansion stops after the
+    first chunk that leaves no vertex without a distance -- which cuts the
+    work sharply on dense connection sets whose BFS trees are shallow.
+    Returns a DistanceProfile whose ``distances`` is a uint16 array indexed
+    by ordering rank, ``UNREACHED`` where no path was found.  A graph over
+    the edge budget (``config.EDGE_CAP``) raises CapExceeded before the
+    search.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
     _check_edge_budget(spec.n, spec.k)
     src = spec.rank(source)
-    total = spec.vertex_count
-    ordering = spec.ordering
-    rank_of = spec._rank_of
-    gens0 = [tuple(j - 1 for j in g) for g in generators(spec.n, spec.k)]
+    gens = np.array(generators(spec.n, spec.k), dtype=np.intp) - 1
 
-    dist = np.full(total, UNREACHED, dtype=np.uint16)
+    dist = np.full(spec.vertex_count, UNREACHED, dtype=np.uint16)
     dist[src] = 0
-    frontier = deque([src])
-    assigned = 1
-    while frontier and assigned < total:
-        a = frontier.popleft()
-        d = int(dist[a]) + 1
-        u = ordering[a]
-        for g in gens0:
-            b = rank_of[tuple(u[i] for i in g)]
-            if dist[b] == UNREACHED:
-                dist[b] = d
-                assigned += 1
-                frontier.append(b)
+    frontier = np.array([src], dtype=np.int32)
+    unreached = spec.vertex_count - 1
+    level = 0
+    while frontier.size and unreached:
+        level += 1
+        for rows in _chunks(frontier, len(gens)):
+            b = _product_ranks(spec, rows, gens).ravel()
+            dist[b[dist[b] == UNREACHED]] = level
+            unreached = np.count_nonzero(dist == UNREACHED)
+            if not unreached:
+                break
+        frontier = np.flatnonzero(dist == level)
     ecc = int(dist[dist != UNREACHED].max())
-    return DistanceProfile(tuple(source), dist, ecc, assigned)
+    return DistanceProfile(tuple(source), dist, ecc, spec.vertex_count - unreached)
 
 
 def is_connected(spec: FlagGraphSpec) -> bool:
@@ -84,10 +84,10 @@ def diameter(spec: FlagGraphSpec, mode: str = "transitive") -> int:
     """
     Largest eccentricity.  Mode "transitive" runs a single BFS from the
     identity, valid because a Cayley graph looks the same from every vertex;
-    "exhaustive" runs a BFS from every source and is kept as the slow
-    cross-check of that shortcut.  A disconnected graph here would contradict
-    the connectivity of every non-trivial FJ(n, k), so it raises
-    TheoremViolation instead of returning anything.
+    "exhaustive" runs a BFS from every source (n! searches) and is kept as
+    the test oracle of that shortcut for small n.  A disconnected graph
+    here would contradict the connectivity of every non-trivial FJ(n, k),
+    so it raises TheoremViolation instead of returning anything.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; its diameter is undefined")

@@ -32,13 +32,6 @@ def test_diameter_report(capsys):
     assert isinstance(doc["runtime_ms"], int)
 
 
-def test_diameter_exhaustive(capsys):
-    code, doc, _ = run_json(capsys, "diameter", "--n", "4", "--k", "2", "--exhaustive")
-    assert code == 0
-    assert doc["mode"] == "exhaustive"
-    assert doc["diameter"] == 3
-
-
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export", "--n", "2", "--k", "1", "--format", "dot")
     assert code == 0
@@ -188,6 +181,9 @@ def test_invalid_arguments_exit_2(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["export", "--n", "3", "--k", "1", "--graph-cap", "3"])  # no such flag
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["diameter", "--n", "4", "--k", "2", "--exhaustive"])  # removed: one BFS per vertex
     assert info.value.code == 2
 
 

@@ -289,3 +289,13 @@ def test_json_export():
     assert doc["degree"] == 3
     assert doc["vertices"][0] == "123"
     assert all(len(e) == 2 for e in doc["edges"])
+
+
+def test_exports_take_any_sequence_of_pairs():
+    spec = FlagGraphSpec(3, 2)
+    edges = build_edges(spec)
+    pairs = list(edges)
+    assert edges_to_csv(pairs) == edges_to_csv(edges)
+    assert edges_to_dot(spec, pairs) == edges_to_dot(spec, edges)
+    assert edges_to_json(spec, pairs) == edges_to_json(spec, edges)
+    assert edges_to_csv([]) == "u,v\n"

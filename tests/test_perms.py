@@ -2,9 +2,11 @@
 
 import random
 from collections import deque
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fjgraphs import (
     CapExceeded,
@@ -351,3 +353,57 @@ def test_parse_rejects_garbage():
     for bad in ("", "12x", "1,2,2", "132x", "0,1"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+
+
+# ---------------------------------------------------------------- properties
+
+def perms_of(n):
+    return st.permutations(range(1, n + 1)).map(tuple)
+
+
+def same_size(count, max_n):
+    # `count` permutations of one random size 1..max_n
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(*(perms_of(n) for _ in range(count))))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10).flatmap(perms_of))
+def test_property_rank_unrank_roundtrip(p):
+    r = rank(p)
+    assert 0 <= r < factorial(len(p))
+    assert unrank(len(p), r) == p
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, factorial(n) - 1))))
+def test_property_unrank_rank_roundtrip(n_r):
+    n, r = n_r
+    assert rank(unrank(n, r)) == r
+
+
+@settings(deadline=None)
+@given(same_size(3, 10))
+def test_property_compose_associative(abc):
+    a, b, c = abc
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+@settings(deadline=None)
+@given(same_size(2, 6))
+def test_property_kendall_matches_bfs_oracle(uv):
+    u, v = uv
+    assert kendall_distance(u, v) == kendall_by_bfs(u, v)
+
+
+@settings(deadline=None)
+@given(same_size(2, 10))
+def test_property_block_boundaries_match_irreducibility(uv):
+    u, v = uv
+    bounds = block_boundaries(u, v)
+    assert bounds[-1] == len(u)
+    # one block exactly when the whole relative pattern is irreducible
+    assert (len(bounds) == 1) == is_irreducible(relative_pattern(u, v))
+    prev = 0
+    for b in bounds:
+        assert is_irreducible(relative_pattern(u[prev:b], v[prev:b]))
+        prev = b

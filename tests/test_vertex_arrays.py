@@ -1,0 +1,158 @@
+"""The array vertex layer: vectorized ranks, chunked edge lists and BFS, each against an independent oracle."""
+
+import random
+import tracemalloc
+from collections import deque
+from math import comb
+
+import numpy as np
+import pytest
+
+from fjgraphs import (
+    FlagGraphSpec,
+    bfs,
+    build_edges,
+    degree,
+    edge_transposition_bound_check,
+    enumerate_permutations,
+    identity,
+    kendall_distance,
+    pairwise_edges,
+    prefix_mismatch_count,
+    rank,
+    reversal,
+)
+from fjgraphs import graphs
+from fjgraphs.metrics import UNREACHED
+
+
+def deque_bfs(spec, source):
+    # plain queue BFS over the quadratic pairwise edge route
+    adjacency = [[] for _ in range(spec.vertex_count)]
+    for a, b in pairwise_edges(spec):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    dist = [UNREACHED] * spec.vertex_count
+    src = spec.ordering.index(tuple(source))
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        a = queue.popleft()
+        for b in adjacency[a]:
+            if dist[b] == UNREACHED:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    return dist
+
+
+def shuffled_spec(n, k, seed):
+    order = list(enumerate_permutations(n))
+    random.Random(seed).shuffle(order)
+    return FlagGraphSpec(n, k, tuple(order))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vectorized_rank_matches_lehmer_rank(n):
+    perms = list(enumerate_permutations(n))
+    random.Random(n).shuffle(perms)
+    P = np.array(perms, dtype=np.uint8) - 1
+    assert graphs._lex_ranks(P.T, n).tolist() == [rank(p) for p in perms]
+
+
+def test_lex_vertex_array_is_the_lexicographic_ordering():
+    for n in (1, 4, 8):
+        V = graphs._lex_vertices(n)
+        assert V.dtype == np.uint8 and V.shape == (len(enumerate_permutations(n)), n)
+        assert (V + 1).tolist() == [list(p) for p in enumerate_permutations(n)]
+        assert not V.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bfs_on_permutahedron_is_kendall_distance(n):
+    # closed form: the distance in FJ(n,1) is the inversion count of the relative pattern
+    spec = FlagGraphSpec(n, 1)
+    source = tuple(random.Random(n).sample(range(1, n + 1), n))
+    got = bfs(spec, source).distances.tolist()
+    assert got == [kendall_distance(source, v) for v in spec.ordering]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+def test_bfs_matches_deque_bfs_over_pairwise_edges(n, k):
+    spec = FlagGraphSpec(n, k)
+    source = tuple(random.Random(10 * n + k).sample(range(1, n + 1), n))
+    profile = bfs(spec, source)
+    expected = deque_bfs(spec, source)
+    assert profile.distances.tolist() == expected
+    assert profile.eccentricity == max(expected)
+    assert profile.reached == spec.vertex_count
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 1), (5, 3), (6, 5)])
+def test_custom_ordering_relabels_edges_and_distances(n, k):
+    lex = FlagGraphSpec(n, k)
+    spec = shuffled_spec(n, k, seed=n * k)
+    to_lex = np.array([rank(p) for p in spec.ordering])
+    relabelled = np.sort(to_lex[np.asarray(build_edges(spec))], axis=1)
+    relabelled = relabelled[np.lexsort((relabelled[:, 1], relabelled[:, 0]))]
+    assert np.array_equal(relabelled, build_edges(lex))
+    assert build_edges(spec) == pairwise_edges(spec)
+    source = spec.ordering[3 % spec.vertex_count]
+    assert np.array_equal(bfs(spec, source).distances, bfs(lex, source).distances[to_lex])
+    assert [spec.rank(p) for p in spec.ordering] == list(range(spec.vertex_count))
+
+
+def test_edge_lists_are_int64_pair_arrays():
+    for spec in (FlagGraphSpec(3, 0), FlagGraphSpec(4, 2)):
+        for edges in (build_edges(spec), pairwise_edges(spec)):
+            E = np.asarray(edges)
+            assert E.dtype == np.int64 and E.shape == (len(edges), 2)
+            assert np.shares_memory(E, edges.array) or not len(edges)
+    assert len(build_edges(FlagGraphSpec(4, 2))) == 24 * degree(4, 2) // 2
+
+
+def test_edge_list_reads_as_a_list_of_pairs():
+    edges = build_edges(FlagGraphSpec(4, 2))
+    pairs = [(a, b) for a, b in np.asarray(edges).tolist()]
+    assert list(edges) == pairs and edges == pairs and pairs == edges
+    assert edges[5] == pairs[5] and edges[-1] == pairs[-1] and type(edges[5][0]) is int
+    assert edges[:17] + edges[18:] == pairs[:17] + pairs[18:]
+    assert edges + [(0, 1)] == pairs + [(0, 1)]
+    assert edges != pairs[:-1] and edges != pairs[::-1] and edges != [list(p) for p in pairs]
+    with pytest.raises(IndexError):
+        edges[len(pairs)]
+
+
+def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
+    # the reversal of [4] is one irreducible block, so it is no generator of FJ(4,1)
+    real = graphs.generators
+    monkeypatch.setattr(graphs, "generators", lambda n, k: real(n, k) + (reversal(n),))
+    spec = FlagGraphSpec(4, 1)
+    ok, witness = edge_transposition_bound_check(spec)
+    assert not ok
+    assert witness == (identity(4), reversal(4))
+    u, v = witness
+    assert kendall_distance(u, v) > comb(2, 2) and prefix_mismatch_count(u, v) != 1
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Unchunked, the second BFS level of FJ(7,6) composes 3447^2 products at once
+# (about 140 MB traced), and iterating the 823,680 edges of FJ(7,4) would
+# build all their pairs at once (about 100 MB).
+PEAK_MB = 64
+
+
+def test_bfs_of_fj76_peak_is_bounded():
+    assert traced_peak_mb(lambda: bfs(FlagGraphSpec(7, 6), (3, 1, 4, 7, 5, 2, 6))) < PEAK_MB
+
+
+def test_edge_list_iteration_peak_is_bounded():
+    edges = build_edges(FlagGraphSpec(7, 4))
+    assert traced_peak_mb(lambda: sum(1 for _ in edges)) < PEAK_MB / 4
