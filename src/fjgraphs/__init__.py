@@ -75,9 +75,7 @@ from .blocks import (
     block_regularity,
     concatenated_ordering,
     excluded_transposition_matrix,
-    matrix_to_runlength,
     matrix_to_text,
-    read_ordering,
     verify_permutahedron_blocks,
     verify_recursive_blocks,
 )

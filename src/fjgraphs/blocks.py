@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import _check_matrix_cap, check_ordering, prefix_mismatch_matrix
-from .perms import Perm, enumerate_permutations, insertion, parse_permutation
+from .graphs import FlagGraphSpec, _check_matrix_cap, _product_ranks, check_ordering, prefix_mismatch_matrix
+from .perms import Perm, enumerate_permutations, insertion
 
 
 def concatenated_ordering(ordering: Sequence[Perm]) -> tuple[Perm, ...]:
@@ -97,23 +97,22 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     Adjacency matrix, with respect to the ordering, of the Cayley graph on
     the permutations of [n] generated by every adjacent-place transposition
     except the one swapping positions (skip, skip+1).  Built directly from
-    the generator action; deliberately independent of any larger matrix it
-    may be compared with.  n above ``config.MATRIX_CAP`` raises
-    CapExceeded before anything is allocated.
+    the generator action, by ranking the products u o t of every vertex u
+    with the n-2 kept transpositions t; deliberately independent of any
+    larger matrix it may be compared with.  n above ``config.MATRIX_CAP``
+    raises CapExceeded before anything is allocated.
     """
     if not 1 <= skip <= n - 1:
         raise ValueError(f"transposition index {skip} out of range 1..{n - 1}")
     _check_matrix_cap(n)
-    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    index = {p: a for a, p in enumerate(S)}
-    A = np.zeros((len(S), len(S)), dtype=np.uint8)
-    for a, p in enumerate(S):
-        for j in range(1, n):
-            if j == skip:
-                continue
-            q = list(p)
-            q[j - 1], q[j] = q[j], q[j - 1]
-            A[a, index[tuple(q)]] = 1
+    spec = FlagGraphSpec(n, 1, () if ordering is None else ordering)
+    kept = [j for j in range(1, n) if j != skip]
+    gens = np.tile(np.arange(n), (len(kept), 1))  # t_j as 0-based positions, swapping j and j+1
+    for row, j in enumerate(kept):
+        gens[row, j - 1], gens[row, j] = j, j - 1
+    rows = np.arange(spec.vertex_count)
+    A = np.zeros((len(rows), len(rows)), dtype=np.uint8)
+    A[rows[:, None], _product_ranks(spec, rows, gens)] = 1
     return A
 
 
@@ -274,38 +273,3 @@ def matrix_to_text(A: np.ndarray) -> str:
     """Dense 0/1 grid, one line per row, no separators."""
     M = np.asarray(A)
     return "\n".join("".join(str(int(x)) for x in row) for row in M) + "\n"
-
-
-def matrix_to_runlength(A: np.ndarray) -> str:
-    """
-    Compact run-length form.  First line "rows cols"; then one line per row
-    listing run lengths of alternating values starting with 0, so a row
-    beginning with 1 starts with a zero-length 0-run.  Example: row 00110
-    encodes as "2 2 1", row 110 as "0 2 1".
-    """
-    M = np.asarray(A)
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        runs = []
-        current = 0
-        length = 0
-        for x in row:
-            if int(x) == current:
-                length += 1
-            else:
-                runs.append(length)
-                current ^= 1
-                length = 1
-        runs.append(length)
-        lines.append(" ".join(str(r) for r in runs))
-    return "\n".join(lines) + "\n"
-
-
-def read_ordering(path) -> tuple[Perm, ...]:
-    """
-    Load a vertex ordering from a text file, one serialized permutation per
-    line (blank lines ignored), and validate that it covers S_n exactly.
-    """
-    with open(path, encoding="utf-8") as fh:
-        perms = [parse_permutation(line) for line in fh if line.strip()]
-    return check_ordering(perms)

@@ -33,13 +33,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .config import EDGE_CAP, MATRIX_CAP, CapExceeded
+from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .perms import (
     Perm,
     check_permutation,
     compose,
     enumerate_permutations,
-    insertion,
     is_irreducible,
     is_permutation,
     perm_to_string,
@@ -48,7 +47,7 @@ from .perms import (
 )
 
 CHUNK_PRODUCTS = 1 << 20  # products u o g composed at once: bounds the peak memory of edge lists and BFS
-CSV_ROWS = 1 << 16  # edges formatted per string operation in edges_to_csv, and per step of EdgeList iteration
+CSV_ROWS = 1 << 16  # edges formatted per string operation in the exports, and per step of EdgeList iteration
 
 # popcount of every byte: for n <= 8 (config.GRAPH_CAP) the set of values
 # already seen at a position fits in one byte
@@ -116,6 +115,8 @@ class FlagGraphSpec:
     def __post_init__(self):
         if self.n < 1 or not 0 <= self.k < self.n:
             raise ValueError(f"need 0 <= k < n, got n={self.n}, k={self.k}")
+        if self.n > GRAPH_CAP:  # also the limit of the byte-wide sets of _lex_ranks
+            raise CapExceeded(f"n={self.n} exceeds the graph cap {GRAPH_CAP} ({factorial(self.n)} permutations)")
         object.__setattr__(self, "_custom", bool(self.ordering))
         if self.ordering:
             object.__setattr__(self, "ordering", check_ordering(self.ordering, self.n))
@@ -373,12 +374,15 @@ def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     ``config.MATRIX_CAP`` raise CapExceeded before anything is allocated.
     """
     S = tuple(ordering)
-    N = len(S)
-    n = len(S[0])
-    _check_matrix_cap(n)
+    _check_matrix_cap(len(S[0]))
+    return _prefix_mismatch_counts(np.array(S, dtype=np.int64))
+
+
+def _prefix_mismatch_counts(P: np.ndarray) -> np.ndarray:
+    # the N x N uint8 counts for the N permutations in the rows of the int64 array P
+    N, n = P.shape
     counts = np.zeros((N, N), dtype=np.uint8)
     acc = np.zeros(N, dtype=np.int64)
-    P = np.array(S, dtype=np.int64)
     for i in range(n - 1):
         acc = acc | np.left_shift(1, P[:, i])
         counts += acc[:, None] != acc[None, :]
@@ -402,45 +406,59 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     onto an induced subgraph of FJ(n+1, k), i.e. preserves adjacency and
     non-adjacency on every vertex pair.  This holds at the end positions 1
     and n+1; interior positions generally break it, and the witness pair
-    shows where.  Returns (ok, witness_pair).  The pairs number n!^2 / 2,
-    so n above ``config.MATRIX_CAP`` raises CapExceeded.
+    shows where: the first failing pair (u, v), u before v, in
+    lexicographic order.  Returns (ok, witness_pair).  The check compares
+    the prefix-mismatch matrices of the permutations and of their
+    insertion images, two n! x n! arrays, so n above ``config.MATRIX_CAP``
+    raises CapExceeded.
     """
     if not 1 <= position <= n + 1:
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
     _check_matrix_cap(n)
-    perms = enumerate_permutations(n)
-    for a, u in enumerate(perms):
-        for v in perms[a + 1 :]:
-            small = prefix_mismatch_count(u, v) == k
-            big = prefix_mismatch_count(insertion(u, position), insertion(v, position)) == k
-            if small != big:
-                return False, (u, v)
-    return True, None
+    S = enumerate_permutations(n)
+    P = np.array(S, dtype=np.int64)
+    differ = _prefix_mismatch_counts(P) == k
+    differ ^= _prefix_mismatch_counts(np.insert(P, position - 1, n + 1, axis=1)) == k
+    # both matrices are symmetric with a zero diagonal, so the first
+    # differing cell in row-major order lies above the diagonal
+    first = int(np.argmax(differ))
+    if not differ.flat[first]:
+        return True, None
+    a, b = divmod(first, len(S))
+    return False, (S[a], S[b])
+
+
+def _format_rows(template: str, edges: np.ndarray, labels: np.ndarray | None = None) -> list[str]:
+    """
+    ``template`` filled in by every edge (a, b), or by the labels of its
+    ends when ``labels`` (an object array of strings) is given, ``CSV_ROWS``
+    edges per string operation, so the exports never hold a Python object
+    per edge.
+    """
+    parts = []
+    for start in range(0, len(edges), CSV_ROWS):
+        chunk = edges[start : start + CSV_ROWS]
+        values = chunk if labels is None else labels[chunk]
+        parts.append(template * len(chunk) % tuple(values.ravel().tolist()))
+    return parts
 
 
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     """Undirected DOT text from rank pairs (an EdgeList, array or sequence); node names are one-line permutation strings."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     labels = [perm_to_string(p) for p in spec.ordering]
-    lines = [f'graph "FJ({spec.n},{spec.k})" {{']
-    lines += [f'  "{label}";' for label in labels]
-    lines += [f'  "{labels[a]}" -- "{labels[b]}";' for a, b in edges.tolist()]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = "".join(f'  "{label}";\n' for label in labels)
+    rows = _format_rows('  "%s" -- "%s";\n', edges, np.array(labels, dtype=object))
+    return "".join([f'graph "FJ({spec.n},{spec.k})" {{\n', nodes, *rows, "}\n"])
 
 
 def edges_to_csv(edges) -> str:
     """
     CSV rank pairs under a "u,v" header row, from an EdgeList, an (E, 2)
-    array or any sequence of pairs.  Rows are formatted ``CSV_ROWS`` at a
-    time by one string operation each, so no string per edge is ever held.
+    array or any sequence of pairs.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    parts = ["u,v\n"]
-    for start in range(0, len(edges), CSV_ROWS):
-        chunk = edges[start : start + CSV_ROWS]
-        parts.append("%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
-    return "".join(parts)
+    return "".join(["u,v\n", *_format_rows("%d,%d\n", edges)])
 
 
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
@@ -454,6 +472,12 @@ def edges_to_json(spec: FlagGraphSpec, edges) -> str:
         "degree": degree(spec.n, spec.k),
         "vertices": [perm_to_string(p) for p in spec.ordering],
         "edge_count": len(edges),
-        "edges": edges.tolist(),
+        "edges": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps(doc, indent=2)  # ends with '"edges": []\n}'
+    if not len(edges):
+        return head + "\n"
+    # each [a, b] in the layout json.dumps(indent=2) gives a non-empty list; the last drops its comma
+    rows = _format_rows("\n    [\n      %d,\n      %d\n    ],", edges)
+    rows[-1] = rows[-1][:-1]
+    return "".join([head[: -len("]\n}")], *rows, "\n  ]\n}\n"])

@@ -15,6 +15,7 @@ to call concurrently without restriction.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -117,40 +118,20 @@ def prefix_mismatch_count(u: Perm, v: Perm) -> int:
     return count
 
 
-def _merge_count(a: list) -> int:
-    # Merge-sort inversion counting, O(n log n); sorts `a` in place.
-    n = len(a)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = a[:mid], a[mid:]
-    inv = _merge_count(left) + _merge_count(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            a[k] = left[i]
-            i += 1
-        else:
-            a[k] = right[j]
-            j += 1
-            inv += len(left) - i
-        k += 1
-    a[k:] = left[i:] + right[j:]
-    return inv
-
-
 def disorder(u: Perm) -> int:
     """
     Inversion count: pairs i < j with u_i > u_j.  Ranges from 0 (identity)
     to C(n, 2) (reversal), and a single swap of adjacent positions always
-    changes it by exactly 1.
+    changes it by exactly 1.  Counted pair by pair: for the n <= 8 of the
+    graphs this quadratic count beats an O(n log n) merge count, whose
+    recursion costs more than the comparisons it saves.
 
     >>> disorder((2, 1, 3))
     1
     >>> disorder((4, 3, 2, 1))
     6
     """
-    return _merge_count(list(u))
+    return sum(a > b for i, a in enumerate(u) for b in u[i + 1 :])
 
 
 def relative_pattern(u: Sequence[int], v: Sequence[int]) -> Perm:
@@ -177,9 +158,9 @@ def relative_pattern(u: Sequence[int], v: Sequence[int]) -> Perm:
 def kendall_distance(u: Perm, v: Perm) -> int:
     """
     Minimum number of adjacent transpositions turning u into v (Kendall tau
-    distance).  Computed as the inversion count of the relative pattern via
-    merge counting, not by search; a BFS over single-swap moves is kept in
-    the test suite as the independent oracle.
+    distance).  Computed as the inversion count of the relative pattern,
+    not by search; a BFS over single-swap moves is kept in the test suite
+    as the independent oracle.
 
     >>> kendall_distance((1, 2, 3), (1, 3, 2))
     1
@@ -271,11 +252,13 @@ def compose(u: Perm, g: Perm) -> Perm:
     return tuple(u[j - 1] for j in g)
 
 
+@lru_cache(maxsize=None)
 def enumerate_permutations(n: int) -> tuple[Perm, ...]:
     """
     All n! permutations of [n] in lexicographic order: the identity first,
     the reversal last.  Materializes the full list, so n above
-    ``config.GRAPH_CAP`` raises CapExceeded.
+    ``config.GRAPH_CAP`` raises CapExceeded.  The tuple is built once per n
+    and shared by every caller; it is immutable.
 
     >>> enumerate_permutations(3)
     ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))

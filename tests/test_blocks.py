@@ -1,5 +1,7 @@
 """Stacked orderings, adjacency matrices, block views and block identities."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,9 @@ from fjgraphs import (
     degree,
     enumerate_permutations,
     excluded_transposition_matrix,
-    matrix_to_runlength,
     matrix_to_text,
     perm_to_string,
     prefix_mismatch_count,
-    read_ordering,
     verify_permutahedron_blocks,
     verify_recursive_blocks,
 )
@@ -192,18 +192,22 @@ def test_permutahedron_degenerate_interior():
 # ---------------------------------------------------------------- subgraphs
 
 def test_excluded_transposition_matrix_brute():
-    S = enumerate_permutations(3)
-    for skip in (1, 2):
-        A = excluded_transposition_matrix(3, skip, S)
-        for i, u in enumerate(S):
-            for j, v in enumerate(S):
-                related = any(
-                    (*u[: x - 1], u[x], u[x - 1], *u[x + 1 :]) == v
-                    for x in range(1, 3)
-                    if x != skip
-                )
-                assert bool(A[i, j]) == related
-        assert block_regularity(A) == 1
+    shuffled = list(enumerate_permutations(4))
+    random.Random(4).shuffle(shuffled)
+    orderings = [enumerate_permutations(n) for n in (3, 4, 5)] + [tuple(shuffled)]
+    for S in orderings:
+        n = len(S[0])
+        for skip in range(1, n):
+            A = excluded_transposition_matrix(n, skip, S)
+            for i, u in enumerate(S):
+                for j, v in enumerate(S):
+                    related = any(
+                        (*u[: x - 1], u[x], u[x - 1], *u[x + 1 :]) == v
+                        for x in range(1, n)
+                        if x != skip
+                    )
+                    assert bool(A[i, j]) == related
+            assert block_regularity(A) == n - 2
 
 
 def test_excluded_transposition_matrix_errors():
@@ -219,20 +223,3 @@ def test_excluded_transposition_matrix_errors():
 
 def test_matrix_to_text():
     assert matrix_to_text(np.array([[0, 1], [1, 0]])) == "01\n10\n"
-
-
-def test_matrix_to_runlength():
-    A = np.array([[0, 1], [1, 0]])
-    assert matrix_to_runlength(A) == "2 2\n1 1\n0 1 1\n"
-    B = np.array([[0, 0, 1, 1, 0]])
-    assert matrix_to_runlength(B) == "1 5\n2 2 1\n"
-
-
-def test_read_ordering(tmp_path):
-    path = tmp_path / "ordering.txt"
-    perms = list(reversed(enumerate_permutations(3)))
-    path.write_text("\n".join(perm_to_string(p) for p in perms) + "\n")
-    assert read_ordering(path) == tuple(perms)
-    path.write_text("123\n132\n")
-    with pytest.raises(ValueError):
-        read_ordering(path)

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -21,12 +22,14 @@ from fjgraphs import (
     enumerate_permutations,
     generators,
     identity,
+    insertion,
     insertion_embedding_check,
     irreducible_count,
     irreducible_patterns,
     is_irreducible,
     neighbors,
     pairwise_edges,
+    perm_to_string,
     prefix_mismatch_count,
     prefix_mismatch_matrix,
 )
@@ -51,6 +54,13 @@ def test_spec_validation():
         FlagGraphSpec(0, 0)
     with pytest.raises(ValueError):
         FlagGraphSpec(3, -1)
+
+
+def test_custom_ordering_respects_graph_cap():
+    # the cap is checked before the ordering is read, so the n = 9 list
+    # of one permutation is rejected for its size, not as incomplete
+    with pytest.raises(CapExceeded, match="graph cap"):
+        FlagGraphSpec(9, 1, ordering=[tuple(range(1, 10))])
 
 
 def test_spec_rank_and_custom_ordering():
@@ -245,6 +255,31 @@ def test_regularity_observed():
 
 # ---------------------------------------------------------------- embedding
 
+def insertion_embedding_oracle(n, k, position):
+    # every vertex pair in lexicographic order, one predicate per graph
+    perms = enumerate_permutations(n)
+    for a, u in enumerate(perms):
+        for v in perms[a + 1 :]:
+            small = prefix_mismatch_count(u, v) == k
+            big = prefix_mismatch_count(insertion(u, position), insertion(v, position)) == k
+            if small != big:
+                return False, (u, v)
+    return True, None
+
+
+def test_insertion_embedding_matches_pair_loop_oracle():
+    cases = [(n, k, position) for n in range(1, 5) for k in range(n) for position in range(1, n + 2)]
+    cases += [(5, k, position) for k in range(5) for position in (1, 3, 6)]
+    for case in cases:
+        assert insertion_embedding_check(*case) == insertion_embedding_oracle(*case), case
+
+
+def test_insertion_embedding_at_the_matrix_cap():
+    # the insertion images are permutations of [8]; only n is capped
+    assert insertion_embedding_check(7, 6, 8) == (True, None)
+    assert insertion_embedding_check(7, 1, 2) == (False, ((1, 2, 3, 4, 5, 6, 7), (2, 1, 3, 4, 5, 6, 7)))
+
+
 def test_end_insertion_embeds():
     for n in (3, 4):
         for k in range(1, n):
@@ -255,7 +290,7 @@ def test_end_insertion_embeds():
 
 def test_interior_insertion_fails_with_witness():
     ok, witness = insertion_embedding_check(3, 1, 2)
-    assert not ok and witness is not None
+    assert not ok and witness == ((1, 2, 3), (2, 1, 3))
     with pytest.raises(ValueError):
         insertion_embedding_check(3, 1, 5)
     with pytest.raises(CapExceeded, match="matrix cap"):
@@ -263,6 +298,56 @@ def test_interior_insertion_fails_with_witness():
 
 
 # ---------------------------------------------------------------- exports
+
+def dot_oracle(spec, edges):
+    # one line per node and per edge, joined
+    labels = [perm_to_string(p) for p in spec.ordering]
+    lines = [f'graph "FJ({spec.n},{spec.k})" {{']
+    lines += [f'  "{label}";' for label in labels]
+    lines += [f'  "{labels[a]}" -- "{labels[b]}";' for a, b in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def json_oracle(spec, edges):
+    doc = {
+        "schema_version": 1,
+        "n": spec.n,
+        "k": spec.k,
+        "vertex_count": spec.vertex_count,
+        "degree": degree(spec.n, spec.k),
+        "vertices": [perm_to_string(p) for p in spec.ordering],
+        "edge_count": len(edges),
+        "edges": [list(e) for e in edges],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exports_match_per_edge_oracles(n, monkeypatch):
+    # 7 rows per chunk: the graphs take none, one, a partial or many chunks
+    monkeypatch.setattr("fjgraphs.graphs.CSV_ROWS", 7)
+    for k in range(n):
+        spec = FlagGraphSpec(n, k)
+        edges = build_edges(spec)
+        pairs = list(edges)
+        assert edges_to_dot(spec, edges) == dot_oracle(spec, pairs)
+        assert edges_to_json(spec, edges) == json_oracle(spec, pairs)
+        assert edges_to_csv(edges) == "u,v\n" + "".join(f"{a},{b}\n" for a, b in pairs)
+
+
+def test_text_exports_hold_no_object_per_edge():
+    spec = FlagGraphSpec(6, 5)
+    edges = build_edges(spec)
+    for export in (edges_to_json, edges_to_dot):
+        tracemalloc.start()
+        try:
+            text = export(spec, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text), (export.__name__, peak, len(text))
+
 
 def test_dot_export():
     spec = FlagGraphSpec(2, 1)
