@@ -58,8 +58,8 @@ def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> 
     if n < 1 or not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    counts = prefix_mismatch_matrix(S)
-    A = (counts == k).astype(np.uint8)
+    A = prefix_mismatch_matrix(S)
+    np.equal(A, k, out=A, casting="unsafe")
     np.fill_diagonal(A, 0)
     return A
 

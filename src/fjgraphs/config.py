@@ -2,8 +2,8 @@
 
 The guards are fixed, and each is checked once, where its cost is paid:
 GRAPH_CAP when the n! vertex orderings are enumerated, EDGE_CAP before an
-edge list is built or a BFS composes n! * degree products (a BFS in
-fixed chunks, so there it bounds the time, not the memory), MATRIX_CAP
+edge list is built or a BFS composes at most 2 * n! * degree products (a
+BFS in fixed chunks, so there it bounds the time, not the memory), MATRIX_CAP
 before anything allocates or loops over all n! x n! vertex pairs, and
 EIGEN_CAP before a dense eigensolve or a regularity matrix.  They keep
 every computation interactive on one machine.  Only the eigensolver order

@@ -47,6 +47,7 @@ from .perms import (
 )
 
 CHUNK_PRODUCTS = 1 << 20  # products u o g composed at once: bounds the peak memory of edge lists and BFS
+_MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
 CSV_ROWS = 1 << 16  # edges formatted per string operation in the exports, and per step of EdgeList iteration
 
 # popcount of every byte: for n <= 8 (config.GRAPH_CAP) the set of values
@@ -258,8 +259,8 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
 
 def _check_edge_budget(n: int, k: int) -> None:
     # n! * degree / 2 edges, known before a single product is composed; a
-    # BFS composes at most twice that many products, so this bounds its
-    # time too
+    # BFS composes at most four times that many products, so this bounds
+    # its time too
     edges = factorial(n) * degree(n, k) // 2
     if edges > EDGE_CAP:
         raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
@@ -368,24 +369,29 @@ def _check_matrix_cap(n: int) -> None:
 def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     """
     Pairwise prefix-mismatch counts for every pair in the ordering, as an
-    N x N uint8 array.  Prefix sets are encoded as integer bitmasks per
-    vertex and compared one prefix length at a time, so memory stays at a
-    few N x N byte planes.  Orderings of permutations of [n] with n above
+    N x N uint8 array.  Prefix sets are encoded as one-byte bitmasks per
+    vertex and compared one row block at a time, so the only temporaries
+    are block-sized.  Orderings of permutations of [n] with n above
     ``config.MATRIX_CAP`` raise CapExceeded before anything is allocated.
     """
     S = tuple(ordering)
     _check_matrix_cap(len(S[0]))
-    return _prefix_mismatch_counts(np.array(S, dtype=np.int64))
+    return _prefix_mismatch_counts(np.array(S, dtype=np.uint8))
 
 
 def _prefix_mismatch_counts(P: np.ndarray) -> np.ndarray:
-    # the N x N uint8 counts for the N permutations in the rows of the int64 array P
+    # the N x N uint8 counts for the N permutations of [n], n <= 8, in the
+    # rows of the uint8 array P
     N, n = P.shape
+    # masks[i, r]: the prefix set of length i+1 of row r, value v as bit v-1
+    values = np.ascontiguousarray(P[:, : n - 1].T)  # row-major, so every mask row is contiguous
+    masks = np.bitwise_or.accumulate(np.left_shift(1, values - 1, dtype=np.uint8), axis=0)
     counts = np.zeros((N, N), dtype=np.uint8)
-    acc = np.zeros(N, dtype=np.int64)
-    for i in range(n - 1):
-        acc = acc | np.left_shift(1, P[:, i])
-        counts += acc[:, None] != acc[None, :]
+    step = max(1, _MISMATCH_BLOCK // N)
+    for start in range(0, N, step):
+        block = counts[start : start + step]
+        for m in masks:
+            block += (m[start : start + step, None] != m).view(np.uint8)
     return counts
 
 
@@ -416,7 +422,7 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
     _check_matrix_cap(n)
     S = enumerate_permutations(n)
-    P = np.array(S, dtype=np.int64)
+    P = np.array(S, dtype=np.uint8)
     differ = _prefix_mismatch_counts(P) == k
     differ ^= _prefix_mismatch_counts(np.insert(P, position - 1, n + 1, axis=1)) == k
     # both matrices are symmetric with a zero diagonal, so the first

@@ -16,6 +16,8 @@ from .graphs import FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, 
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
+_BOTTOM_UP_ALPHA = 2  # a level goes bottom-up when ALPHA * |frontier| > |unreached| (measured)
+_BOTTOM_UP_BATCH = 16  # generators composed per bottom-up pass over the unreached vertices
 
 
 @dataclass(frozen=True)
@@ -35,15 +37,29 @@ class DistanceProfile:
 def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     """
     Breadth-first distances from ``source`` to every vertex, level by
-    level and top-down: the whole frontier is composed with the connection
-    set in vertex chunks of about ``graphs.CHUNK_PRODUCTS`` products, so the
-    peak memory is fixed whatever the degree.  Expansion stops after the
-    first chunk that leaves no vertex without a distance -- which cuts the
-    work sharply on dense connection sets whose BFS trees are shallow.
-    Returns a DistanceProfile whose ``distances`` is a uint16 array indexed
-    by ordering rank, ``UNREACHED`` where no path was found.  A graph over
-    the edge budget (``config.EDGE_CAP``) raises CapExceeded before the
-    search.
+    level, each level in the cheaper of two directions (Beamer, Asanovic
+    and Patterson's direction-optimizing BFS):
+
+    * top-down: the frontier is composed with the connection set, and
+      every unreached product gets the level.  Expansion stops after the
+      first chunk that leaves no vertex without a distance -- which cuts
+      the work sharply on dense connection sets whose BFS trees are
+      shallow.
+    * bottom-up: every unreached vertex v is composed with the connection
+      set, 16 generators at a time, and gets the level once some product
+      v o g lies in the previous frontier; vertices that found one drop out
+      before the next batch.  This is exact because the connection set is
+      closed under inverses, so the neighbours of v are the products v o g.
+
+    A level goes bottom-up when 2 * |frontier| > |unreached|, else
+    top-down.  A top-down level composes |frontier| * degree products and a
+    bottom-up one at most |unreached| * degree < 2 * |frontier| * degree, so
+    a whole search composes at most 2 * n! * degree.  Products are composed
+    in vertex chunks of about ``graphs.CHUNK_PRODUCTS``, so the peak memory
+    is fixed whatever the degree.  Returns a DistanceProfile whose
+    ``distances`` is a uint16 array indexed by ordering rank, ``UNREACHED``
+    where no path was found.  A graph over the edge budget
+    (``config.EDGE_CAP``) raises CapExceeded before the search.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
@@ -58,12 +74,24 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     level = 0
     while frontier.size and unreached:
         level += 1
-        for rows in _chunks(frontier, len(gens)):
-            b = _product_ranks(spec, rows, gens).ravel()
-            dist[b[dist[b] == UNREACHED]] = level
-            unreached = np.count_nonzero(dist == UNREACHED)
-            if not unreached:
-                break
+        if _BOTTOM_UP_ALPHA * frontier.size > unreached:
+            todo = np.flatnonzero(dist == UNREACHED)
+            for start in range(0, len(gens), _BOTTOM_UP_BATCH):
+                batch = gens[start : start + _BOTTOM_UP_BATCH]
+                for rows in _chunks(todo, len(batch)):
+                    hit = (dist[_product_ranks(spec, rows, batch)] == level - 1).any(axis=1)
+                    dist[rows[hit]] = level
+                todo = todo[dist[todo] == UNREACHED]
+                if not todo.size:
+                    break
+            unreached = todo.size
+        else:
+            for rows in _chunks(frontier, len(gens)):
+                b = _product_ranks(spec, rows, gens).ravel()
+                dist[b[dist[b] == UNREACHED]] = level
+                unreached = np.count_nonzero(dist == UNREACHED)
+                if not unreached:
+                    break
         frontier = np.flatnonzero(dist == level)
     ecc = int(dist[dist != UNREACHED].max())
     return DistanceProfile(tuple(source), dist, ecc, spec.vertex_count - unreached)

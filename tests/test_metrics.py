@@ -75,6 +75,13 @@ def test_diameter_examples():
     assert diameter(FlagGraphSpec(5, 2)) >= diameter_lower_bound(5, 2) == 4
 
 
+def test_diameter_table_of_fj7_and_fj8():
+    # every FJ(7,k) and every FJ(8,k) within the edge budget, beside the lower bound
+    assert [diameter(FlagGraphSpec(7, k)) for k in range(1, 7)] == [21, 8, 5, 3, 3, 2]
+    assert [diameter(FlagGraphSpec(8, k)) for k in range(1, 5)] == [28, 11, 6, 4]
+    assert [diameter_lower_bound(8, k) for k in range(1, 5)] == [28, 10, 5, 3]
+
+
 def test_transitive_matches_exhaustive():
     for n in range(2, 6):
         for k in range(1, n):

@@ -12,6 +12,7 @@ from fjgraphs import (
     FlagGraphSpec,
     bfs,
     build_edges,
+    compose,
     degree,
     edge_transposition_bound_check,
     enumerate_permutations,
@@ -22,7 +23,7 @@ from fjgraphs import (
     rank,
     reversal,
 )
-from fjgraphs import graphs
+from fjgraphs import graphs, metrics
 from fjgraphs.metrics import UNREACHED
 
 
@@ -43,6 +44,33 @@ def deque_bfs(spec, source):
                 dist[b] = dist[a] + 1
                 queue.append(b)
     return dist
+
+
+def generator_bfs(gens, source):
+    # plain queue BFS over the right products u o g, for any inverse-closed generator set
+    dist = {tuple(source): 0}
+    queue = deque([tuple(source)])
+    while queue:
+        u = queue.popleft()
+        for g in gens:
+            v = compose(u, g)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def count_products(monkeypatch):
+    # a one-element list that counts the products u o g every later bfs composes
+    count = [0]
+    real = metrics._product_ranks
+
+    def counting(spec, rows, gens):
+        count[0] += len(rows) * len(gens)
+        return real(spec, rows, gens)
+
+    monkeypatch.setattr(metrics, "_product_ranks", counting)
+    return count
 
 
 def shuffled_spec(n, k, seed):
@@ -87,7 +115,51 @@ def test_bfs_matches_deque_bfs_over_pairwise_edges(n, k):
     assert profile.reached == spec.vertex_count
 
 
-@pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 1), (5, 3), (6, 5)])
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+def test_each_bfs_direction_alone_matches_deque_bfs(n, k, monkeypatch):
+    # an alpha of 0 keeps every level top-down, a huge one makes every level bottom-up
+    spec = FlagGraphSpec(n, k)
+    source = tuple(random.Random(10 * n + k).sample(range(1, n + 1), n))
+    expected = deque_bfs(spec, source)
+    for alpha in (0, 10**9):
+        monkeypatch.setattr(metrics, "_BOTTOM_UP_ALPHA", alpha)
+        assert bfs(spec, source).distances.tolist() == expected
+
+
+@pytest.mark.parametrize("alpha", [0, 2, 10**9])  # all top-down, the switch rule, all bottom-up
+def test_bfs_of_a_disconnected_generator_set(alpha, monkeypatch):
+    # the adjacent transpositions of [5] without (2 3): inverse-closed, but
+    # they generate only S_2 x S_3, 12 of the 120 permutations
+    gens = ((2, 1, 3, 4, 5), (1, 2, 4, 3, 5), (1, 2, 3, 5, 4))
+    monkeypatch.setattr(metrics, "generators", lambda n, k: gens)
+    monkeypatch.setattr(metrics, "_BOTTOM_UP_ALPHA", alpha)
+    spec = FlagGraphSpec(5, 1)
+    source = (3, 1, 5, 2, 4)
+    expected = generator_bfs(gens, source)
+    profile = bfs(spec, source)
+    assert profile.distances.tolist() == [expected.get(p, UNREACHED) for p in spec.ordering]
+    assert profile.reached == len(expected) == 12 and not profile.connected
+    assert profile.eccentricity == max(expected.values())
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n)] + [(8, 1), (8, 2)])
+def test_bfs_composes_at_most_twice_n_factorial_degree_products(n, k, monkeypatch):
+    # a top-down level composes |frontier| * degree products, a bottom-up one fewer than twice that
+    count = count_products(monkeypatch)
+    spec = FlagGraphSpec(n, k)
+    bfs(spec, identity(n))
+    assert 0 < count[0] <= 2 * spec.vertex_count * degree(n, k)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_bottom_up_levels_cut_the_products_of_dense_searches(k, monkeypatch):
+    # top-down alone composes 1,155,618 products for FJ(7,4) and 2,099,223 for FJ(7,6)
+    count = count_products(monkeypatch)
+    bfs(FlagGraphSpec(7, k), identity(7))
+    assert count[0] < 300_000
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 1), (5, 3), (6, 4), (6, 5)])
 def test_custom_ordering_relabels_edges_and_distances(n, k):
     lex = FlagGraphSpec(n, k)
     spec = shuffled_spec(n, k, seed=n * k)
