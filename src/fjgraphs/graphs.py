@@ -423,8 +423,13 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     _check_matrix_cap(n)
     S = enumerate_permutations(n)
     P = np.array(S, dtype=np.uint8)
-    differ = _prefix_mismatch_counts(P) == k
-    differ ^= _prefix_mismatch_counts(np.insert(P, position - 1, n + 1, axis=1)) == k
+    # two n! x n! uint8 planes at once: each count matrix becomes its 0/1
+    # adjacency in place, and the second is XORed into the first
+    differ = _prefix_mismatch_counts(P)
+    np.equal(differ, k, out=differ, casting="unsafe")
+    images = _prefix_mismatch_counts(np.insert(P, position - 1, n + 1, axis=1))
+    np.equal(images, k, out=images, casting="unsafe")
+    differ ^= images
     # both matrices are symmetric with a zero diagonal, so the first
     # differing cell in row-major order lies above the diagonal
     first = int(np.argmax(differ))

@@ -7,17 +7,20 @@ that every edge must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .config import TheoremViolation
-from .graphs import FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
+from .graphs import _POPCOUNT, FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
 _BOTTOM_UP_ALPHA = 2  # a level goes bottom-up when ALPHA * |frontier| > |unreached| (measured)
+_NARROW_ALPHA = 1  # the same for connection sets of at most one batch, whose bottom-up levels cannot stop early
 _BOTTOM_UP_BATCH = 16  # generators composed per bottom-up pass over the unreached vertices
+_EDGE_CHUNK = 1 << 18  # edges whose swap bound is checked at once
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,10 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     A level goes bottom-up when 2 * |frontier| > |unreached|, else
     top-down.  A top-down level composes |frontier| * degree products and a
     bottom-up one at most |unreached| * degree < 2 * |frontier| * degree, so
-    a whole search composes at most 2 * n! * degree.  Products are composed
+    a whole search composes at most 2 * n! * degree.  A connection set of
+    at most 16 generators is one batch: its bottom-up levels compose all
+    |unreached| * degree products, so they go bottom-up only when
+    |frontier| > |unreached|.  Products are composed
     in vertex chunks of about ``graphs.CHUNK_PRODUCTS``, so the peak memory
     is fixed whatever the degree.  Returns a DistanceProfile whose
     ``distances`` is a uint16 array indexed by ordering rank, ``UNREACHED``
@@ -71,10 +77,11 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     dist[src] = 0
     frontier = np.array([src], dtype=np.int32)
     unreached = spec.vertex_count - 1
+    alpha = _BOTTOM_UP_ALPHA if len(gens) > _BOTTOM_UP_BATCH else _NARROW_ALPHA
     level = 0
     while frontier.size and unreached:
         level += 1
-        if _BOTTOM_UP_ALPHA * frontier.size > unreached:
+        if alpha * frontier.size > unreached:
             todo = np.flatnonzero(dist == UNREACHED)
             for start in range(0, len(gens), _BOTTOM_UP_BATCH):
                 batch = gens[start : start + _BOTTOM_UP_BATCH]
@@ -155,11 +162,47 @@ def diameter_lower_bound(n: int, k: int) -> int:
 def edge_transposition_bound_check(spec: FlagGraphSpec):
     """
     Every edge (u, v) satisfies kendall_distance(u, v) <= C(k+1, 2).
-    Returns (True, None), or (False, (u, v)) with the offending edge.
+    Returns (True, None), or (False, (u, v)) with the first offending edge
+    of ``build_edges``.
+
+    This is the reference route, one ``kendall_distance`` call per edge, as
+    ``pairwise_edges`` is for ``build_edges``: the battery checks the bound
+    on arrays (``_edge_kendall_bound``) over the edge list it builds once
+    per graph, and the tests hold that route to this one.  It stays public
+    because it states the bound in the terms of the paper, pair by pair,
+    and because the benchmark's tracer counts its calls.
     """
     bound = comb(spec.k + 1, 2)
     for a, b in build_edges(spec):
         u, v = spec.ordering[a], spec.ordering[b]
         if kendall_distance(u, v) > bound:
             return False, (u, v)
+    return True, None
+
+
+def _edge_kendall_bound(spec: FlagGraphSpec, edges) -> tuple[bool, tuple[Perm, Perm] | None]:
+    """
+    ``edge_transposition_bound_check`` on arrays, over a given edge list:
+    (True, None), or (False, (u, v)) for the first edge (a, b) of ``edges``
+    whose ends lie more than C(k+1, 2) adjacent transpositions apart.  That
+    distance is the number of value pairs that u and v put in opposite
+    orders, so each vertex gets one bit per value pair, set when the pair
+    stands inverted in it (read from the inverse vertex rows), and an edge
+    costs one XOR and a popcount; edges go ``_EDGE_CHUNK`` at a time.  Only
+    the edge list and the ordering are read, never the connection set.
+    """
+    bound = comb(spec.k + 1, 2)
+    inverse = np.argsort(spec._vertices, axis=1).T  # inverse[x, r]: position of value x in vertex r
+    inverted = np.zeros(spec.vertex_count, dtype=np.uint32)  # C(8, 2) = 28 bits fit
+    for bit, (x, y) in enumerate(combinations(range(spec.n), 2)):
+        inverted |= (inverse[x] > inverse[y]).astype(np.uint32) << np.uint32(bit)
+    E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for start in range(0, len(E), _EDGE_CHUNK):
+        a, b = E[start : start + _EDGE_CHUNK].T
+        differ = (inverted[a] ^ inverted[b]).view(np.uint8)
+        swaps = _POPCOUNT[differ].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
+        bad = np.flatnonzero(swaps > bound)
+        if bad.size:
+            u, v = E[start + bad[0]].tolist()
+            return False, (spec.ordering[u], spec.ordering[v])
     return True, None

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from math import comb
 
 import numpy as np
@@ -23,7 +23,7 @@ from fjgraphs import (
     rank,
     reversal,
 )
-from fjgraphs import graphs, metrics
+from fjgraphs import graphs, metrics, perms, verify
 from fjgraphs.metrics import UNREACHED
 
 
@@ -73,6 +73,13 @@ def count_products(monkeypatch):
     return count
 
 
+def force_alpha(monkeypatch, alpha):
+    # the same switch rule for wide and narrow connection sets: 0 keeps every
+    # level top-down, a huge alpha makes every level bottom-up
+    monkeypatch.setattr(metrics, "_BOTTOM_UP_ALPHA", alpha)
+    monkeypatch.setattr(metrics, "_NARROW_ALPHA", alpha)
+
+
 def shuffled_spec(n, k, seed):
     order = list(enumerate_permutations(n))
     random.Random(seed).shuffle(order)
@@ -117,22 +124,21 @@ def test_bfs_matches_deque_bfs_over_pairwise_edges(n, k):
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
 def test_each_bfs_direction_alone_matches_deque_bfs(n, k, monkeypatch):
-    # an alpha of 0 keeps every level top-down, a huge one makes every level bottom-up
     spec = FlagGraphSpec(n, k)
     source = tuple(random.Random(10 * n + k).sample(range(1, n + 1), n))
     expected = deque_bfs(spec, source)
     for alpha in (0, 10**9):
-        monkeypatch.setattr(metrics, "_BOTTOM_UP_ALPHA", alpha)
+        force_alpha(monkeypatch, alpha)
         assert bfs(spec, source).distances.tolist() == expected
 
 
-@pytest.mark.parametrize("alpha", [0, 2, 10**9])  # all top-down, the switch rule, all bottom-up
+@pytest.mark.parametrize("alpha", [0, 1, 2, 10**9])  # all top-down, the narrow and wide switch rules, all bottom-up
 def test_bfs_of_a_disconnected_generator_set(alpha, monkeypatch):
     # the adjacent transpositions of [5] without (2 3): inverse-closed, but
     # they generate only S_2 x S_3, 12 of the 120 permutations
     gens = ((2, 1, 3, 4, 5), (1, 2, 4, 3, 5), (1, 2, 3, 5, 4))
     monkeypatch.setattr(metrics, "generators", lambda n, k: gens)
-    monkeypatch.setattr(metrics, "_BOTTOM_UP_ALPHA", alpha)
+    force_alpha(monkeypatch, alpha)
     spec = FlagGraphSpec(5, 1)
     source = (3, 1, 5, 2, 4)
     expected = generator_bfs(gens, source)
@@ -157,6 +163,19 @@ def test_bottom_up_levels_cut_the_products_of_dense_searches(k, monkeypatch):
     count = count_products(monkeypatch)
     bfs(FlagGraphSpec(7, k), identity(7))
     assert count[0] < 300_000
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_narrow_searches_compose_no_more_products_than_top_down(n, monkeypatch):
+    # degree n-1 <= 16 is one bottom-up batch, which cannot stop early
+    count = count_products(monkeypatch)
+    spec = FlagGraphSpec(n, 1)
+    profile = bfs(spec, identity(n))
+    switched = count[0]
+    count[0] = 0
+    force_alpha(monkeypatch, 0)
+    assert np.array_equal(bfs(spec, identity(n)).distances, profile.distances)
+    assert 0 < switched <= count[0]
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 1), (5, 3), (6, 4), (6, 5)])
@@ -194,16 +213,74 @@ def test_edge_list_reads_as_a_list_of_pairs():
         edges[len(pairs)]
 
 
+def both_edge_checks(spec):
+    # the per-edge reference route and the array route over the same edge list
+    return [edge_transposition_bound_check(spec), metrics._edge_kendall_bound(spec, build_edges(spec))]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+def test_array_edge_check_matches_the_per_edge_route(n, k):
+    for spec in (FlagGraphSpec(n, k), shuffled_spec(n, k, seed=100 + 10 * n + k)):
+        reference, array = both_edge_checks(spec)
+        assert array == reference == (True, None)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_array_edge_check_finds_the_first_edge_over_a_tighter_bound(n, monkeypatch):
+    # the edges of FJ(n,n-1), whose connection set holds the reversal, under the bound of every smaller k
+    for dense in (FlagGraphSpec(n, n - 1), shuffled_spec(n, n - 1, seed=n)):
+        edges = build_edges(dense)
+        monkeypatch.setattr(metrics, "build_edges", lambda spec: edges)
+        for k in range(1, n - 1):
+            spec = FlagGraphSpec(n, k, dense.ordering)
+            reference = edge_transposition_bound_check(spec)
+            assert not reference[0]
+            assert metrics._edge_kendall_bound(spec, edges) == reference
+
+
+def test_array_edge_check_passes_every_fj7():
+    for k in range(1, 7):
+        spec = FlagGraphSpec(7, k)
+        assert metrics._edge_kendall_bound(spec, build_edges(spec)) == (True, None)
+
+
 def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
     # the reversal of [4] is one irreducible block, so it is no generator of FJ(4,1)
     real = graphs.generators
     monkeypatch.setattr(graphs, "generators", lambda n, k: real(n, k) + (reversal(n),))
-    spec = FlagGraphSpec(4, 1)
-    ok, witness = edge_transposition_bound_check(spec)
-    assert not ok
-    assert witness == (identity(4), reversal(4))
-    u, v = witness
-    assert kendall_distance(u, v) > comb(2, 2) and prefix_mismatch_count(u, v) != 1
+    witnesses = []
+    for spec in (FlagGraphSpec(4, 1), shuffled_spec(4, 1, seed=7)):
+        reference, array = both_edge_checks(spec)
+        assert array == reference
+        ok, witness = reference
+        assert not ok
+        u, v = witness
+        assert spec.rank(u) < spec.rank(v) and compose(u, reversal(4)) == v
+        assert kendall_distance(u, v) > comb(2, 2) and prefix_mismatch_count(u, v) != 1
+        witnesses.append(witness)
+    assert witnesses[0] == (identity(4), reversal(4))
+
+
+def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch):
+    built = Counter()
+    kendall_calls = [0]
+    real_build, real_kendall = graphs.build_edges, perms.kendall_distance
+
+    def counting_build(spec):
+        built[spec.n, spec.k] += 1
+        return real_build(spec)
+
+    def counting_kendall(u, v):
+        kendall_calls[0] += 1
+        return real_kendall(u, v)
+
+    for module in (graphs, metrics, verify):
+        monkeypatch.setattr(module, "build_edges", counting_build)
+    for module in (perms, metrics):
+        monkeypatch.setattr(module, "kendall_distance", counting_kendall)
+    assert all(entry["passed"] for entry in verify.battery(5))
+    assert built == Counter({(n, k): 1 for n in range(2, 6) for k in range(1, n)})
+    assert kendall_calls[0] == 0
 
 
 def traced_peak_mb(fn):
@@ -228,3 +305,8 @@ def test_bfs_of_fj76_peak_is_bounded():
 def test_edge_list_iteration_peak_is_bounded():
     edges = build_edges(FlagGraphSpec(7, 4))
     assert traced_peak_mb(lambda: sum(1 for _ in edges)) < PEAK_MB / 4
+
+
+def test_insertion_embedding_check_holds_two_planes():
+    # two 5040 x 5040 uint8 planes take 48 MB; with a third, a boolean plane beside them, the peak is 73 MB
+    assert traced_peak_mb(lambda: graphs.insertion_embedding_check(7, 3, 4)) < 56
