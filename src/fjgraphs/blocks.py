@@ -18,8 +18,10 @@ submatrices of size n! x n! with rigid contents:
 
 ``verify_recursive_blocks`` and ``verify_permutahedron_blocks`` check these
 identities bit for bit and report every assertion with 1-based coordinates,
-so a discrepancy pinpoints itself.  Matrices are dense uint8 arrays; block
-extraction is a numpy view, never a copy.
+so a discrepancy pinpoints itself.  S is validated once into a uint8 vertex
+array; corner and flank are ``counts == k`` and ``counts == k-1`` of its
+prefix-mismatch counts, so the k = 1 flank is ``counts == 0``, the identity.
+Matrices are dense uint8; block extraction is a numpy view, never a copy.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FlagGraphSpec, _check_matrix_cap, _product_ranks, check_ordering, prefix_mismatch_matrix
-from .perms import Perm, enumerate_permutations, insertion
+from .graphs import FlagGraphSpec, check_ordering
+from .graphs import _check_matrix_cap, _insertion_images, _lex_vertices, _prefix_mismatch_counts, _product_ranks
+from .perms import Perm
 
 
 def concatenated_ordering(ordering: Sequence[Perm]) -> tuple[Perm, ...]:
@@ -43,9 +46,8 @@ def concatenated_ordering(ordering: Sequence[Perm]) -> tuple[Perm, ...]:
     >>> concatenated_ordering(((1,),))
     ((2, 1), (1, 2))
     """
-    S = check_ordering(ordering)
-    n = len(S[0])
-    return tuple(insertion(u, b) for b in range(1, n + 2) for u in S)
+    V = check_ordering(ordering)
+    return tuple(map(tuple, (_insertion_images(V, range(1, V.shape[1] + 2)) + 1).tolist()))
 
 
 def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
@@ -57,8 +59,8 @@ def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> 
     """
     if n < 1 or not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    A = prefix_mismatch_matrix(S)
+    _check_matrix_cap(n)
+    A = _prefix_mismatch_counts(_lex_vertices(n) if ordering is None else check_ordering(ordering, n))
     np.equal(A, k, out=A, casting="unsafe")
     np.fill_diagonal(A, 0)
     return A
@@ -119,11 +121,11 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
 def _stacked(n: int, k: int, ordering: Sequence[Perm] | None):
     """
     The base ordering S of the permutations of [n] (lexicographic if
-    omitted), the adjacency matrix of FJ(n+1, k) under the stacked ordering
-    built from S, and the block size n!.
+    omitted) as validated 0-based vertex rows, the adjacency matrix of
+    FJ(n+1, k) under the stacked ordering built from S, and the block size n!.
     """
-    S = enumerate_permutations(n) if ordering is None else check_ordering(ordering, n)
-    return S, adjacency_matrix(n + 1, k, concatenated_ordering(S)), factorial(n)
+    S = _lex_vertices(n) if ordering is None else check_ordering(ordering, n)
+    return S, adjacency_matrix(n + 1, k, _insertion_images(S, range(1, n + 2)) + 1), factorial(n)
 
 
 @dataclass(frozen=True)
@@ -199,20 +201,18 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
     """
     if k < 1:
         raise ValueError("the block identities concern k >= 1")
+    if k >= n:  # FJ(n, k) of the corner does not exist
+        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     S, A, b = _stacked(n, k, ordering)
-    corner = adjacency_matrix(n, k, S)
-    if k == 1:
-        flank = np.eye(b, dtype=np.uint8)
-    else:
-        flank = adjacency_matrix(n, k - 1, S)
+    counts = _prefix_mismatch_counts(S)
+    corner, flank = counts == k, counts == k - 1
+    zero = np.zeros((b, b), dtype=np.uint8)
 
     checks = []
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if abs(i - j) > k:
-                checks.append(
-                    _compare_block("zero-block", (i, j), block(A, i, j, b), np.zeros((b, b), dtype=np.uint8))
-                )
+                checks.append(_compare_block("zero-block", (i, j), block(A, i, j, b), zero))
     for where in ((1, 1), (n + 1, n + 1)):
         checks.append(_compare_block("corner-block", where, block(A, *where, b), corner))
     for i in range(1, n + 1):
@@ -235,9 +235,11 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
         compared bit for bit; its regularity is n-2 (0 when n = 2, where
         the interior generating set is empty).
     """
+    if n < 2:  # FJ(n, 1) of the corner does not exist
+        raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
     S, A, b = _stacked(n, 1, ordering)
-    corner = adjacency_matrix(n, 1, S)
-    eye = np.eye(b, dtype=np.uint8)
+    counts = _prefix_mismatch_counts(S)
+    corner, eye = counts == 1, counts == 0
     zero = np.zeros((b, b), dtype=np.uint8)
 
     checks = []
@@ -253,7 +255,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
             checks.append(_compare_block("corner-subgraph", (i, i), diag, corner))
             expected_reg = n - 1
         else:
-            rebuilt = excluded_transposition_matrix(n, i - 1, S)
+            rebuilt = excluded_transposition_matrix(n, i - 1, ordering)
             note = "interior generating set is empty for n = 2" if n == 2 else ""
             checks.append(_compare_block("interior-subgraph", (i, i), diag, rebuilt, detail=note))
             expected_reg = n - 2

@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import config
 from .config import CapExceeded, TheoremViolation, check_tolerance
@@ -41,21 +40,10 @@ from .verify import battery
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Eigen cap and tolerances of one spectrum or verify-all run."""
-
-    eigen_cap: int
-    eig_tol: float
-    match_tol: float
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The flags' values; a NaN, infinite or negative tolerance raises ValueError naming its flag."""
-    cfg = RunConfig(eigen_cap=args.eigen_cap, eig_tol=args.eig_tol, match_tol=args.match_tol)
-    check_tolerance("--eig-tol", cfg.eig_tol)
-    check_tolerance("--match-tol", cfg.match_tol)
-    return cfg
+def resolve_config(args: argparse.Namespace) -> None:
+    """Reject a NaN, infinite or negative tolerance flag, raising ValueError that names it."""
+    check_tolerance("--eig-tol", args.eig_tol)
+    check_tolerance("--match-tol", args.match_tol)
 
 
 def _round12(x: float) -> float:
@@ -123,9 +111,9 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)
     n = args.n
-    m_spec = eig_tridiagonal(regularity_matrix(n), tol=cfg.eig_tol)
+    m_spec = eig_tridiagonal(regularity_matrix(n), tol=args.eig_tol)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
@@ -135,10 +123,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     status = 0
     full_spec: Spectrum | None = None
     if args.full or args.check_subset or args.conjecture:
-        full_spec = adjacency_spectrum(n, 1, tol=cfg.eig_tol, eigen_cap=cfg.eigen_cap)
+        full_spec = adjacency_spectrum(n, 1, tol=args.eig_tol, eigen_cap=args.eigen_cap)
         report["full_distinct_eigenvalues"] = [_round12(x) for x in full_spec.values]
     if args.check_subset:
-        match = spectrum_subset_check(m_spec, full_spec, tol=cfg.match_tol)
+        match = spectrum_subset_check(m_spec, full_spec, tol=args.match_tol)
         report["subset_ok"] = match.ok
         report["matching"] = list(match.matching)
         if not match.ok:
@@ -146,16 +134,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             status = 1
     if args.conjecture:
         report["second_largest_in_M"] = conjecture_second_largest(
-            n, tol=cfg.match_tol, graph_spectrum=full_spec
+            n, tol=args.match_tol, graph_spectrum=full_spec
         )
     _emit_json(report, args.out)
     return status
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)
     started = time.perf_counter()
-    checks = battery(args.max_n, **asdict(cfg))
+    checks = battery(args.max_n, eigen_cap=args.eigen_cap, eig_tol=args.eig_tol, match_tol=args.match_tol)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,

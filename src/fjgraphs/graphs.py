@@ -36,7 +36,6 @@ import numpy as np
 from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .perms import (
     Perm,
-    check_permutation,
     compose,
     enumerate_permutations,
     is_irreducible,
@@ -55,17 +54,26 @@ CSV_ROWS = 1 << 16  # edges formatted per string operation in the exports, and p
 _POPCOUNT = np.array([bin(s).count("1") for s in range(256)], dtype=np.uint8)
 
 
-def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> tuple[Perm, ...]:
-    """Validate that ``ordering`` lists every permutation of [n] exactly once."""
-    S = tuple(check_permutation(p) for p in ordering)
-    if not S:
-        raise ValueError("empty vertex ordering")
-    size = len(S[0]) if n is None else n
-    if any(len(p) != size for p in S):
-        raise ValueError("ordering mixes permutations of different sizes")
-    if len(S) != factorial(size) or len(set(S)) != len(S):
+def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> np.ndarray:
+    """
+    Validate, in one vectorized pass, that ``ordering`` lists every
+    permutation of [n] (n defaults to its row length) exactly once, and
+    return the read-only (n!, n) uint8 array of 0-based rows that
+    ``FlagGraphSpec`` holds.  Any other input raises ValueError; n above
+    ``config.GRAPH_CAP`` raises CapExceeded before any row is ranked.
+    """
+    P = np.asarray(ordering)  # rows of several lengths raise ValueError here
+    if P.ndim != 2 or P.size == 0 or P.dtype.kind not in "iu":
+        raise ValueError("an ordering is a non-empty list of equal-length integer permutations")
+    size = P.shape[1] if n is None else n
+    if size > GRAPH_CAP:  # also the limit of the byte-wide sets of _lex_ranks
+        raise CapExceeded(f"n={size} exceeds the graph cap {GRAPH_CAP} ({factorial(size)} permutations)")
+    V = (P - 1).astype(np.uint8)  # a foreign value wraps here, and fails the row check below
+    rows_ok = V.shape == (factorial(size), size) and (np.sort(P, axis=1) == np.arange(1, size + 1)).all()
+    if not rows_ok or np.bincount(_lex_ranks(V.T, size)).max() > 1:  # the ranks tell repeated rows
         raise ValueError(f"ordering does not cover the {factorial(size)} permutations of [{size}] exactly once")
-    return S
+    V.flags.writeable = False
+    return V
 
 
 @lru_cache(maxsize=None)
@@ -98,42 +106,35 @@ def _lex_ranks(columns, n: int) -> np.ndarray:
 class FlagGraphSpec:
     """
     Graph parameters plus the vertex ordering used for ranks and matrices.
-    ``ordering`` is a tuple of permutation tuples; ranks into it index the
-    edge lists and the uint16 BFS distance arrays.  The array
-    routes read the ordering as an (n!, n) uint8 array of 0-based values
-    (one read-only array shared by the lexicographic specs of each n), rank
-    products lexicographically and map those ranks to ordering positions
-    through one int32 array; both are built on first use.  The routes
-    compose products in vertex chunks of about ``CHUNK_PRODUCTS``, so their
-    working memory stays under 64 MB at n <= 8.
+    The ordering (lexicographic unless given, as tuples or an array) is
+    validated once into ``_vertices``, the (n!, n) uint8 array of
+    ``check_ordering``, one shared by the lexicographic specs of each n;
+    the tuple ``ordering`` is derived from it.  Ranks into the ordering
+    index the edge lists and the uint16 BFS distance arrays.  Products are
+    ranked lexicographically and mapped to ordering positions through one
+    int32 array, built on first use, in vertex chunks of about
+    ``CHUNK_PRODUCTS``, so the working memory stays under 64 MB at n <= 8.
     """
 
     n: int
     k: int
     ordering: tuple[Perm, ...] = ()
-    _custom: bool = field(init=False, repr=False, compare=False)
+    _vertices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or not 0 <= self.k < self.n:
             raise ValueError(f"need 0 <= k < n, got n={self.n}, k={self.k}")
-        if self.n > GRAPH_CAP:  # also the limit of the byte-wide sets of _lex_ranks
-            raise CapExceeded(f"n={self.n} exceeds the graph cap {GRAPH_CAP} ({factorial(self.n)} permutations)")
-        object.__setattr__(self, "_custom", bool(self.ordering))
-        if self.ordering:
-            object.__setattr__(self, "ordering", check_ordering(self.ordering, self.n))
+        if len(self.ordering):  # both routes raise CapExceeded above config.GRAPH_CAP
+            V = check_ordering(self.ordering, self.n)
+            ordering = tuple(map(tuple, (V + 1).tolist()))
         else:
-            object.__setattr__(self, "ordering", enumerate_permutations(self.n))
+            V, ordering = _lex_vertices(self.n), enumerate_permutations(self.n)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "_vertices", V)
 
     @property
     def vertex_count(self) -> int:
         return len(self.ordering)
-
-    @cached_property
-    def _vertices(self) -> np.ndarray:
-        # row r is ordering[r] with 0-based values
-        if self._custom:
-            return np.array(self.ordering, dtype=np.uint8) - 1
-        return _lex_vertices(self.n)
 
     @cached_property
     def _positions(self) -> np.ndarray:
@@ -369,23 +370,24 @@ def _check_matrix_cap(n: int) -> None:
 def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     """
     Pairwise prefix-mismatch counts for every pair in the ordering, as an
-    N x N uint8 array.  Prefix sets are encoded as one-byte bitmasks per
-    vertex and compared one row block at a time, so the only temporaries
-    are block-sized.  Orderings of permutations of [n] with n above
-    ``config.MATRIX_CAP`` raise CapExceeded before anything is allocated.
+    N x N uint8 array, for an ordering that ``check_ordering`` accepts;
+    n above ``config.MATRIX_CAP`` raises CapExceeded before it is checked.
+    Prefix sets are one-byte bitmasks per vertex, compared one row block at
+    a time, so the only temporaries are block-sized.
     """
-    S = tuple(ordering)
-    _check_matrix_cap(len(S[0]))
-    return _prefix_mismatch_counts(np.array(S, dtype=np.uint8))
+    P = np.asarray(ordering)
+    if P.ndim == 2:
+        _check_matrix_cap(P.shape[1])
+    return _prefix_mismatch_counts(check_ordering(P))
 
 
-def _prefix_mismatch_counts(P: np.ndarray) -> np.ndarray:
-    # the N x N uint8 counts for the N permutations of [n], n <= 8, in the
-    # rows of the uint8 array P
-    N, n = P.shape
-    # masks[i, r]: the prefix set of length i+1 of row r, value v as bit v-1
-    values = np.ascontiguousarray(P[:, : n - 1].T)  # row-major, so every mask row is contiguous
-    masks = np.bitwise_or.accumulate(np.left_shift(1, values - 1, dtype=np.uint8), axis=0)
+def _prefix_mismatch_counts(V: np.ndarray) -> np.ndarray:
+    # the N x N uint8 counts for the N permutations in the rows of the uint8 array
+    # V, 0-based values below 8: vertex arrays for n <= MATRIX_CAP, or their insertion images
+    N, n = V.shape
+    # masks[i, r]: the prefix set of length i+1 of row r, value v as bit v
+    values = np.ascontiguousarray(V[:, : n - 1].T)  # row-major, so every mask row is contiguous
+    masks = np.bitwise_or.accumulate(np.left_shift(1, values, dtype=np.uint8), axis=0)
     counts = np.zeros((N, N), dtype=np.uint8)
     step = max(1, _MISMATCH_BLOCK // N)
     for start in range(0, N, step):
@@ -402,8 +404,15 @@ def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
     (different algorithm, different data path), and returns the same
     sorted EdgeList of rank pairs a < b.
     """
-    counts = prefix_mismatch_matrix(spec.ordering)
+    _check_matrix_cap(spec.n)
+    counts = _prefix_mismatch_counts(spec._vertices)
     return EdgeList(np.argwhere(np.triu(counts == spec.k, k=1)))
+
+
+def _insertion_images(V: np.ndarray, positions) -> np.ndarray:
+    # the rows of V, 0-based permutations of [n], with the new largest value
+    # inserted at each 1-based position in turn, stacked position by position
+    return np.concatenate([np.insert(V, p - 1, V.shape[1], axis=1) for p in positions])
 
 
 def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, tuple[Perm, Perm] | None]:
@@ -421,13 +430,12 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     if not 1 <= position <= n + 1:
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
     _check_matrix_cap(n)
-    S = enumerate_permutations(n)
-    P = np.array(S, dtype=np.uint8)
+    S, V = enumerate_permutations(n), _lex_vertices(n)
     # two n! x n! uint8 planes at once: each count matrix becomes its 0/1
     # adjacency in place, and the second is XORed into the first
-    differ = _prefix_mismatch_counts(P)
+    differ = _prefix_mismatch_counts(V)
     np.equal(differ, k, out=differ, casting="unsafe")
-    images = _prefix_mismatch_counts(np.insert(P, position - 1, n + 1, axis=1))
+    images = _prefix_mismatch_counts(_insertion_images(V, [position]))
     np.equal(images, k, out=images, casting="unsafe")
     differ ^= images
     # both matrices are symmetric with a zero diagonal, so the first

@@ -1,6 +1,7 @@
 """Stacked orderings, adjacency matrices, block views and block identities."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from fjgraphs import (
     matrix_to_text,
     perm_to_string,
     prefix_mismatch_count,
+    regularity_matrix,
+    regularity_matrix_from_blocks,
+    verify_intertwining,
     verify_permutahedron_blocks,
     verify_recursive_blocks,
 )
@@ -223,3 +227,23 @@ def test_excluded_transposition_matrix_errors():
 
 def test_matrix_to_text():
     assert matrix_to_text(np.array([[0, 1], [1, 0]])) == "01\n10\n"
+
+
+def test_block_checks_make_no_per_vertex_tuple_calls(monkeypatch):
+    # the base and stacked orderings stay uint8 arrays end to end: with the
+    # per-permutation tuple helpers disabled everywhere, every check still runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-vertex tuple call")
+
+    for name, module in list(sys.modules.items()):
+        if name == "fjgraphs" or name.startswith("fjgraphs."):
+            for helper in ("check_permutation", "is_permutation", "insertion"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+    S = list(enumerate_permutations(6))
+    random.Random(6).shuffle(S)
+    for k in range(1, 6):
+        assert verify_recursive_blocks(6, k, S).passed
+    assert verify_permutahedron_blocks(6, S).passed
+    assert np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7))
+    assert verify_intertwining(7, S)

@@ -1,11 +1,15 @@
 """FJ(n, k) construction: adjacency, generators, degrees, edges, exports."""
 
 import json
+import numbers
 import time
 import tracemalloc
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fjgraphs import (
     CapExceeded,
@@ -33,6 +37,7 @@ from fjgraphs import (
     prefix_mismatch_count,
     prefix_mismatch_matrix,
 )
+from fjgraphs.config import GRAPH_CAP
 from fjgraphs.graphs import _check_edge_budget
 
 
@@ -76,13 +81,76 @@ def test_spec_rank_and_custom_ordering():
         FlagGraphSpec(3, 1, reordered[:-1])
 
 
-def test_check_ordering_rejects():
-    with pytest.raises(ValueError):
-        check_ordering(())
-    with pytest.raises(ValueError):
-        check_ordering(((1, 2), (1, 2)))
-    with pytest.raises(ValueError):
-        check_ordering(((1, 2), (2, 1), (1, 2, 3)))
+def ordering_oracle(ordering, n=None):
+    # tuple-level reference for check_ordering: the permutation tuples it
+    # accepts, or the exception type it raises
+    rows = [tuple(p) for p in ordering]
+    if not rows or not rows[0] or len({len(p) for p in rows}) > 1:
+        return ValueError
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for p in rows for x in p):
+        return ValueError
+    size = len(rows[0]) if n is None else n
+    if size > GRAPH_CAP:
+        return CapExceeded
+    if len(rows[0]) != size or len(rows) != factorial(size) or len(set(rows)) != len(rows):
+        return ValueError
+    if any(sorted(p) != list(range(1, size + 1)) for p in rows):
+        return ValueError
+    return tuple(rows)
+
+
+@st.composite
+def mangled_orderings(draw):
+    # a shuffled ordering of S_n, n <= 4, with up to three rows dropped,
+    # duplicated, given a foreign value or resized; as lists or an array,
+    # checked for its own size, another size or none
+    n = draw(st.integers(1, 4))
+    rows = [list(p) for p in draw(st.permutations(enumerate_permutations(n)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        change = draw(st.sampled_from(["drop", "duplicate", "append", "value", "longer", "shorter"]))
+        if change == "drop":
+            del rows[i]
+        elif change == "duplicate":
+            rows[i] = list(rows[j])
+        elif change == "append":
+            rows.append(list(rows[j]))
+        elif change == "value" and rows[i]:  # 257 wraps to 1 in a byte
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from([0, -1, 1, n, n + 1, 257]))
+        elif change == "longer":
+            rows[i] = rows[i] + [n + 1]
+        elif change == "shorter":
+            rows[i] = rows[i][:-1]
+    ordering = [tuple(p) for p in rows]
+    if draw(st.booleans()) and rows and len({len(p) for p in rows}) == 1:
+        ordering = np.array(rows)
+    return ordering, draw(st.sampled_from([None, n, n + 1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(mangled_orderings())
+@example(((), None))
+@example(([()], None))
+@example((((1, 2), (1, 2)), None))
+@example((((1, 2), (2, 1), (1, 2, 3)), None))
+@example(([tuple(range(1, 10))], None))
+@example(([tuple(range(1, 10))], 9))
+@example((enumerate_permutations(3), 9))
+@example(([(1.0, 2.0), (2.0, 1.0)], None))
+@example(([(True,)], None))
+def test_check_ordering_rejects(case):
+    ordering, n = case
+    expected = ordering_oracle(ordering, n)
+    if isinstance(expected, type):
+        with pytest.raises(expected) as raised:
+            check_ordering(ordering, n)
+        assert (raised.type is CapExceeded) == (expected is CapExceeded)
+    else:
+        V = check_ordering(ordering, n)
+        assert V.dtype == np.uint8 and not V.flags.writeable
+        assert tuple(map(tuple, (V + 1).tolist())) == expected
 
 
 # ---------------------------------------------------------------- adjacency
@@ -220,6 +288,14 @@ def test_build_edges_cap():
         pairwise_edges(FlagGraphSpec(8, 1))
     with pytest.raises(CapExceeded, match="matrix cap"):
         prefix_mismatch_matrix(enumerate_permutations(8))
+
+
+def test_prefix_mismatch_matrix_validates_its_ordering():
+    S = enumerate_permutations(3)
+    for bad in ([(1, 2, 3), (1, 2, 3)], S[:-1], S[:-1] + S[:1], S[:-1] + ((1, 2, 4),), (), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            prefix_mismatch_matrix(bad)
+    assert prefix_mismatch_matrix(S[::-1]).tolist() == prefix_mismatch_matrix(S)[::-1, ::-1].tolist()
 
 
 def test_build_edges_edge_budget():

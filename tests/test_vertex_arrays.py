@@ -16,6 +16,7 @@ from fjgraphs import (
     degree,
     edge_transposition_bound_check,
     enumerate_permutations,
+    excluded_transposition_matrix,
     identity,
     kendall_distance,
     pairwise_edges,
@@ -190,6 +191,24 @@ def test_custom_ordering_relabels_edges_and_distances(n, k):
     source = spec.ordering[3 % spec.vertex_count]
     assert np.array_equal(bfs(spec, source).distances, bfs(lex, source).distances[to_lex])
     assert [spec.rank(p) for p in spec.ordering] == list(range(spec.vertex_count))
+
+
+def test_numpy_ordering_matches_its_tuple_form():
+    order = list(enumerate_permutations(4))
+    random.Random(4).shuffle(order)
+    for k in (1, 2, 3):
+        as_tuples = FlagGraphSpec(4, k, tuple(order))
+        for array in (np.array(order), np.array(order, dtype=np.uint8)):
+            spec = FlagGraphSpec(4, k, array)
+            assert spec == as_tuples and spec.ordering == tuple(order)
+            assert np.array_equal(spec._vertices, as_tuples._vertices)
+            assert [spec.rank(p) for p in order] == list(range(24))
+            assert build_edges(spec) == build_edges(as_tuples) == pairwise_edges(spec)
+    assert FlagGraphSpec(3, 1, np.array(enumerate_permutations(3))) == FlagGraphSpec(3, 1)
+    for skip in (1, 2, 3):
+        assert np.array_equal(
+            excluded_transposition_matrix(4, skip, np.array(order)), excluded_transposition_matrix(4, skip, order)
+        )
 
 
 def test_edge_lists_are_int64_pair_arrays():
