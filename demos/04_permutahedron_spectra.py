@@ -16,7 +16,7 @@ for n in (3, 4, 5):
     print(f"M({n}) =", closed.tolist(), "| empirical route agrees:", bool((closed == empirical).all()))
 print()
 
-# Two independent eigensolvers: Sturm bisection for M, LAPACK (eigvalsh) for A.
+# One eigensolver, LAPACK (eigvalsh), for the small M and the big A alike.
 m_spec = fj.eig_tridiagonal(fj.regularity_matrix(4))
 a_spec = fj.adjacency_spectrum(4, 1)
 print("spec(M(4))      =", [round(v, 9) for v in m_spec.values])

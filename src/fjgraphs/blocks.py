@@ -60,7 +60,12 @@ def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> 
     if n < 1 or not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     _check_matrix_cap(n)
-    A = _prefix_mismatch_counts(_lex_vertices(n) if ordering is None else check_ordering(ordering, n))
+    return _adjacency(_lex_vertices(n) if ordering is None else check_ordering(ordering, n), k)
+
+
+def _adjacency(V: np.ndarray, k: int) -> np.ndarray:
+    # the matrix of adjacency_matrix over the already validated 0-based vertex rows V
+    A = _prefix_mismatch_counts(V)
     np.equal(A, k, out=A, casting="unsafe")
     np.fill_diagonal(A, 0)
     return A
@@ -107,7 +112,12 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     if not 1 <= skip <= n - 1:
         raise ValueError(f"transposition index {skip} out of range 1..{n - 1}")
     _check_matrix_cap(n)
-    spec = FlagGraphSpec(n, 1, () if ordering is None else ordering)
+    return _excluded_transpositions(FlagGraphSpec(n, 1, () if ordering is None else ordering), skip)
+
+
+def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
+    # the matrix of excluded_transposition_matrix under the already validated ordering of spec
+    n = spec.n
     kept = [j for j in range(1, n) if j != skip]
     gens = np.tile(np.arange(n), (len(kept), 1))  # t_j as 0-based positions, swapping j and j+1
     for row, j in enumerate(kept):
@@ -123,9 +133,12 @@ def _stacked(n: int, k: int, ordering: Sequence[Perm] | None):
     The base ordering S of the permutations of [n] (lexicographic if
     omitted) as validated 0-based vertex rows, the adjacency matrix of
     FJ(n+1, k) under the stacked ordering built from S, and the block size n!.
+    The stacked rows are permutations by construction, so only S is
+    validated.  n+1 above ``config.MATRIX_CAP`` raises CapExceeded first.
     """
+    _check_matrix_cap(n + 1)
     S = _lex_vertices(n) if ordering is None else check_ordering(ordering, n)
-    return S, adjacency_matrix(n + 1, k, _insertion_images(S, range(1, n + 2)) + 1), factorial(n)
+    return S, _adjacency(_insertion_images(S, range(1, n + 2)), k), factorial(n)
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     if n < 2:  # FJ(n, 1) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
     S, A, b = _stacked(n, 1, ordering)
+    spec = FlagGraphSpec(n, 1, () if ordering is None else ordering)  # validated once for every interior rebuild
     counts = _prefix_mismatch_counts(S)
     corner, eye = counts == 1, counts == 0
     zero = np.zeros((b, b), dtype=np.uint8)
@@ -255,7 +269,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
             checks.append(_compare_block("corner-subgraph", (i, i), diag, corner))
             expected_reg = n - 1
         else:
-            rebuilt = excluded_transposition_matrix(n, i - 1, ordering)
+            rebuilt = _excluded_transpositions(spec, i - 1)
             note = "interior generating set is empty for n = 2" if n == 2 else ""
             checks.append(_compare_block("interior-subgraph", (i, i), diag, rebuilt, detail=note))
             expected_reg = n - 2

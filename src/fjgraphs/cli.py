@@ -8,8 +8,8 @@ eigenvalues are formatted to 12 decimal places, so identical configurations
 produce identical reports (timing fields excepted).
 
 Every subcommand takes --out.  spectrum and verify-all also take
---eigen-cap, the largest dense eigensolve, and the tolerances --eig-tol and
---match-tol; the other size guards are the fixed constants of ``config``.
+--eigen-cap, the largest dense eigensolve; the other size guards and the
+tolerances are the fixed constants of ``config``.
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
 2 invalid arguments or a size guard tripped.
@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import config
-from .config import CapExceeded, TheoremViolation, check_tolerance
+from .config import CapExceeded, TheoremViolation
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import FlagGraphSpec, build_edges, edges_to_csv, edges_to_dot, edges_to_json
 from .metrics import diameter, diameter_lower_bound
@@ -38,12 +38,6 @@ from .spectra import (
 from .verify import battery
 
 SCHEMA_VERSION = 1
-
-
-def resolve_config(args: argparse.Namespace) -> None:
-    """Reject a NaN, infinite or negative tolerance flag, raising ValueError that names it."""
-    check_tolerance("--eig-tol", args.eig_tol)
-    check_tolerance("--match-tol", args.match_tol)
 
 
 def _round12(x: float) -> float:
@@ -111,9 +105,8 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    resolve_config(args)
     n = args.n
-    m_spec = eig_tridiagonal(regularity_matrix(n), tol=args.eig_tol)
+    m_spec = eig_tridiagonal(regularity_matrix(n))
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
@@ -123,27 +116,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     status = 0
     full_spec: Spectrum | None = None
     if args.full or args.check_subset or args.conjecture:
-        full_spec = adjacency_spectrum(n, 1, tol=args.eig_tol, eigen_cap=args.eigen_cap)
+        full_spec = adjacency_spectrum(n, 1, eigen_cap=args.eigen_cap)
         report["full_distinct_eigenvalues"] = [_round12(x) for x in full_spec.values]
     if args.check_subset:
-        match = spectrum_subset_check(m_spec, full_spec, tol=args.match_tol)
+        match = spectrum_subset_check(m_spec, full_spec)
         report["subset_ok"] = match.ok
         report["matching"] = list(match.matching)
         if not match.ok:
             report["unmatched"] = _round12(match.unmatched)
             status = 1
     if args.conjecture:
-        report["second_largest_in_M"] = conjecture_second_largest(
-            n, tol=args.match_tol, graph_spectrum=full_spec
-        )
+        report["second_largest_in_M"] = conjecture_second_largest(n, graph_spectrum=full_spec)
     _emit_json(report, args.out)
     return status
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    resolve_config(args)
     started = time.perf_counter()
-    checks = battery(args.max_n, eigen_cap=args.eigen_cap, eig_tol=args.eig_tol, match_tol=args.match_tol)
+    checks = battery(args.max_n, eigen_cap=args.eigen_cap)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -166,8 +156,6 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 def _add_spectral(parser: argparse.ArgumentParser) -> None:
     _add_out(parser)
     parser.add_argument("--eigen-cap", type=int, default=config.EIGEN_CAP, help="largest eigensolver order")
-    parser.add_argument("--eig-tol", type=float, default=config.EIG_TOL, help="eigensolver convergence tolerance")
-    parser.add_argument("--match-tol", type=float, default=config.MATCH_TOL, help="eigenvalue matching tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,30 +7,21 @@ BFS in fixed chunks, so there it bounds the time, not the memory), MATRIX_CAP
 before anything allocates or loops over all n! x n! vertex pairs, and
 EIGEN_CAP before a dense eigensolve or a regularity matrix.  They keep
 every computation interactive on one machine.  Only the eigensolver order
-can be set per call (``eigen_cap``, ``fjgraph --eigen-cap``); the
-tolerances are keyword arguments everywhere.
+can be set per call (``eigen_cap``, ``fjgraph --eigen-cap``).  The
+tolerances are fixed too: the package builds every matrix it solves from
+integers, so no tolerance is a setting.
 """
-
-import math
 
 GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320); the byte-wide rank tables of graphs need n <= 8
 MATRIX_CAP = 7      # largest n for dense n! x n! matrices and all-pairs loops (7! = 5040)
 EIGEN_CAP = 720     # largest order of a dense eigensolve or a regularity matrix
 EDGE_CAP = 2**24    # most edges, n! * degree / 2, of an edge list or a BFS: admits FJ(7,6) and FJ(8,4), not FJ(8,5)
 
-EIG_TOL = 1e-12     # dense symmetry tolerance; bisection width of the tridiagonal solver
+EIG_TOL = 1e-12     # symmetry tolerance of the eigensolver, relative to the largest entry
 MATCH_TOL = 1e-8    # absolute tolerance when matching values across spectra
 MERGE_TOL = 1e-7    # computed eigenvalues closer than this collapse into one
 
 PERM_STR_DIGITS = 9  # permutations up to this size serialize as digit strings
-
-
-def check_tolerance(name: str, value: float) -> None:
-    """Reject a NaN, infinite or negative tolerance, naming it by ``name``."""
-    # NaN compares false with everything, so it would switch off the very
-    # checks a tolerance guards; a negative one can never be met
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 class CapExceeded(ValueError):

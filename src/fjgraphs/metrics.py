@@ -115,33 +115,22 @@ def is_connected(spec: FlagGraphSpec) -> bool:
     return bfs(spec, identity(spec.n)).connected
 
 
-def diameter(spec: FlagGraphSpec, mode: str = "transitive") -> int:
+def diameter(spec: FlagGraphSpec) -> int:
     """
-    Largest eccentricity.  Mode "transitive" runs a single BFS from the
-    identity, valid because a Cayley graph looks the same from every vertex;
-    "exhaustive" runs a BFS from every source (n! searches) and is kept as
-    the test oracle of that shortcut for small n.  A disconnected graph
+    Largest eccentricity, from a single BFS from the identity: a Cayley
+    graph looks the same from every vertex, and the tests hold this
+    shortcut to a BFS from every source for small n.  A disconnected graph
     here would contradict the connectivity of every non-trivial FJ(n, k),
     so it raises TheoremViolation instead of returning anything.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; its diameter is undefined")
-    if mode not in ("transitive", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
     profile = bfs(spec, identity(spec.n))
     if not profile.connected:
         raise TheoremViolation(
             f"FJ({spec.n},{spec.k}) reached only {profile.reached} of {spec.vertex_count} vertices"
         )
-    if mode == "transitive":
-        return profile.eccentricity
-    best = profile.eccentricity
-    for p in spec.ordering:
-        prof = bfs(spec, p)
-        if not prof.connected:
-            raise TheoremViolation(f"FJ({spec.n},{spec.k}) disconnected from source {p}")
-        best = max(best, prof.eccentricity)
-    return best
+    return profile.eccentricity
 
 
 def diameter_lower_bound(n: int, k: int) -> int:

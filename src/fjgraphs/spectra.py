@@ -11,11 +11,10 @@ eigenvalue of the small matrix is an eigenvalue of the graph.  That turns an
 n!-sized eigenproblem into an n-sized one for part of the spectrum,
 including the largest eigenvalue n-1 (constant row sums on both sides).
 
-Eigenvalues come from two deliberately different routes: LAPACK
-(``np.linalg.eigvalsh``) for dense symmetric matrices, and Sturm-count
-bisection for symmetric tridiagonal ones.  The tests check both against a
-cyclic Jacobi solver of their own.  Every tolerance must be finite and
-non-negative; anything else raises ValueError.
+Every eigenvalue comes from one route, LAPACK (``np.linalg.eigvalsh``) in
+``eig_symmetric``; the tests check it against a cyclic Jacobi solver of
+their own and against the closed forms.  The tolerances are the fixed
+constants of ``config``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation, check_tolerance
+from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
 from .blocks import _stacked, adjacency_matrix, block, block_regularity
 from .perms import Perm
 
@@ -44,13 +43,13 @@ class Spectrum:
         return sum(self.multiplicities)
 
     @classmethod
-    def from_eigenvalues(cls, raw, merge_tol: float = MERGE_TOL) -> "Spectrum":
-        """Sort descending and collapse values closer than ``merge_tol``."""
+    def from_eigenvalues(cls, raw) -> "Spectrum":
+        """Sort descending and collapse values within ``config.MERGE_TOL``."""
         vals = sorted((float(x) for x in raw), reverse=True)
         out_v: list[float] = []
         out_m: list[int] = []
         for x in vals:
-            if out_v and out_v[-1] - x <= merge_tol:
+            if out_v and out_v[-1] - x <= MERGE_TOL:
                 out_m[-1] += 1
             else:
                 out_v.append(x)
@@ -102,21 +101,21 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     return M
 
 
-def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, cap: int = EIGEN_CAP) -> Spectrum:
+def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
     """
     Eigenvalues of a dense symmetric matrix, by LAPACK through
-    ``np.linalg.eigvalsh``.
+    ``np.linalg.eigvalsh``: the package's one eigensolver.
 
-    ``tol`` is the symmetry tolerance: an entry may differ from its mirror
-    by at most ``max(tol, 1e-12)`` times the largest absolute entry (or 1,
-    if larger).  The matrix is then symmetrized before the solve.  The
-    tests check this route against a cyclic Jacobi solver of their own and
-    against the trace and Frobenius-norm identities.
+    An entry may differ from its mirror by at most ``config.EIG_TOL`` times
+    the largest absolute entry (or 1, if larger); the matrix is then
+    symmetrized before the solve.  An order above ``cap`` raises
+    CapExceeded.  The tests check this route against a cyclic Jacobi solver
+    of their own, against the closed forms and against the trace and
+    Frobenius-norm identities.
 
     >>> eig_symmetric([[0, 1], [1, 0]]).values
     (1.0, -1.0)
     """
-    check_tolerance("tol", tol)
     A = np.array(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
@@ -127,83 +126,36 @@ def eig_symmetric(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL, ca
         return Spectrum((), ())
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.abs(A).max())
-    if float(np.abs(A - A.T).max()) > max(tol, 1e-12) * max(1.0, scale):
+    if float(np.abs(A - A.T).max()) > EIG_TOL * max(1.0, float(np.abs(A).max())):
         raise ValueError("matrix is not symmetric")
-    return Spectrum.from_eigenvalues(np.linalg.eigvalsh((A + A.T) / 2.0), merge_tol)
+    return Spectrum.from_eigenvalues(np.linalg.eigvalsh((A + A.T) / 2.0))
 
 
-def eig_tridiagonal(matrix, tol: float = EIG_TOL, merge_tol: float = MERGE_TOL) -> Spectrum:
+def eig_tridiagonal(matrix) -> Spectrum:
     """
-    Eigenvalues of a symmetric tridiagonal matrix by Sturm-count bisection.
+    Eigenvalues of a symmetric tridiagonal matrix, such as the regularity
+    matrix: ``eig_symmetric`` once the matrix is checked to be square and
+    zero beyond the first off-diagonals.
 
-    The number of eigenvalues below x follows from the signs in the ratio
-    recurrence of leading principal minors of (T - xI); each eigenvalue is
-    then bisected inside the Gershgorin interval until the bracket is
-    narrower than ``tol``.  No similarity transforms, so this route is
-    independent of LAPACK and the two can check each other.
+    >>> [round(x, 12) for x in eig_tridiagonal(regularity_matrix(3)).values]
+    [2.0, 1.0, -1.0]
     """
-    check_tolerance("tol", tol)
     T = np.asarray(matrix, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("a square matrix is required")
-    n = T.shape[0]
-    if n == 0:
-        return Spectrum((), ())
-    if n > 2 and float(np.abs(np.triu(T, 2)).max()) > 0.0:
+    if T.shape[0] > 2 and float(np.abs(np.triu(T, 2)).max()) > 0.0:
         raise ValueError("matrix is not tridiagonal")
-    if float(np.abs(T - T.T).max()) > max(tol, 1e-12) * max(1.0, float(np.abs(T).max())):
-        raise ValueError("matrix is not symmetric")
-    d = np.diag(T).astype(np.float64)
-    if n == 1:
-        return Spectrum.from_eigenvalues([d[0]], merge_tol)
-    e = np.diag(T, 1).astype(np.float64)
-    e2 = e * e
-
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float((d - radius).min())
-    hi = float((d + radius).max())
-
-    def count_below(x: float) -> int:
-        count = 0
-        q = d[0] - x
-        if q < 0.0:
-            count += 1
-        for i in range(1, n):
-            if q == 0.0:
-                q = 1e-300
-            q = d[i] - x - e2[i - 1] / q
-            if q < 0.0:
-                count += 1
-        return count
-
-    width = max(tol, 8.0 * np.finfo(np.float64).eps * max(abs(lo), abs(hi), 1.0))
-    found = []
-    for target in range(1, n + 1):
-        a, b = lo, hi
-        while b - a > width:
-            mid = 0.5 * (a + b)
-            if count_below(mid) >= target:
-                b = mid
-            else:
-                a = mid
-        found.append(0.5 * (a + b))
-    return Spectrum.from_eigenvalues(found, merge_tol)
+    return eig_symmetric(T)
 
 
 def adjacency_spectrum(
     n: int,
     k: int = 1,
     ordering: Sequence[Perm] | None = None,
-    tol: float = EIG_TOL,
-    merge_tol: float = MERGE_TOL,
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
     """Full spectrum of FJ(n, k): build the adjacency matrix, solve it densely."""
-    A = adjacency_matrix(n, k, ordering)
-    return eig_symmetric(A, tol=tol, merge_tol=merge_tol, cap=eigen_cap)
+    return eig_symmetric(adjacency_matrix(n, k, ordering), cap=eigen_cap)
 
 
 def lift_vector(vec, n: int) -> np.ndarray:
@@ -249,18 +201,17 @@ class SubsetMatch:
     unmatched: float | None = None  # first small value without a partner
 
 
-def spectrum_subset_check(small: Spectrum, big: Spectrum, tol: float = MATCH_TOL) -> SubsetMatch:
+def spectrum_subset_check(small: Spectrum, big: Spectrum) -> SubsetMatch:
     """
-    Does every distinct value of ``small`` occur in ``big`` within ``tol``
-    (multiplicities ignored)?  Returns the per-value matching on success,
-    or the first unmatched value.
+    Does every distinct value of ``small`` occur in ``big`` within
+    ``config.MATCH_TOL`` (multiplicities ignored)?  Returns the per-value
+    matching on success, or the first unmatched value.
     """
-    check_tolerance("tol", tol)
     matching: list[int] = []
     for x in small.values:
         hit = None
         for j, y in enumerate(big.values):
-            if abs(x - y) <= tol:
+            if abs(x - y) <= MATCH_TOL:
                 hit = j
                 break
         if hit is None:
@@ -269,25 +220,18 @@ def spectrum_subset_check(small: Spectrum, big: Spectrum, tol: float = MATCH_TOL
     return SubsetMatch(True, tuple(matching), None)
 
 
-def conjecture_second_largest(
-    n: int,
-    tol: float = MATCH_TOL,
-    graph_spectrum: Spectrum | None = None,
-    eigen_cap: int = EIGEN_CAP,
-    eig_tol: float = EIG_TOL,
-    merge_tol: float = MERGE_TOL,
-) -> bool:
+def conjecture_second_largest(n: int, graph_spectrum: Spectrum | None = None) -> bool:
     """
     Evidence check, never asserted as a theorem: is the second-largest
     distinct eigenvalue of FJ(n, 1) among the eigenvalues of the regularity
-    matrix?  (The largest always is: both equal the degree n-1.)  Passing a
-    precomputed ``graph_spectrum`` skips the expensive full eigensolve.
+    matrix, within ``config.MATCH_TOL``?  (The largest always is: both
+    equal the degree n-1.)  Passing a precomputed ``graph_spectrum`` skips
+    the expensive full eigensolve.
     """
-    check_tolerance("tol", tol)
     if graph_spectrum is None:
-        graph_spectrum = adjacency_spectrum(n, 1, tol=eig_tol, merge_tol=merge_tol, eigen_cap=eigen_cap)
-    m_spectrum = eig_tridiagonal(regularity_matrix(n), tol=eig_tol, merge_tol=merge_tol)
+        graph_spectrum = adjacency_spectrum(n, 1)
+    m_spectrum = eig_tridiagonal(regularity_matrix(n))
     if len(graph_spectrum.values) < 2:
         return True
     second = graph_spectrum.values[1]
-    return any(abs(second - y) <= tol for y in m_spectrum.values)
+    return any(abs(second - y) <= MATCH_TOL for y in m_spectrum.values)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .config import EIG_TOL, EIGEN_CAP, GRAPH_CAP, MATCH_TOL, MATRIX_CAP, CapExceeded
+from .config import EIGEN_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import (
     FlagGraphSpec,
@@ -58,7 +58,7 @@ def _maxscan_block_count(pattern) -> int:
     return count
 
 
-def battery(max_n: int, eigen_cap: int = EIGEN_CAP, eig_tol: float = EIG_TOL, match_tol: float = MATCH_TOL) -> list[dict]:
+def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
     """
     Run every check on the graphs with 2 <= n <= max_n and return the
     entries in a fixed order.  Checks on dense matrices stop at
@@ -166,12 +166,12 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP, eig_tol: float = EIG_TOL, ma
     for n in range(2, max_n + 1):
         if factorial(n) > eigen_cap:
             break
-        m_spec = eig_tridiagonal(regularity_matrix(n), tol=eig_tol)
-        full = adjacency_spectrum(n, 1, tol=eig_tol, eigen_cap=eigen_cap)
-        match = spectrum_subset_check(m_spec, full, tol=match_tol)
+        m_spec = eig_tridiagonal(regularity_matrix(n))
+        full = adjacency_spectrum(n, 1, eigen_cap=eigen_cap)
+        match = spectrum_subset_check(m_spec, full)
         add("spectrum-subset", {"n": n}, match.ok, "" if match.ok else f"unmatched {match.unmatched}")
         if n >= 3:
-            holds = conjecture_second_largest(n, tol=match_tol, graph_spectrum=full)
+            holds = conjecture_second_largest(n, graph_spectrum=full)
             if n <= 5:
                 add("conjecture-second-largest", {"n": n}, holds)
             else:

@@ -1,7 +1,7 @@
 """Cyclic Jacobi eigenvalue solver, kept as an independent test oracle.
 
-Pure Python over numpy rows and columns, so it shares no code with LAPACK
-or with the Sturm bisection in ``fjgraphs.spectra``.  Quadratic work per
+Pure Python over numpy rows and columns, so it shares no code with the
+LAPACK route of ``fjgraphs.spectra``.  Quadratic work per
 sweep makes it practical only for small orders (a few hundred at most);
 the tests use it at orders up to 120.
 """

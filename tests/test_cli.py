@@ -4,9 +4,10 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fjgraphs import graphs, metrics, verify
+from fjgraphs import cli, graphs, metrics, verify
 from fjgraphs.cli import main
 
 
@@ -92,9 +93,11 @@ def test_spectrum_deterministic(capsys):
     assert first == second
 
 
-def test_spectrum_impossible_tolerance_fails(capsys):
-    # the two eigenvalue routes agree to ~1e-12, never to exactly 0.0
-    code, doc, _ = run_json(capsys, "spectrum", "--n", "3", "--check-subset", "--match-tol", "0")
+def test_spectrum_impossible_tolerance_fails(capsys, monkeypatch):
+    # an M whose spectrum is shifted off the graph's cannot be contained in it
+    real = cli.regularity_matrix
+    monkeypatch.setattr(cli, "regularity_matrix", lambda n: real(n) + 3 * np.eye(n, dtype=np.int64))
+    code, doc, _ = run_json(capsys, "spectrum", "--n", "3", "--check-subset")
     assert code == 1
     assert doc["subset_ok"] is False
     assert "unmatched" in doc
@@ -113,10 +116,14 @@ def test_spectrum_impossible_tolerance_fails(capsys):
     ids=lambda argv: " ".join(argv[3:]),
 )
 def test_spectrum_bad_tolerance_is_a_bad_argument(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert argv[-2] in err and "Traceback" not in err
+    # the tolerances are fixed constants: a tolerance flag is an unknown
+    # argument, never a report computed under some other tolerance
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert info.value.code == 2
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err and argv[-2] in out.err
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -185,6 +192,11 @@ def test_invalid_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["diameter", "--n", "4", "--k", "2", "--exhaustive"])  # removed: one BFS per vertex
     assert info.value.code == 2
+    for command in (["spectrum", "--n", "4"], ["verify-all", "--max-n", "3"]):
+        for flag in ("--eig-tol", "--match-tol"):  # removed: the tolerances are config constants
+            with pytest.raises(SystemExit) as info:
+                main([*command, flag, "1e-9"])
+            assert info.value.code == 2
 
 
 def test_invalid_nk_exits_2(capsys):
