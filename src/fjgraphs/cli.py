@@ -22,8 +22,7 @@ import json
 import sys
 import time
 
-from . import config
-from .config import CapExceeded, TheoremViolation
+from .config import EIGEN_CAP, TheoremViolation
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import FlagGraphSpec, build_edges, edges_to_csv, edges_to_dot, edges_to_json
 from .metrics import diameter, diameter_lower_bound
@@ -95,8 +94,7 @@ def cmd_blocks(args: argparse.Namespace) -> int:
         report_obj = verify_recursive_blocks(args.n, args.k)
     else:
         if args.k != 1:
-            print("error: the permutahedron check is defined for k = 1", file=sys.stderr)
-            return 2
+            raise ValueError("the permutahedron check is defined for k = 1")
         report_obj = verify_permutahedron_blocks(args.n)
     doc = {"schema_version": SCHEMA_VERSION, "command": "blocks", "check": args.check}
     doc.update(report_obj.to_dict())
@@ -155,7 +153,7 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 def _add_spectral(parser: argparse.ArgumentParser) -> None:
     _add_out(parser)
-    parser.add_argument("--eigen-cap", type=int, default=config.EIGEN_CAP, help="largest eigensolver order")
+    parser.add_argument("--eigen-cap", type=int, default=EIGEN_CAP, help="largest eigensolver order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,16 +209,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoremViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,10 +49,6 @@ CHUNK_PRODUCTS = 1 << 20  # products u o g composed at once: bounds the peak mem
 _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
 CSV_ROWS = 1 << 16  # edges formatted per string operation in the exports, and per step of EdgeList iteration
 
-# popcount of every byte: for n <= 8 (config.GRAPH_CAP) the set of values
-# already seen at a position fits in one byte
-_POPCOUNT = np.array([bin(s).count("1") for s in range(256)], dtype=np.uint8)
-
 
 def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> np.ndarray:
     """
@@ -66,7 +62,7 @@ def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> n
     if P.ndim != 2 or P.size == 0 or P.dtype.kind not in "iu":
         raise ValueError("an ordering is a non-empty list of equal-length integer permutations")
     size = P.shape[1] if n is None else n
-    if size > GRAPH_CAP:  # also the limit of the byte-wide sets of _lex_ranks
+    if size > GRAPH_CAP:  # also the limit of the uint8 rows here and the uint8 seen sets of _lex_ranks
         raise CapExceeded(f"n={size} exceeds the graph cap {GRAPH_CAP} ({factorial(size)} permutations)")
     V = (P - 1).astype(np.uint8)  # a foreign value wraps here, and fails the row check below
     rows_ok = V.shape == (factorial(size), size) and (np.sort(P, axis=1) == np.arange(1, size + 1)).all()
@@ -90,14 +86,14 @@ def _lex_ranks(columns, n: int) -> np.ndarray:
     column: ``columns`` yields uint8 arrays of 0-based values, one per
     position, and only the first n-1 are read.  The Lehmer digit at a
     position is the number of smaller values not seen yet,
-    v - popcount(seen & (bit(v) - 1)), with ``seen`` the byte of values
-    already placed.
+    v - np.bitwise_count(seen & (bit(v) - 1)), with ``seen`` the uint8 set
+    of values already placed.
     """
     ranks = np.zeros(1, dtype=np.int32)  # broadcasts; also the rank of the one permutation of [1]
     seen = np.uint8(0)
     for i, v in zip(range(n - 1), columns):
         bit = 1 << v
-        ranks = ranks + (v - _POPCOUNT[seen & (bit - 1)]) * np.int32(factorial(n - 1 - i))
+        ranks = ranks + (v - np.bitwise_count(seen & (bit - 1))) * np.int32(factorial(n - 1 - i))
         seen = seen | bit
     return ranks
 
@@ -381,13 +377,15 @@ def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     return _prefix_mismatch_counts(check_ordering(P))
 
 
+def _prefix_masks(V: np.ndarray) -> np.ndarray:
+    # masks[i, r]: the prefix set of length i+1 of row r of the uint8 array V, value v as bit v
+    values = np.ascontiguousarray(V[:, : V.shape[1] - 1].T)  # row-major, so every mask row is contiguous
+    return np.bitwise_or.accumulate(np.left_shift(1, values, dtype=np.uint8), axis=0)
+
+
 def _prefix_mismatch_counts(V: np.ndarray) -> np.ndarray:
-    # the N x N uint8 counts for the N permutations in the rows of the uint8 array
-    # V, 0-based values below 8: vertex arrays for n <= MATRIX_CAP, or their insertion images
-    N, n = V.shape
-    # masks[i, r]: the prefix set of length i+1 of row r, value v as bit v
-    values = np.ascontiguousarray(V[:, : n - 1].T)  # row-major, so every mask row is contiguous
-    masks = np.bitwise_or.accumulate(np.left_shift(1, values, dtype=np.uint8), axis=0)
+    # the N x N uint8 counts for the N rows of V (n <= MATRIX_CAP, or its insertion images), a row block at a time
+    masks, N = _prefix_masks(V), len(V)
     counts = np.zeros((N, N), dtype=np.uint8)
     step = max(1, _MISMATCH_BLOCK // N)
     for start in range(0, N, step):
@@ -399,14 +397,23 @@ def _prefix_mismatch_counts(V: np.ndarray) -> np.ndarray:
 
 def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
     """
-    Quadratic reference route: evaluate the adjacency predicate on every
-    vertex pair.  Kept as an independent cross-check for ``build_edges``
-    (different algorithm, different data path), and returns the same
-    sorted EdgeList of rank pairs a < b.
+    Quadratic reference route: the adjacency predicate on every vertex pair,
+    from prefix-mismatch counts and no products, cross-checks ``build_edges``
+    with the same sorted EdgeList of rank pairs a < b.  The counts fill one
+    reused row block at a time from its diagonal on, never the n! x n! matrix.
     """
     _check_matrix_cap(spec.n)
-    counts = _prefix_mismatch_counts(spec._vertices)
-    return EdgeList(np.argwhere(np.triu(counts == spec.k, k=1)))
+    masks, N = _prefix_masks(spec._vertices), spec.vertex_count
+    step = max(1, _MISMATCH_BLOCK // N)
+    buffer, parts = np.empty(step * N, dtype=np.uint8), []
+    for start in range(0, N, step):
+        block = buffer[: min(step, N - start) * (N - start)].reshape(-1, N - start)
+        block[...] = 0
+        for m in masks:
+            block += (m[start : start + len(block), None] != m[start:]).view(np.uint8)
+        # cell (r, c) is the pair (start + r, start + c): keep c > r, in row-major order
+        parts.append(np.argwhere(np.triu(block == spec.k, 1)) + start)
+    return EdgeList(np.concatenate(parts))
 
 
 def _insertion_images(V: np.ndarray, positions) -> np.ndarray:

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .config import TheoremViolation
-from .graphs import _POPCOUNT, FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
+from .graphs import FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
@@ -177,8 +177,9 @@ def _edge_kendall_bound(spec: FlagGraphSpec, edges) -> tuple[bool, tuple[Perm, P
     distance is the number of value pairs that u and v put in opposite
     orders, so each vertex gets one bit per value pair, set when the pair
     stands inverted in it (read from the inverse vertex rows), and an edge
-    costs one XOR and a popcount; edges go ``_EDGE_CHUNK`` at a time.  Only
-    the edge list and the ordering are read, never the connection set.
+    costs one XOR and one ``np.bitwise_count``; edges go ``_EDGE_CHUNK`` at
+    a time.  Only the edge list and the ordering are read, never the
+    connection set.
     """
     bound = comb(spec.k + 1, 2)
     inverse = np.argsort(spec._vertices, axis=1).T  # inverse[x, r]: position of value x in vertex r
@@ -188,9 +189,7 @@ def _edge_kendall_bound(spec: FlagGraphSpec, edges) -> tuple[bool, tuple[Perm, P
     E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     for start in range(0, len(E), _EDGE_CHUNK):
         a, b = E[start : start + _EDGE_CHUNK].T
-        differ = (inverted[a] ^ inverted[b]).view(np.uint8)
-        swaps = _POPCOUNT[differ].reshape(-1, 4).sum(axis=1, dtype=np.uint8)
-        bad = np.flatnonzero(swaps > bound)
+        bad = np.flatnonzero(np.bitwise_count(inverted[a] ^ inverted[b]) > bound)
         if bad.size:
             u, v = E[start + bad[0]].tolist()
             return False, (spec.ordering[u], spec.ordering[v])

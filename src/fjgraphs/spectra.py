@@ -116,14 +116,15 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
     >>> eig_symmetric([[0, 1], [1, 0]]).values
     (1.0, -1.0)
     """
-    A = np.array(matrix, dtype=np.float64)
+    A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
     m = A.shape[0]
-    if m > cap:
+    if m > cap:  # before the float64 copy
         raise CapExceeded(f"order {m} exceeds the eigensolver cap {cap}")
     if m == 0:
         return Spectrum((), ())
+    A = A.astype(np.float64)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     if float(np.abs(A - A.T).max()) > EIG_TOL * max(1.0, float(np.abs(A).max())):
@@ -134,16 +135,14 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
 def eig_tridiagonal(matrix) -> Spectrum:
     """
     Eigenvalues of a symmetric tridiagonal matrix, such as the regularity
-    matrix: ``eig_symmetric`` once the matrix is checked to be square and
-    zero beyond the first off-diagonals.
+    matrix: ``eig_symmetric``, which checks the shape and the cap, once the
+    matrix is checked to be zero beyond the first off-diagonals.
 
     >>> [round(x, 12) for x in eig_tridiagonal(regularity_matrix(3)).values]
     [2.0, 1.0, -1.0]
     """
-    T = np.asarray(matrix, dtype=np.float64)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError("a square matrix is required")
-    if T.shape[0] > 2 and float(np.abs(np.triu(T, 2)).max()) > 0.0:
+    T = np.asarray(matrix)
+    if T.ndim == 2 and np.triu(T, 2).any():
         raise ValueError("matrix is not tridiagonal")
     return eig_symmetric(T)
 
@@ -154,7 +153,9 @@ def adjacency_spectrum(
     ordering: Sequence[Perm] | None = None,
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
-    """Full spectrum of FJ(n, k): build the adjacency matrix, solve it densely."""
+    """Full spectrum of FJ(n, k): check the order n! against ``eigen_cap``, build the adjacency matrix, solve it densely."""
+    if n >= 1 and factorial(n) > eigen_cap:
+        raise CapExceeded(f"order {factorial(n)} exceeds the eigensolver cap {eigen_cap}")
     return eig_symmetric(adjacency_matrix(n, k, ordering), cap=eigen_cap)
 
 

@@ -43,6 +43,14 @@ def test_battery_family(battery_to_6_timed, family):
     assert got == [c for c in GOLDEN["checks"] if c["name"] == family]
 
 
+def test_battery_stops_spectra_at_the_eigen_cap(battery_to_6_timed):
+    # order 6! = 720 is over 120: only the n = 6 spectrum entries go
+    checks, _ = battery_to_6_timed
+    dropped = [c for c in checks if c["name"] in ("spectrum-subset", "conjecture-second-largest") and c["params"]["n"] == 6]
+    assert len(dropped) == 2
+    assert battery(6, eigen_cap=120) == [c for c in checks if c not in dropped]
+
+
 def test_criterion_02_top_k_diameter_is_two():
     # n = 3..6 are also the battery's diameter-top family; FJ(7,6) is past it
     started = time.perf_counter()

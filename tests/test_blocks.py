@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import fjgraphs.blocks as blocks_module
 from fjgraphs import (
     BlockAssertion,
     BlockReport,
@@ -162,6 +163,32 @@ def test_recursive_blocks_all_small():
         for k in range(1, n):
             report = verify_recursive_blocks(n, k)
             assert report.passed, report.failures()[:1]
+
+
+@pytest.mark.parametrize(
+    "where, cell, detail",
+    [
+        ((1, 3), (1, 16), "entry (2,5) is 1, expected 0"),  # a zero block
+        ((4, 4), (18, 19), "entry (1,2) is 0, expected 1"),  # the last corner: (1,2,3,4) -- (1,3,2,4) is an edge
+        ((2, 3), (7, 13), "entry (2,2) is 0, expected 1"),  # an identity flank, on its diagonal
+    ],
+    ids=["zero", "corner", "flank"],
+)
+def test_block_checks_name_a_flipped_cell(monkeypatch, where, cell, detail):
+    real = blocks_module._adjacency
+
+    def flipped(V, k):
+        A = real(V, k)
+        A[cell] ^= 1
+        return A
+
+    monkeypatch.setattr(blocks_module, "_adjacency", flipped)
+    for report in (verify_recursive_blocks(3, 1), verify_permutahedron_blocks(3)):
+        failures = [a for a in report.failures() if a.name != "block-regularity"]
+        assert len(failures) == 1
+        (bad,) = failures
+        assert (bad.block, bad.detail) == (where, detail)
+        assert bad.witness == (cell[0] - (where[0] - 1) * 6 + 1, cell[1] - (where[1] - 1) * 6 + 1)
 
 
 def test_recursive_blocks_rejects_k0():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjgraphs import cli, graphs, metrics, verify
+from fjgraphs import blocks, cli, graphs, metrics, spectra, verify
 from fjgraphs.cli import main
 
 
@@ -227,3 +227,45 @@ def test_out_of_range_size_exits_2(capsys, monkeypatch, argv, message):
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_spectrum_over_the_eigen_cap_builds_no_matrix(capsys, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("an adjacency matrix was built before the eigensolver cap")
+
+    monkeypatch.setattr(spectra, "adjacency_matrix", no_matrix)
+    code, out, err = run(capsys, "spectrum", "--n", "7", "--full")
+    assert code == 2 and out == ""
+    assert err == "error: order 5040 exceeds the eigensolver cap 720\n"
+
+
+def test_out_path_in_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "diameter", "--n", "3", "--k", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_a_disconnected_diameter_exits_1(capsys, monkeypatch):
+    real = metrics.bfs
+    monkeypatch.setattr(metrics, "bfs", lambda *args: dataclasses.replace(real(*args), reached=1))
+    code, out, err = run(capsys, "diameter", "--n", "4", "--k", "2")
+    assert code == 1 and out == ""
+    assert err == "verification failure: FJ(4,2) reached only 1 of 24 vertices\n"
+
+
+def test_a_wrong_block_exits_1(capsys, monkeypatch):
+    real = blocks._adjacency
+
+    def flipped(V, k):
+        A = real(V, k)
+        A[1, 16] ^= 1  # block (1,3) of FJ(4,1), a zero block, at its cell (2,5)
+        return A
+
+    monkeypatch.setattr(blocks, "_adjacency", flipped)
+    code, doc, _ = run_json(capsys, "blocks", "--n", "3", "--check", "recursive")
+    assert code == 1 and doc["passed"] is False
+    assert [a for a in doc["assertions"] if not a["passed"]] == [
+        {"name": "zero-block", "block": [1, 3], "passed": False, "witness": [2, 5], "detail": "entry (2,5) is 1, expected 0"}
+    ]

@@ -2,6 +2,7 @@
 
 import json
 import numbers
+import random
 import time
 import tracemalloc
 from math import factorial
@@ -317,6 +318,25 @@ def test_pairwise_oracle_agreement_small():
         for k in range(1, n):
             spec = FlagGraphSpec(n, k)
             assert build_edges(spec) == pairwise_edges(spec)
+    # at the matrix cap every row block but the last is full, under a shuffled ordering
+    shuffled = list(enumerate_permutations(7))
+    random.Random(7).shuffle(shuffled)
+    for k in range(1, 7):
+        spec = FlagGraphSpec(7, k, shuffled)
+        assert build_edges(spec) == pairwise_edges(spec)
+
+
+def test_pairwise_edges_never_holds_the_full_count_matrix():
+    # the 5040 x 5040 counts alone are 24 MiB; FJ(7,1) has 15,120 edges
+    spec = FlagGraphSpec(7, 1)
+    tracemalloc.start()
+    try:
+        edges = pairwise_edges(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 15120
+    assert peak < 2 << 20, peak
 
 
 def test_regularity_observed():

@@ -39,10 +39,6 @@ def mismatch_by_sets(u, v):
     return sum(1 for i in range(1, len(u) + 1) if set(u[:i]) != set(v[:i]))
 
 
-def disorder_quadratic(u):
-    return sum(1 for i in range(len(u)) for j in range(i + 1, len(u)) if u[i] > u[j])
-
-
 def adjacent_swaps(p):
     for i in range(len(p) - 1):
         q = list(p)
@@ -164,10 +160,11 @@ def test_disorder_examples():
     assert disorder((2, 1, 3)) == 1
 
 
-def test_disorder_matches_quadratic_oracle():
+def test_disorder_matches_bfs_oracle():
+    # the inversion count is the number of adjacent swaps from the identity
     for n in (2, 3, 4, 5):
         for p in enumerate_permutations(n):
-            assert disorder(p) == disorder_quadratic(p)
+            assert disorder(p) == kendall_by_bfs(identity(n), p)
 
 
 def test_adjacent_swap_changes_disorder_by_one():

@@ -7,6 +7,7 @@ Jacobi oracle in ``jacobi_oracle`` and against the closed forms.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,34 @@ def test_eig_symmetric_rejects():
         eig_symmetric(np.zeros((2, 3)))
     with pytest.raises(CapExceeded):
         eig_symmetric(np.eye(5), cap=4)
+
+
+@pytest.mark.parametrize("solve, most", [(eig_symmetric, 1 << 20), (eig_tridiagonal, 10 << 20)])
+def test_eigensolvers_check_the_cap_before_the_float64_copy(solve, most):
+    # a read-only zero-stride view: a float64 copy of it would take 32 MB;
+    # the band check of eig_tridiagonal takes two 4 MB planes, its mask and its copy
+    wide = np.broadcast_to(np.uint8(0), (2000, 2000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="eigensolver cap 720"):
+            solve(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most
+
+
+def test_spectra_over_the_eigen_cap_build_no_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("an adjacency matrix was built before the eigensolver cap")
+
+    monkeypatch.setattr(spectra_module, "adjacency_matrix", no_matrix)
+    with pytest.raises(CapExceeded, match="order 5040 exceeds the eigensolver cap 720"):
+        adjacency_spectrum(7, 1)
+    with pytest.raises(CapExceeded, match="order 120 exceeds the eigensolver cap 100"):
+        adjacency_spectrum(5, 2, eigen_cap=100)
+    with pytest.raises(CapExceeded, match="eigensolver cap"):
+        conjecture_second_largest(7)
 
 
 def test_eig_symmetric_rejects_non_finite_entries():
