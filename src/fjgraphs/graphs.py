@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
+from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded, TheoremViolation
 from .perms import (
     Perm,
     compose,
@@ -45,9 +45,9 @@ from .perms import (
     rank,
 )
 
-CHUNK_PRODUCTS = 1 << 20  # products u o g composed at once: bounds the peak memory of edge lists and BFS
+CHUNK_PRODUCTS = 1 << 18  # products u o g composed at once: bounds the working memory of edge lists and BFS
 _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
-CSV_ROWS = 1 << 16  # edges formatted per string operation in the exports, and per step of EdgeList iteration
+CSV_ROWS = 1 << 14  # edges assembled per byte buffer in the exports, and per step of EdgeList iteration
 
 
 def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> np.ndarray:
@@ -254,13 +254,35 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
     return [compose(u, g) for g in generators(spec.n, spec.k)]
 
 
-def _check_edge_budget(n: int, k: int) -> None:
-    # n! * degree / 2 edges, known before a single product is composed; a
-    # BFS composes at most four times that many products, so this bounds
-    # its time too
+def _check_edge_budget(n: int, k: int) -> int:
+    # the edge count n! * degree / 2, known before a single product is
+    # composed; a BFS composes at most four times that many products, so
+    # this bounds its time too
     edges = factorial(n) * degree(n, k) // 2
     if edges > EDGE_CAP:
         raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
+    return edges
+
+
+def _fill_edges(spec: FlagGraphSpec, pairs) -> EdgeList:
+    """
+    The EdgeList of the (a, b) rank-array pairs that ``pairs`` yields,
+    written in order into one (n! * degree / 2, 2) int64 array allocated
+    before the first pair, so no part outlives its copy.  An edge count
+    other than that size contradicts the degree formula and raises
+    TheoremViolation.
+    """
+    edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int64)
+    filled = 0
+    for a, b in pairs:
+        end = filled + len(a)
+        if end <= len(edges):
+            edges[filled:end, 0] = a
+            edges[filled:end, 1] = b
+        filled = end
+    if filled != len(edges):
+        raise TheoremViolation(f"FJ({spec.n},{spec.k}) has {filled} edges, not n! * degree / 2 = {len(edges)}")
+    return EdgeList(edges)
 
 
 def _chunks(rows: np.ndarray, width: int):
@@ -284,9 +306,7 @@ def _edge_chunks(spec: FlagGraphSpec):
     """
     The edges (a, b) with a < b as pairs of equal-length int32 rank arrays,
     one vertex chunk at a time; concatenated they are sorted by (a, b).
-    The edge budget is checked when iteration starts, before any product.
     """
-    _check_edge_budget(spec.n, spec.k)
     if spec.k == 0:
         return
     gens = np.array(generators(spec.n, spec.k), dtype=np.intp) - 1
@@ -348,14 +368,13 @@ def build_edges(spec: FlagGraphSpec) -> EdgeList:
     O(n! * degree * n) by composing every vertex with the connection set
     and ranking the products with a vectorized Lehmer code, instead of
     testing all C(n!, 2) pairs.  The products are composed in vertex chunks
-    of about ``CHUNK_PRODUCTS``, so the peak is a fixed working set plus 24
-    bytes per edge: the int32 chunks and the int64 array they are joined
-    into.  FJ(n, 0) yields an empty list (loops are excluded by
+    of about ``CHUNK_PRODUCTS`` and each chunk's edges are written into one
+    preallocated int64 array, so the peak is a fixed working set plus 16
+    bytes per edge.  FJ(n, 0) yields an empty list (loops are excluded by
     convention).  A graph with more than ``config.EDGE_CAP`` edges raises
     CapExceeded before anything is built.
     """
-    parts = [np.stack(pair, axis=1) for pair in _edge_chunks(spec)]
-    return EdgeList(np.concatenate(parts, dtype=np.int64) if parts else ())
+    return _fill_edges(spec, _edge_chunks(spec))
 
 
 def _check_matrix_cap(n: int) -> None:
@@ -400,20 +419,31 @@ def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
     Quadratic reference route: the adjacency predicate on every vertex pair,
     from prefix-mismatch counts and no products, cross-checks ``build_edges``
     with the same sorted EdgeList of rank pairs a < b.  The counts fill one
-    reused row block at a time from its diagonal on, never the n! x n! matrix.
+    reused row block at a time from its diagonal on, never the n! x n! matrix,
+    and each block's edges go straight into the preallocated edge array.
     """
     _check_matrix_cap(spec.n)
+    return _fill_edges(spec, _pairwise_blocks(spec))
+
+
+def _pairwise_blocks(spec: FlagGraphSpec):
+    # the edges (a, b), a < b, of each row block of pairwise_edges, as rank arrays in row-major order
     masks, N = _prefix_masks(spec._vertices), spec.vertex_count
     step = max(1, _MISMATCH_BLOCK // N)
-    buffer, parts = np.empty(step * N, dtype=np.uint8), []
+    buffer = np.empty(step * N, dtype=np.uint8)
     for start in range(0, N, step):
         block = buffer[: min(step, N - start) * (N - start)].reshape(-1, N - start)
         block[...] = 0
         for m in masks:
             block += (m[start : start + len(block), None] != m[start:]).view(np.uint8)
-        # cell (r, c) is the pair (start + r, start + c): keep c > r, in row-major order
-        parts.append(np.argwhere(np.triu(block == spec.k, 1)) + start)
-    return EdgeList(np.concatenate(parts))
+        # cell (r, c) is the pair (start + r, start + c): keep c > r, clearing the
+        # diagonal and below in the square of the first len(block) columns
+        hit = block == spec.k
+        hit[:, : len(hit)] = np.triu(hit[:, : len(hit)], 1)
+        a, b = hit.nonzero()  # column views of one (edges, 2) index array, shifted in place
+        a += start
+        b += start
+        yield a, b
 
 
 def _insertion_images(V: np.ndarray, positions) -> np.ndarray:
@@ -454,42 +484,106 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     return False, (S[a], S[b])
 
 
-def _format_rows(template: str, edges: np.ndarray, labels: np.ndarray | None = None) -> list[str]:
+def _edge_array(edges, bound: int) -> np.ndarray:
+    # the rank pairs as an (E, 2) int64 array; an end outside 0..bound-1 raises ValueError
+    message = f"edge ends must be ranks in 0..{bound - 1}"
+    try:
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValueError(message) from exc
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= bound):
+        raise ValueError(message)
+    return pairs
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
     """
-    ``template`` filled in by every edge (a, b), or by the labels of its
-    ends when ``labels`` (an object array of strings) is given, ``CSV_ROWS``
-    edges per string operation, so the exports never hold a Python object
-    per edge.
+    The decimal digits of integers in 0..2**32-1 as ASCII bytes along a new
+    last axis, as wide as the largest value, right-aligned and NUL-padded on
+    the left.  Each digit plane comes from a floor division of the uint32
+    values by a scalar ten, and a plane left of a value's first digit is
+    zeroed by comparing the value with that plane's power of ten.
+    """
+    v = values.astype(np.uint32)
+    width = len(str(int(v.max())))
+    digits = np.empty((width,) + v.shape, dtype=np.uint8)  # one contiguous plane per digit position
+    q, ten = v, np.uint32(10)
+    for col in range(width - 1, -1, -1):
+        rest = q // ten
+        digits[col] = q - rest * ten
+        q = rest
+    digits += ord("0")
+    for col in range(width - 1):
+        digits[col] *= v >= np.uint32(10 ** (width - 1 - col))
+    return np.moveaxis(digits, 0, -1)
+
+
+def _join_rows(literals: Sequence[str], fields: Sequence[np.ndarray]) -> str:
+    """
+    One text row per row of the fields, literals[0] + fields[0] +
+    literals[1] + ... + fields[-1] + literals[-1], assembled in one uint8
+    buffer.  A field is a (rows, width) uint8 array of ASCII bytes padded
+    with NUL, which no literal holds, so one boolean compress of the buffer
+    drops the padding.
+    """
+    parts = [np.frombuffer(literals[0].encode("ascii"), dtype=np.uint8)]
+    for values, literal in zip(fields, literals[1:]):
+        parts += [values, np.frombuffer(literal.encode("ascii"), dtype=np.uint8)]
+    rows = np.empty((len(fields[0]), sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+    start = 0
+    for part in parts:
+        rows[:, start : start + part.shape[-1]] = part
+        start += part.shape[-1]
+    flat = rows.ravel()
+    return str(flat[flat != 0], "ascii")
+
+
+def _format_rows(literals: tuple[str, str, str], edges: np.ndarray, fields) -> list[str]:
+    """
+    One row ``head a middle b tail`` per edge (a, b), for the three
+    ``literals``, ``CSV_ROWS`` edges per byte buffer, so the exports never
+    hold a Python object per edge.  ``fields`` maps a (c, 2) chunk of rank
+    pairs to its (c, 2, width) NUL-padded ASCII bytes.
     """
     parts = []
     for start in range(0, len(edges), CSV_ROWS):
-        chunk = edges[start : start + CSV_ROWS]
-        values = chunk if labels is None else labels[chunk]
-        parts.append(template * len(chunk) % tuple(values.ravel().tolist()))
+        ends = fields(edges[start : start + CSV_ROWS])
+        parts.append(_join_rows(literals, [ends[:, 0], ends[:, 1]]))
     return parts
 
 
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
-    """Undirected DOT text from rank pairs (an EdgeList, array or sequence); node names are one-line permutation strings."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    labels = [perm_to_string(p) for p in spec.ordering]
-    nodes = "".join(f'  "{label}";\n' for label in labels)
-    rows = _format_rows('  "%s" -- "%s";\n', edges, np.array(labels, dtype=object))
+    """
+    Undirected DOT text from rank pairs (an EdgeList, array or sequence);
+    node names are one-line permutation strings.  An end that is not a
+    rank of ``spec`` raises ValueError.
+    """
+    edges = _edge_array(edges, spec.vertex_count)
+    # row r is the label of rank r: one digit per value, as perm_to_string
+    # prints it, since n <= GRAPH_CAP < 10
+    labels = spec._vertices + np.uint8(ord("1"))
+    nodes = _join_rows(('  "', '";\n'), [labels])
+    rows = _format_rows(('  "', '" -- "', '";\n'), edges, labels.__getitem__)
     return "".join([f'graph "FJ({spec.n},{spec.k})" {{\n', nodes, *rows, "}\n"])
 
 
 def edges_to_csv(edges) -> str:
     """
     CSV rank pairs under a "u,v" header row, from an EdgeList, an (E, 2)
-    array or any sequence of pairs.
+    array or any sequence of pairs.  A negative end, or one of 2**32 or
+    more, is not a rank and raises ValueError.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return "".join(["u,v\n", *_format_rows("%d,%d\n", edges)])
+    edges = _edge_array(edges, 2**32)
+    return "".join(["u,v\n", *_format_rows(("", ",", "\n"), edges, _digits)])
 
 
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
-    """JSON document: graph parameters, vertex labels, rank-pair edge array (from an EdgeList, array or sequence of pairs)."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    """
+    JSON document: graph parameters, vertex labels, rank-pair edge array
+    (from an EdgeList, array or sequence of pairs).  A negative end, or one
+    of 2**32 or more, is not a rank and raises ValueError.
+    """
+    edges = _edge_array(edges, 2**32)
     doc = {
         "schema_version": 1,
         "n": spec.n,
@@ -504,6 +598,6 @@ def edges_to_json(spec: FlagGraphSpec, edges) -> str:
     if not len(edges):
         return head + "\n"
     # each [a, b] in the layout json.dumps(indent=2) gives a non-empty list; the last drops its comma
-    rows = _format_rows("\n    [\n      %d,\n      %d\n    ],", edges)
+    rows = _format_rows(("\n    [\n      ", ",\n      ", "\n    ],"), edges, _digits)
     rows[-1] = rows[-1][:-1]
     return "".join([head[: -len("]\n}")], *rows, "\n  ]\n}\n"])

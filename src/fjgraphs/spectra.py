@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
-from .blocks import _stacked, adjacency_matrix, block, block_regularity
+from .blocks import _stacked, adjacency_matrix
 from .perms import Perm
 
 
@@ -85,19 +85,22 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     The same matrix read off empirically: build the adjacency matrix of
     FJ(n, 1) under the stacked ordering (from an ordering of the
     permutations of [n-1], lexicographic by default) and record each
-    block's regularity.  A block with unequal row or column sums would
-    break the whole construction, so that raises TheoremViolation.
+    block's regularity.  All block row and column sums come from one
+    reduction each of the (n, b, n, b) view of the matrix.  A block with
+    unequal row or column sums would break the whole construction, so the
+    first such block in row-major order raises TheoremViolation.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     _, A, b = _stacked(n - 1, 1, ordering)
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r = block_regularity(block(A, i, j, b))
-            if r is None:
-                raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
-            M[i - 1, j - 1] = r
+    blocks = A.reshape(n, b, n, b)
+    rows = blocks.sum(axis=3, dtype=np.int64)  # rows[i, r, j]: row r of block (i, j)
+    cols = blocks.sum(axis=1, dtype=np.int64)  # cols[i, j, c]: column c of block (i, j)
+    M = rows[:, 0, :]
+    regular = (rows == M[:, None, :]).all(axis=1) & (cols == M[:, :, None]).all(axis=2)
+    if not regular.all():
+        i, j = np.argwhere(~regular)[0] + 1
+        raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
     return M
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, formats, exit codes, size guards."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,21 @@ def test_export_csv(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "u,v" and len(lines) == 10
+
+
+@pytest.mark.parametrize(
+    "n, k, fmt, digest",
+    [
+        (8, 2, "csv", "40d9462d8b03ad408bb7d1ef7d58e4e2e7cec080fea18f11662804e250cff0fd"),
+        (6, 3, "json", "2ea6af3419059e2962fe3cab770bbdac02da27a393804c0f6f1328c5cf1c7ff6"),
+        (6, 3, "dot", "a8a29d6cce8ba371b23ff98a1557037d4311473eb5cced124ee970db27345a55"),
+    ],
+)
+def test_export_bytes_are_pinned(capsys, n, k, fmt, digest):
+    # the sha256 of the output of the %-template writer that the byte-buffer writer replaced
+    code, out, _ = run(capsys, "export", "--n", str(n), "--k", str(k), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_export_json_to_file(capsys, tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fjgraphs import (
     CapExceeded,
     FlagGraphSpec,
+    TheoremViolation,
     adjacent,
     block_boundaries,
     build_edges,
@@ -38,6 +39,7 @@ from fjgraphs import (
     prefix_mismatch_count,
     prefix_mismatch_matrix,
 )
+from fjgraphs import graphs
 from fjgraphs.config import GRAPH_CAP
 from fjgraphs.graphs import _check_edge_budget
 
@@ -339,6 +341,32 @@ def test_pairwise_edges_never_holds_the_full_count_matrix():
     assert peak < 2 << 20, peak
 
 
+@pytest.mark.parametrize("route, working_mib", [(build_edges, 8), (pairwise_edges, 2)])
+def test_edge_routes_fill_one_array(route, working_mib):
+    # FJ(7,4): 824,040 edges, 12.6 MiB as int64 pairs.  Measured beside the
+    # result: 5.8 MiB of products (build_edges), 1.0 MiB of row blocks
+    # (pairwise_edges); joining per-chunk parts took 9.0 and 12.9 MiB.
+    spec = FlagGraphSpec(7, 4)
+    tracemalloc.start()
+    try:
+        edges = route(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 824040
+    assert peak < edges.array.nbytes + (working_mib << 20), peak
+
+
+@pytest.mark.parametrize("route", [build_edges, pairwise_edges])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_edge_count_off_the_degree_formula_raises(route, off, monkeypatch):
+    # a list longer or shorter than n! * degree / 2 is never returned
+    real = graphs.degree
+    monkeypatch.setattr(graphs, "degree", lambda n, k: real(n, k) + off)
+    with pytest.raises(TheoremViolation, match="edges"):
+        route(FlagGraphSpec(4, 2))
+
+
 def test_regularity_observed():
     # every vertex of the Cayley graph has the same degree
     spec = FlagGraphSpec(4, 2)
@@ -436,7 +464,7 @@ def test_exports_match_per_edge_oracles(n, monkeypatch):
 def test_text_exports_hold_no_object_per_edge():
     spec = FlagGraphSpec(6, 5)
     edges = build_edges(spec)
-    for export in (edges_to_json, edges_to_dot):
+    for export in (edges_to_json, edges_to_dot, lambda spec, edges: edges_to_csv(edges)):
         tracemalloc.start()
         try:
             text = export(spec, edges)
@@ -444,6 +472,27 @@ def test_text_exports_hold_no_object_per_edge():
         finally:
             tracemalloc.stop()
         assert peak < 4 * len(text), (export.__name__, peak, len(text))
+
+
+def test_number_exports_at_the_digit_boundaries(monkeypatch):
+    # 3 rows per chunk: the first chunk is 1 digit wide, the others 2 to 10
+    monkeypatch.setattr("fjgraphs.graphs.CSV_ROWS", 3)
+    values = [0, 9, 10, 99, 100, 9999, 10000, 40319, 2**32 - 1]
+    pairs = [(0, 9), (9, 0), (1, 2)] + [(a, b) for a in values for b in values]
+    spec = FlagGraphSpec(3, 1)
+    for edges in (pairs, np.array(pairs, dtype=np.uint32)):
+        assert edges_to_csv(edges) == "u,v\n" + "".join(f"{a},{b}\n" for a, b in pairs)
+        assert edges_to_json(spec, edges) == json_oracle(spec, pairs)
+
+
+@pytest.mark.parametrize("end", [-1, 2**32, 2**64])
+def test_exports_refuse_an_end_that_is_no_rank(end):
+    spec = FlagGraphSpec(3, 1)
+    for export in (edges_to_csv, lambda edges: edges_to_json(spec, edges), lambda edges: edges_to_dot(spec, edges)):
+        with pytest.raises(ValueError, match="ranks"):
+            export([(0, 1), (2, end)])
+    with pytest.raises(ValueError, match="ranks"):
+        edges_to_dot(spec, [(0, spec.vertex_count)])
 
 
 def test_dot_export():

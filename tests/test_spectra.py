@@ -359,7 +359,17 @@ def test_regularity_matrix_from_blocks_is_ordering_independent():
 
 def test_regularity_matrix_from_blocks_reports_nonregular_loudly(monkeypatch):
     # the raise path is unreachable through real inputs (the identities hold
-    # for every stacked ordering), so force it to confirm the wiring
-    monkeypatch.setattr(spectra_module, "block_regularity", lambda B: None)
-    with pytest.raises(TheoremViolation):
-        regularity_matrix_from_blocks(3)
+    # for every stacked ordering), so force it to confirm the wiring: one
+    # more edge inside block (2,3) of FJ(4,1), mirrored into block (3,2),
+    # leaves both irregular, and the first in row-major order is named
+    real = spectra_module._stacked
+
+    def stacked(*args):
+        S, A, b = real(*args)
+        A = A.copy()
+        A[b, 2 * b] = A[2 * b, b] = 1 - A[b, 2 * b]
+        return S, A, b
+
+    monkeypatch.setattr(spectra_module, "_stacked", stacked)
+    with pytest.raises(TheoremViolation, match=r"block \(2,3\) of the FJ\(4,1\)"):
+        regularity_matrix_from_blocks(4)

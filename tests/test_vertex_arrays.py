@@ -264,9 +264,11 @@ def test_array_edge_check_passes_every_fj7():
 
 
 def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
-    # the reversal of [4] is one irreducible block, so it is no generator of FJ(4,1)
-    real = graphs.generators
+    # the reversal of [4] is one irreducible block, so it is no generator of FJ(4,1);
+    # an involution, it adds one neighbour per vertex, which the edge count must agree with
+    real, real_degree = graphs.generators, graphs.degree
     monkeypatch.setattr(graphs, "generators", lambda n, k: real(n, k) + (reversal(n),))
+    monkeypatch.setattr(graphs, "degree", lambda n, k: real_degree(n, k) + 1)
     witnesses = []
     for spec in (FlagGraphSpec(4, 1), shuffled_spec(4, 1, seed=7)):
         reference, array = both_edge_checks(spec)
