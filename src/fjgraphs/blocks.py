@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FlagGraphSpec, check_ordering
-from .graphs import _check_matrix_cap, _insertion_images, _lex_vertices, _prefix_mismatch_counts, _product_ranks
+from .graphs import _check_matrix_cap, _insertion_images, _prefix_mismatch_counts, _product_ranks, _vertex_rows
 from .perms import Perm
 
 
@@ -53,14 +53,14 @@ def concatenated_ordering(ordering: Sequence[Perm]) -> tuple[Perm, ...]:
 def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
     Dense 0/1 adjacency matrix of FJ(n, k), rows and columns following
-    ``ordering`` (lexicographic if omitted).  Symmetric, zero diagonal,
+    ``ordering`` (lexicographic if None or empty).  Symmetric, zero diagonal,
     uint8 entries; every row sums to degree(n, k).  n above
     ``config.MATRIX_CAP`` raises CapExceeded.
     """
     if n < 1 or not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     _check_matrix_cap(n)
-    return _adjacency(_lex_vertices(n) if ordering is None else check_ordering(ordering, n), k)
+    return _adjacency(_vertex_rows(n, ordering), k)
 
 
 def _adjacency(V: np.ndarray, k: int) -> np.ndarray:
@@ -77,8 +77,8 @@ def block(A: np.ndarray, i: int, j: int, size: int) -> np.ndarray:
     returned as a view.
     """
     m = A.shape[0]
-    if m % size:
-        raise ValueError(f"matrix order {m} is not a multiple of block size {size}")
+    if size < 1 or m % size:
+        raise ValueError(f"block size {size} is not a positive divisor of the matrix order {m}")
     count = m // size
     if not (1 <= i <= count and 1 <= j <= count):
         raise ValueError(f"block index ({i},{j}) out of range 1..{count}")
@@ -112,7 +112,7 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     if not 1 <= skip <= n - 1:
         raise ValueError(f"transposition index {skip} out of range 1..{n - 1}")
     _check_matrix_cap(n)
-    return _excluded_transpositions(FlagGraphSpec(n, 1, () if ordering is None else ordering), skip)
+    return _excluded_transpositions(FlagGraphSpec(n, 1, ordering), skip)
 
 
 def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
@@ -130,14 +130,14 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
 
 def _stacked(n: int, k: int, ordering: Sequence[Perm] | None):
     """
-    The base ordering S of the permutations of [n] (lexicographic if
-    omitted) as validated 0-based vertex rows, the adjacency matrix of
+    The base ordering S of the permutations of [n] (lexicographic if None
+    or empty) as validated 0-based vertex rows, the adjacency matrix of
     FJ(n+1, k) under the stacked ordering built from S, and the block size n!.
     The stacked rows are permutations by construction, so only S is
     validated.  n+1 above ``config.MATRIX_CAP`` raises CapExceeded first.
     """
     _check_matrix_cap(n + 1)
-    S = _lex_vertices(n) if ordering is None else check_ordering(ordering, n)
+    S = _vertex_rows(n, ordering)
     return S, _adjacency(_insertion_images(S, range(1, n + 2)), k), factorial(n)
 
 
@@ -251,7 +251,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     if n < 2:  # FJ(n, 1) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
     S, A, b = _stacked(n, 1, ordering)
-    spec = FlagGraphSpec(n, 1, () if ordering is None else ordering)  # validated once for every interior rebuild
+    spec = FlagGraphSpec(n, 1, ordering)  # validated once for every interior rebuild
     counts = _prefix_mismatch_counts(S)
     corner, eye = counts == 1, counts == 0
     zero = np.zeros((b, b), dtype=np.uint8)

@@ -11,14 +11,15 @@ connection set is the adjacent transpositions.
 
 A ``FlagGraphSpec`` fixes (n, k) together with an explicit vertex ordering
 (lexicographic unless overridden); ranks into that ordering are the vertex
-ids used by edge lists, BFS and matrices.  Specs and generator tuples are
-immutable; all queries here are read-only.
+ids used by edge lists, BFS, matrices and exports.  The ordering is held in
+one form only, an (n!, n) uint8 array of 0-based rows; tuples and labels
+are read from it.  Specs and generator tuples are immutable; all queries
+here are read-only.
 
-Edge lists and BFS run on arrays: the vertices form an (n!, n) uint8 array,
-a batch of products u o g is composed by fancy indexing and ranked by a
-vectorized Lehmer code, and the batches are cut into vertex chunks of about
-``CHUNK_PRODUCTS`` products, so the peak memory is fixed whatever the
-degree.
+Edge lists and BFS run on that array: a batch of products u o g is composed
+by fancy indexing and ranked by a vectorized Lehmer code, and the batches
+are cut into vertex chunks of about ``CHUNK_PRODUCTS`` products, so the
+peak memory is fixed whatever the degree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from collections.abc import Sequence
@@ -37,10 +37,8 @@ from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded, TheoremViolati
 from .perms import (
     Perm,
     compose,
-    enumerate_permutations,
     is_irreducible,
     is_permutation,
-    perm_to_string,
     prefix_mismatch_count,
     rank,
 )
@@ -48,6 +46,11 @@ from .perms import (
 CHUNK_PRODUCTS = 1 << 18  # products u o g composed at once: bounds the working memory of edge lists and BFS
 _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
 CSV_ROWS = 1 << 14  # edges assembled per byte buffer in the exports, and per step of EdgeList iteration
+
+
+def _check_graph_cap(n: int) -> None:
+    if n > GRAPH_CAP:  # also the limit of the uint8 rows and the uint8 seen sets of _lex_ranks
+        raise CapExceeded(f"n={n} exceeds the graph cap {GRAPH_CAP} ({factorial(n)} permutations)")
 
 
 def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> np.ndarray:
@@ -62,8 +65,7 @@ def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> n
     if P.ndim != 2 or P.size == 0 or P.dtype.kind not in "iu":
         raise ValueError("an ordering is a non-empty list of equal-length integer permutations")
     size = P.shape[1] if n is None else n
-    if size > GRAPH_CAP:  # also the limit of the uint8 rows here and the uint8 seen sets of _lex_ranks
-        raise CapExceeded(f"n={size} exceeds the graph cap {GRAPH_CAP} ({factorial(size)} permutations)")
+    _check_graph_cap(size)
     V = (P - 1).astype(np.uint8)  # a foreign value wraps here, and fails the row check below
     rows_ok = V.shape == (factorial(size), size) and (np.sort(P, axis=1) == np.arange(1, size + 1)).all()
     if not rows_ok or np.bincount(_lex_ranks(V.T, size)).max() > 1:  # the ranks tell repeated rows
@@ -74,10 +76,28 @@ def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> n
 
 @lru_cache(maxsize=None)
 def _lex_vertices(n: int) -> np.ndarray:
-    # all permutations of [n] in lexicographic order, 0-based values, read-only
-    V = np.array(enumerate_permutations(n), dtype=np.uint8) - 1
+    """
+    All permutations of [n], n >= 1, in lexicographic order as a read-only
+    (n!, n) uint8 array of 0-based rows, built up from [1]: the rows of [m]
+    are, for each first value f in turn, the rows of [m-1] with every value
+    >= f moved up by one.  n above ``config.GRAPH_CAP`` raises CapExceeded.
+    """
+    _check_graph_cap(n)
+    V = np.zeros((1, 1), dtype=np.uint8)
+    for m in range(2, n + 1):
+        first = np.repeat(np.arange(m, dtype=np.uint8), len(V))[:, None]
+        rest = np.tile(V, (m, 1))
+        V = np.hstack([first, rest + (rest >= first)])
     V.flags.writeable = False
     return V
+
+
+def _vertex_rows(n: int, ordering: Sequence[Sequence[int]] | None) -> np.ndarray:
+    # the vertex array of every function that takes an ordering: None or an
+    # empty ordering is lexicographic, anything else goes through check_ordering
+    if ordering is None or not len(ordering):
+        return _lex_vertices(n)
+    return check_ordering(ordering, n)
 
 
 def _lex_ranks(columns, n: int) -> np.ndarray:
@@ -98,39 +118,48 @@ def _lex_ranks(columns, n: int) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True)
 class FlagGraphSpec:
     """
     Graph parameters plus the vertex ordering used for ranks and matrices.
-    The ordering (lexicographic unless given, as tuples or an array) is
-    validated once into ``_vertices``, the (n!, n) uint8 array of
-    ``check_ordering``, one shared by the lexicographic specs of each n;
-    the tuple ``ordering`` is derived from it.  Ranks into the ordering
-    index the edge lists and the uint16 BFS distance arrays.  Products are
-    ranked lexicographically and mapped to ordering positions through one
-    int32 array, built on first use, in vertex chunks of about
+    A spec stores n, k and one vertex form, ``_vertices``: the read-only
+    (n!, n) uint8 array of 0-based rows that ``_vertex_rows`` makes of the
+    ordering (lexicographic when it is None or empty, else given as tuples
+    or an array), one shared by the lexicographic specs of each n.  The
+    tuple ``ordering`` is read from it on first use.  Specs are immutable,
+    and equal when n, k and the rows agree.  Ranks into the ordering index
+    the edge lists and the uint16 BFS distance arrays.  Products are ranked
+    lexicographically and mapped to ordering positions through one int32
+    array, built on first use, in vertex chunks of about
     ``CHUNK_PRODUCTS``, so the working memory stays under 64 MB at n <= 8.
     """
 
-    n: int
-    k: int
-    ordering: tuple[Perm, ...] = ()
-    _vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, k: int, ordering: Sequence[Sequence[int]] | None = None):
+        if n < 1 or not 0 <= k < n:
+            raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+        self.__dict__.update(n=n, k=k, _vertices=_vertex_rows(n, ordering))
 
-    def __post_init__(self):
-        if self.n < 1 or not 0 <= self.k < self.n:
-            raise ValueError(f"need 0 <= k < n, got n={self.n}, k={self.k}")
-        if len(self.ordering):  # both routes raise CapExceeded above config.GRAPH_CAP
-            V = check_ordering(self.ordering, self.n)
-            ordering = tuple(map(tuple, (V + 1).tolist()))
-        else:
-            V, ordering = _lex_vertices(self.n), enumerate_permutations(self.n)
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "_vertices", V)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FlagGraphSpec is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, FlagGraphSpec):
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k) and np.array_equal(self._vertices, other._vertices)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self._vertices.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"FlagGraphSpec(n={self.n}, k={self.k})"
+
+    @cached_property
+    def ordering(self) -> tuple[Perm, ...]:
+        # the vertices as 1-based tuples, in rank order
+        return tuple(map(tuple, (self._vertices + 1).tolist()))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.ordering)
+        return len(self._vertices)
 
     @cached_property
     def _positions(self) -> np.ndarray:
@@ -462,12 +491,14 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     lexicographic order.  Returns (ok, witness_pair).  The check compares
     the prefix-mismatch matrices of the permutations and of their
     insertion images, two n! x n! arrays, so n above ``config.MATRIX_CAP``
-    raises CapExceeded.
+    raises CapExceeded; k outside 0..n-1 raises ValueError.
     """
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     if not 1 <= position <= n + 1:
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
     _check_matrix_cap(n)
-    S, V = enumerate_permutations(n), _lex_vertices(n)
+    V = _lex_vertices(n)
     # two n! x n! uint8 planes at once: each count matrix becomes its 0/1
     # adjacency in place, and the second is XORed into the first
     differ = _prefix_mismatch_counts(V)
@@ -480,8 +511,8 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     first = int(np.argmax(differ))
     if not differ.flat[first]:
         return True, None
-    a, b = divmod(first, len(S))
-    return False, (S[a], S[b])
+    u, v = (V[list(divmod(first, len(V)))] + 1).tolist()
+    return False, (tuple(u), tuple(v))
 
 
 def _edge_array(edges, bound: int) -> np.ndarray:
@@ -552,6 +583,12 @@ def _format_rows(literals: tuple[str, str, str], edges: np.ndarray, fields) -> l
     return parts
 
 
+def _labels(spec: FlagGraphSpec) -> np.ndarray:
+    # row r is the ASCII label of rank r: one digit per value, as
+    # perm_to_string prints it, since n <= GRAPH_CAP < 10
+    return spec._vertices + np.uint8(ord("1"))
+
+
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     """
     Undirected DOT text from rank pairs (an EdgeList, array or sequence);
@@ -559,9 +596,7 @@ def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     rank of ``spec`` raises ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
-    # row r is the label of rank r: one digit per value, as perm_to_string
-    # prints it, since n <= GRAPH_CAP < 10
-    labels = spec._vertices + np.uint8(ord("1"))
+    labels = _labels(spec)
     nodes = _join_rows(('  "', '";\n'), [labels])
     rows = _format_rows(('  "', '" -- "', '";\n'), edges, labels.__getitem__)
     return "".join([f'graph "FJ({spec.n},{spec.k})" {{\n', nodes, *rows, "}\n"])
@@ -580,21 +615,24 @@ def edges_to_csv(edges) -> str:
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
     """
     JSON document: graph parameters, vertex labels, rank-pair edge array
-    (from an EdgeList, array or sequence of pairs).  A negative end, or one
-    of 2**32 or more, is not a rank and raises ValueError.
+    (from an EdgeList, array or sequence of pairs).  An end that is not a
+    rank of ``spec`` raises ValueError.  The labels come from the byte
+    table of ``edges_to_dot``, spliced into the ``json.dumps`` head.
     """
-    edges = _edge_array(edges, 2**32)
+    edges = _edge_array(edges, spec.vertex_count)
     doc = {
         "schema_version": 1,
         "n": spec.n,
         "k": spec.k,
         "vertex_count": spec.vertex_count,
         "degree": degree(spec.n, spec.k),
-        "vertices": [perm_to_string(p) for p in spec.ordering],
+        "vertices": [],
         "edge_count": len(edges),
         "edges": [],
     }
-    head = json.dumps(doc, indent=2)  # ends with '"edges": []\n}'
+    # the label list in the layout json.dumps(indent=2) gives it, the last label without its comma
+    labels = _join_rows(('\n    "', '",'), [_labels(spec)])[:-1]
+    head = json.dumps(doc, indent=2).replace('"vertices": []', f'"vertices": [{labels}\n  ]')  # ends with '"edges": []\n}'
     if not len(edges):
         return head + "\n"
     # each [a, b] in the layout json.dumps(indent=2) gives a non-empty list; the last drops its comma

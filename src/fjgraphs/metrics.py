@@ -191,6 +191,6 @@ def _edge_kendall_bound(spec: FlagGraphSpec, edges) -> tuple[bool, tuple[Perm, P
         a, b = E[start : start + _EDGE_CHUNK].T
         bad = np.flatnonzero(np.bitwise_count(inverted[a] ^ inverted[b]) > bound)
         if bad.size:
-            u, v = E[start + bad[0]].tolist()
-            return False, (spec.ordering[u], spec.ordering[v])
+            u, v = (spec._vertices[E[start + bad[0]]] + 1).tolist()
+            return False, (tuple(u), tuple(v))
     return True, None

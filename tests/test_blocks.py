@@ -112,6 +112,23 @@ def test_block_errors():
         block(A, 1, 3, 3)
 
 
+@pytest.mark.parametrize("size", [0, -1, -2])
+def test_block_rejects_a_size_below_one(size):
+    with pytest.raises(ValueError, match="block size"):
+        block(adjacency_matrix(3, 1), 1, 1, size)
+
+
+def test_none_and_empty_orderings_are_lexicographic():
+    for n, k in [(3, 1), (4, 2), (5, 4)]:
+        assert np.array_equal(adjacency_matrix(n, k, ()), adjacency_matrix(n, k))
+        assert np.array_equal(adjacency_matrix(n, k, []), adjacency_matrix(n, k, None))
+    assert verify_recursive_blocks(3, 1, ()) == verify_recursive_blocks(3, 1)
+    assert verify_permutahedron_blocks(3, ()) == verify_permutahedron_blocks(3)
+    assert np.array_equal(excluded_transposition_matrix(4, 2, ()), excluded_transposition_matrix(4, 2))
+    assert np.array_equal(regularity_matrix_from_blocks(4, ()), regularity_matrix(4))
+    assert verify_intertwining(4, ())
+
+
 def test_block_regularity():
     assert block_regularity(np.eye(6, dtype=np.uint8)) == 1
     assert block_regularity(np.zeros((4, 4), dtype=np.uint8)) == 0

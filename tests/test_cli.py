@@ -54,10 +54,14 @@ def test_export_csv(capsys):
         (8, 2, "csv", "40d9462d8b03ad408bb7d1ef7d58e4e2e7cec080fea18f11662804e250cff0fd"),
         (6, 3, "json", "2ea6af3419059e2962fe3cab770bbdac02da27a393804c0f6f1328c5cf1c7ff6"),
         (6, 3, "dot", "a8a29d6cce8ba371b23ff98a1557037d4311473eb5cced124ee970db27345a55"),
+        (8, 1, "json", "997df99359ffd56e5edd356ab1eaf3e2116229697f5df1074fcc029591557a5f"),
+        (8, 1, "dot", "d94a7b95a6859ce48d2db727fd3d7745f94619e96e3c052458a4d8dfc22a130c"),
     ],
 )
 def test_export_bytes_are_pinned(capsys, n, k, fmt, digest):
-    # the sha256 of the output of the %-template writer that the byte-buffer writer replaced
+    # the sha256 of the output of the %-template writer that the byte-buffer
+    # writer replaced, and of the per-vertex JSON labels that the byte label
+    # table replaced
     code, out, _ = run(capsys, "export", "--n", str(n), "--k", str(k), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

@@ -405,6 +405,12 @@ def test_insertion_embedding_at_the_matrix_cap():
     assert insertion_embedding_check(7, 1, 2) == (False, ((1, 2, 3, 4, 5, 6, 7), (2, 1, 3, 4, 5, 6, 7)))
 
 
+@pytest.mark.parametrize("k", [-1, 4, 7])
+def test_insertion_embedding_rejects_a_k_outside_0_to_n_minus_1(k):
+    with pytest.raises(ValueError, match="0 <= k < n"):
+        insertion_embedding_check(4, k)
+
+
 def test_end_insertion_embeds():
     for n in (3, 4):
         for k in range(1, n):
@@ -475,14 +481,18 @@ def test_text_exports_hold_no_object_per_edge():
 
 
 def test_number_exports_at_the_digit_boundaries(monkeypatch):
-    # 3 rows per chunk: the first chunk is 1 digit wide, the others 2 to 10
+    # 3 rows per chunk: the first chunk is 1 digit wide, the others 2 to 10;
+    # JSON ends are ranks, so there the widths stop at the 5 digits of 40319,
+    # the last rank of FJ(8,k)
     monkeypatch.setattr("fjgraphs.graphs.CSV_ROWS", 3)
     values = [0, 9, 10, 99, 100, 9999, 10000, 40319, 2**32 - 1]
     pairs = [(0, 9), (9, 0), (1, 2)] + [(a, b) for a in values for b in values]
-    spec = FlagGraphSpec(3, 1)
+    ranks = [(a, b) for a, b in pairs if max(a, b) <= 40319]
+    spec = FlagGraphSpec(8, 1)
     for edges in (pairs, np.array(pairs, dtype=np.uint32)):
         assert edges_to_csv(edges) == "u,v\n" + "".join(f"{a},{b}\n" for a, b in pairs)
-        assert edges_to_json(spec, edges) == json_oracle(spec, pairs)
+    for edges in (ranks, np.array(ranks, dtype=np.uint32)):
+        assert edges_to_json(spec, edges) == json_oracle(spec, ranks)
 
 
 @pytest.mark.parametrize("end", [-1, 2**32, 2**64])
@@ -491,8 +501,9 @@ def test_exports_refuse_an_end_that_is_no_rank(end):
     for export in (edges_to_csv, lambda edges: edges_to_json(spec, edges), lambda edges: edges_to_dot(spec, edges)):
         with pytest.raises(ValueError, match="ranks"):
             export([(0, 1), (2, end)])
-    with pytest.raises(ValueError, match="ranks"):
-        edges_to_dot(spec, [(0, spec.vertex_count)])
+    for export in (edges_to_json, edges_to_dot):
+        with pytest.raises(ValueError, match="ranks"):
+            export(spec, [(0, spec.vertex_count)])
 
 
 def test_dot_export():

@@ -1,5 +1,6 @@
 """The array vertex layer: vectorized ranks, chunked edge lists and BFS, each against an independent oracle."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter, deque
@@ -14,7 +15,11 @@ from fjgraphs import (
     build_edges,
     compose,
     degree,
+    diameter,
     edge_transposition_bound_check,
+    edges_to_csv,
+    edges_to_dot,
+    edges_to_json,
     enumerate_permutations,
     excluded_transposition_matrix,
     identity,
@@ -96,11 +101,60 @@ def test_vectorized_rank_matches_lehmer_rank(n):
 
 
 def test_lex_vertex_array_is_the_lexicographic_ordering():
-    for n in (1, 4, 8):
+    for n in range(1, 9):
         V = graphs._lex_vertices(n)
         assert V.dtype == np.uint8 and V.shape == (len(enumerate_permutations(n)), n)
         assert (V + 1).tolist() == [list(p) for p in enumerate_permutations(n)]
         assert not V.flags.writeable
+
+
+def test_lexicographic_specs_build_no_tuple_ordering(monkeypatch):
+    # the vertex array is the one form that specs, edges, BFS and the exports read
+    def refuse(*args):
+        raise AssertionError("a tuple ordering was built")
+
+    monkeypatch.setattr(perms, "enumerate_permutations", refuse)
+    monkeypatch.setattr(FlagGraphSpec, "ordering", property(refuse))
+    assert not hasattr(graphs, "enumerate_permutations")
+    graphs._lex_vertices.cache_clear()
+    for k, diam in ((1, 28), (2, 11)):
+        spec = FlagGraphSpec(8, k)
+        edges = build_edges(spec)
+        assert len(edges) == 40320 * degree(8, k) // 2
+        assert bfs(spec, reversal(8)).reached == 40320
+        assert diameter(spec) == diam
+        assert edges_to_csv(edges).count("\n") == len(edges) + 1
+        assert json.loads(edges_to_json(spec, edges))["vertices"][-1] == "87654321"
+        assert edges_to_dot(spec, edges).count(" -- ") == len(edges)
+
+
+def test_first_lexicographic_spec_holds_its_array_only():
+    # the 40,320 x 8 uint8 rows take 0.31 MiB; the tuple ordering of S_8 took 4.6 MiB
+    graphs._lex_vertices.cache_clear()
+    perms.enumerate_permutations.cache_clear()
+    tracemalloc.start()
+    try:
+        spec = FlagGraphSpec(8, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spec.vertex_count == 40320 and held < 1 << 20, held
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_every_form_of_an_ordering_gives_one_spec(n):
+    lex = enumerate_permutations(n)
+    forms = [None, (), [], lex, list(lex), np.array(lex), np.array(lex, dtype=np.uint8)]
+    specs = [FlagGraphSpec(n, 0)] + [FlagGraphSpec(n, 0, form) for form in forms]
+    specs.append(FlagGraphSpec(n, 0, ordering=np.array(lex)))
+    for spec in specs:
+        assert spec == specs[0] and hash(spec) == hash(specs[0]) and spec.ordering == lex
+    assert len(set(specs)) == 1
+    reordered = FlagGraphSpec(n, 0, lex[::-1])
+    assert reordered.ordering == lex[::-1] and (reordered == specs[0]) == (n == 1)
+    assert FlagGraphSpec(n, 0) != FlagGraphSpec(n + 1, 0) and FlagGraphSpec(4, 1) != FlagGraphSpec(4, 2)
+    with pytest.raises(AttributeError):
+        specs[0].k = 1
 
 
 @pytest.mark.parametrize("n", range(2, 8))
