@@ -21,12 +21,19 @@ identities bit for bit and report every assertion with 1-based coordinates,
 so a discrepancy pinpoints itself.  S is validated once into a uint8 vertex
 array; corner and flank are ``counts == k`` and ``counts == k-1`` of its
 prefix-mismatch counts, so the k = 1 flank is ``counts == 0``, the identity.
+
+The stacked checks read one (n+1)! x (n+1)! uint8 matrix C of prefix-mismatch
+counts of the stacked rows, built once per process for the latest (n, S) and
+kept read-only (at most 25.4 MB, at ``config.MATRIX_CAP`` 7); another base
+ordering replaces it.  Every check reads ``block(C, i, j, n!) == k`` one
+n! x n! block at a time, so none holds a second (n+1)!-sized plane.
 Matrices are dense uint8; block extraction is a numpy view, never a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -88,9 +95,12 @@ def block(A: np.ndarray, i: int, j: int, size: int) -> np.ndarray:
 def block_regularity(B: np.ndarray) -> int | None:
     """
     The common row sum of B if all row sums and all column sums agree on a
-    single value, else None.
+    single value, else None.  B must be a non-empty 2-D matrix, else
+    ValueError.
     """
     M = np.asarray(B)
+    if M.ndim != 2 or not M.size:
+        raise ValueError(f"need a non-empty 2-D matrix, got shape {M.shape}")
     rows = M.sum(axis=1, dtype=np.int64)
     cols = M.sum(axis=0, dtype=np.int64)
     r = rows[0]
@@ -128,17 +138,29 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     return A
 
 
-def _stacked(n: int, k: int, ordering: Sequence[Perm] | None):
+def _stacked(n: int, ordering: Sequence[Perm] | None):
     """
     The base ordering S of the permutations of [n] (lexicographic if None
-    or empty) as validated 0-based vertex rows, the adjacency matrix of
-    FJ(n+1, k) under the stacked ordering built from S, and the block size n!.
-    The stacked rows are permutations by construction, so only S is
-    validated.  n+1 above ``config.MATRIX_CAP`` raises CapExceeded first.
+    or empty) as validated 0-based vertex rows, the read-only prefix-mismatch
+    counts C of the stacked ordering built from S, and the block size n!.
+    ``C == k`` off the diagonal is the adjacency matrix of FJ(n+1, k) under
+    that ordering, and the diagonal of C is 0.  The stacked rows are
+    permutations by construction, so only S is validated.  n+1 above
+    ``config.MATRIX_CAP`` raises CapExceeded first.
     """
     _check_matrix_cap(n + 1)
     S = _vertex_rows(n, ordering)
-    return S, _adjacency(_insertion_images(S, range(1, n + 2)), k), factorial(n)
+    return S, _stacked_counts(n, S.tobytes()), factorial(n)
+
+
+@lru_cache(maxsize=1)
+def _stacked_counts(n: int, base: bytes) -> np.ndarray:
+    # the counts of _stacked for the base rows packed in ``base``: one slot,
+    # so the process keeps the matrix of the latest base ordering only
+    S = np.frombuffer(base, dtype=np.uint8).reshape(-1, n)
+    C = _prefix_mismatch_counts(_insertion_images(S, range(1, n + 2)))
+    C.flags.writeable = False
+    return C
 
 
 @dataclass(frozen=True)
@@ -184,18 +206,35 @@ class BlockReport:
         }
 
 
-def _compare_block(name: str, where: tuple[int, int], got: np.ndarray, expected: np.ndarray, detail: str = "") -> BlockAssertion:
-    diff = got != expected
-    if not diff.any():
-        return BlockAssertion(name, where, True, detail=detail)
-    r, c = np.argwhere(diff)[0]
-    return BlockAssertion(
-        name,
-        where,
-        False,
-        witness=(int(r) + 1, int(c) + 1),
-        detail=f"entry ({int(r) + 1},{int(c) + 1}) is {int(got[r, c])}, expected {int(expected[r, c])}",
-    )
+class _StackedBlocks:
+    """
+    The n! x n! blocks ``block(C, i, j, b) == k`` of stacked counts C, each
+    read into the same bool buffer and compared through a second one: a
+    fresh block-sized array per block would have its pages faulted in anew.
+    """
+
+    def __init__(self, C: np.ndarray, b: int, k: int):
+        self.C, self.k, self.b = C, k, b
+        self._got = np.empty((b, b), dtype=bool)
+        self._diff = np.empty((b, b), dtype=bool)
+
+    def read(self, i: int, j: int) -> np.ndarray:
+        """Block (i, j), 1-based, valid until the next read."""
+        return np.equal(block(self.C, i, j, self.b), self.k, out=self._got)
+
+    def compare(self, name: str, where: tuple[int, int], expected: np.ndarray, detail: str = "") -> BlockAssertion:
+        got = self.read(*where)
+        diff = np.not_equal(got, expected, out=self._diff)
+        if not diff.any():
+            return BlockAssertion(name, where, True, detail=detail)
+        r, c = np.argwhere(diff)[0]
+        return BlockAssertion(
+            name,
+            where,
+            False,
+            witness=(int(r) + 1, int(c) + 1),
+            detail=f"entry ({int(r) + 1},{int(c) + 1}) is {int(got[r, c])}, expected {int(expected[r, c])}",
+        )
 
 
 def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = None) -> BlockReport:
@@ -216,21 +255,22 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
         raise ValueError("the block identities concern k >= 1")
     if k >= n:  # FJ(n, k) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-    S, A, b = _stacked(n, k, ordering)
+    S, C, b = _stacked(n, ordering)
     counts = _prefix_mismatch_counts(S)
     corner, flank = counts == k, counts == k - 1
-    zero = np.zeros((b, b), dtype=np.uint8)
+    zero = np.broadcast_to(False, (b, b))  # a read-only view of one cell
+    stacked = _StackedBlocks(C, b, k)
 
     checks = []
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if abs(i - j) > k:
-                checks.append(_compare_block("zero-block", (i, j), block(A, i, j, b), zero))
+                checks.append(stacked.compare("zero-block", (i, j), zero))
     for where in ((1, 1), (n + 1, n + 1)):
-        checks.append(_compare_block("corner-block", where, block(A, *where, b), corner))
+        checks.append(stacked.compare("corner-block", where, corner))
     for i in range(1, n + 1):
-        checks.append(_compare_block("flank-block", (i, i + 1), block(A, i, i + 1, b), flank))
-        checks.append(_compare_block("flank-block", (i + 1, i), block(A, i + 1, i, b), flank))
+        checks.append(stacked.compare("flank-block", (i, i + 1), flank))
+        checks.append(stacked.compare("flank-block", (i + 1, i), flank))
     return BlockReport(n=n, k=k, assertions=tuple(checks))
 
 
@@ -250,30 +290,30 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     """
     if n < 2:  # FJ(n, 1) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
-    S, A, b = _stacked(n, 1, ordering)
+    S, C, b = _stacked(n, ordering)
     spec = FlagGraphSpec(n, 1, ordering)  # validated once for every interior rebuild
     counts = _prefix_mismatch_counts(S)
     corner, eye = counts == 1, counts == 0
-    zero = np.zeros((b, b), dtype=np.uint8)
+    zero = np.broadcast_to(False, (b, b))  # a read-only view of one cell
+    stacked = _StackedBlocks(C, b, 1)
 
     checks = []
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if abs(i - j) > 1:
-                checks.append(_compare_block("zero-block", (i, j), block(A, i, j, b), zero))
+                checks.append(stacked.compare("zero-block", (i, j), zero))
             elif abs(i - j) == 1:
-                checks.append(_compare_block("identity-flank", (i, j), block(A, i, j, b), eye))
+                checks.append(stacked.compare("identity-flank", (i, j), eye))
     for i in range(1, n + 2):
-        diag = block(A, i, i, b)
+        got_reg = block_regularity(stacked.read(i, i))
         if i in (1, n + 1):
-            checks.append(_compare_block("corner-subgraph", (i, i), diag, corner))
+            checks.append(stacked.compare("corner-subgraph", (i, i), corner))
             expected_reg = n - 1
         else:
             rebuilt = _excluded_transpositions(spec, i - 1)
             note = "interior generating set is empty for n = 2" if n == 2 else ""
-            checks.append(_compare_block("interior-subgraph", (i, i), diag, rebuilt, detail=note))
+            checks.append(stacked.compare("interior-subgraph", (i, i), rebuilt, detail=note))
             expected_reg = n - 2
-        got_reg = block_regularity(diag)
         checks.append(
             BlockAssertion(
                 "block-regularity",
@@ -286,6 +326,19 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
 
 
 def matrix_to_text(A: np.ndarray) -> str:
-    """Dense 0/1 grid, one line per row, no separators."""
+    """
+    Dense 0/1 grid, one line per row, no separators.  An entry other than
+    0 or 1, or an input that is not 2-D, raises ValueError.
+
+    >>> matrix_to_text([[0, 1], [1, 0]])
+    '01\\n10\\n'
+    """
     M = np.asarray(A)
-    return "\n".join("".join(str(int(x)) for x in row) for row in M) + "\n"
+    if M.ndim != 2:
+        raise ValueError(f"need a 2-D matrix, got shape {M.shape}")
+    if not ((M == 0) | (M == 1)).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    # one ASCII digit per entry, as _labels builds its vertex names, and a newline after each row
+    text = np.full((M.shape[0], M.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = M.astype(np.uint8) + np.uint8(ord("0"))
+    return text.tobytes().decode("ascii") or "\n"  # no rows: the lone newline of the text form

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
-from .blocks import _stacked, adjacency_matrix
+from .blocks import _stacked, _StackedBlocks, adjacency_matrix
 from .perms import Perm
 
 
@@ -82,25 +82,27 @@ def regularity_matrix(n: int) -> np.ndarray:
 
 def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
-    The same matrix read off empirically: build the adjacency matrix of
-    FJ(n, 1) under the stacked ordering (from an ordering of the
-    permutations of [n-1], lexicographic by default) and record each
-    block's regularity.  All block row and column sums come from one
-    reduction each of the (n, b, n, b) view of the matrix.  A block with
-    unequal row or column sums would break the whole construction, so the
-    first such block in row-major order raises TheoremViolation.
+    The same matrix read off empirically: from the stacked counts of an
+    ordering of the permutations of [n-1] (lexicographic by default), read
+    each block of the adjacency matrix of FJ(n, 1) under the stacked
+    ordering and record its regularity.  Each block's row and column sums
+    are uint16 reductions of that (n-1)! x (n-1)! block alone.  A block
+    with unequal row or column sums would break the whole construction, so
+    the first such block in row-major order raises TheoremViolation.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, A, b = _stacked(n - 1, 1, ordering)
-    blocks = A.reshape(n, b, n, b)
-    rows = blocks.sum(axis=3, dtype=np.int64)  # rows[i, r, j]: row r of block (i, j)
-    cols = blocks.sum(axis=1, dtype=np.int64)  # cols[i, j, c]: column c of block (i, j)
-    M = rows[:, 0, :]
-    regular = (rows == M[:, None, :]).all(axis=1) & (cols == M[:, :, None]).all(axis=2)
-    if not regular.all():
-        i, j = np.argwhere(~regular)[0] + 1
-        raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
+    _, C, b = _stacked(n - 1, ordering)
+    stacked = _StackedBlocks(C, b, 1)
+    M = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            B = stacked.read(i, j)
+            rows = B.sum(axis=1, dtype=np.uint16)  # at most b = (n-1)! <= 720
+            r = rows[0]
+            if not ((rows == r).all() and (B.sum(axis=0, dtype=np.uint16) == r).all()):
+                raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
+            M[i - 1, j - 1] = r
     return M
 
 
@@ -183,17 +185,22 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     Exact integer check that block-indicator lifting commutes with the two
     matrices: A @ lift(e_i) == lift(M @ e_i) for every basis vector e_i,
     where A is the FJ(n, 1) adjacency matrix under the stacked ordering and
-    M is the regularity matrix.  Column i of the left side is the row sums
-    of A over the columns of block i, so all n columns come from one
-    reduction of A, without an integer copy of it.  No tolerances are
-    involved.  When this holds, every eigenpair of M lifts to an eigenpair
-    of A.
+    M is the regularity matrix.  Column j of the left side is the row sums
+    of A over the columns of block j, so the check reads A one block (i, j)
+    at a time from the stacked counts: every row sum of that block, a uint16
+    reduction, must equal M[i, j].  No tolerances are involved.  When this
+    holds, every eigenpair of M lifts to an eigenpair of A.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, A, b = _stacked(n - 1, 1, ordering)
-    block_sums = A.reshape(n * b, n, b).sum(axis=2, dtype=np.int64)
-    return bool(np.array_equal(block_sums, np.repeat(regularity_matrix(n), b, axis=0)))
+    _, C, b = _stacked(n - 1, ordering)
+    stacked = _StackedBlocks(C, b, 1)
+    M = regularity_matrix(n)
+    return all(
+        (stacked.read(i, j).sum(axis=1, dtype=np.uint16) == M[i - 1, j - 1]).all()
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import time
 import pytest
 
 import fjgraphs as fj
+from fjgraphs import blocks
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,26 @@ def fj61_spectrum_timed():
     started = time.perf_counter()
     spectrum = fj.eig_symmetric(A)
     return spectrum, time.perf_counter() - started
+
+
+@pytest.fixture
+def flip_stacked_counts(monkeypatch):
+    """Inject one fault into the stacked counts that every stacked block check reads.
+
+    ``flip(k, *cells)`` patches the cached count builder itself: it returns a
+    writable copy in which ``== k`` reads the other way at each cell, so a
+    slot warmed by an earlier call can never bypass the fault.
+    """
+
+    def flip(k, *cells):
+        real = blocks._stacked_counts
+
+        def flipped(*args):
+            C = real(*args).copy()
+            for cell in cells:
+                C[cell] = k + 1 if C[cell] == k else k
+            return C
+
+        monkeypatch.setattr(blocks, "_stacked_counts", flipped)
+
+    return flip

@@ -1,7 +1,9 @@
 """Stacked orderings, adjacency matrices, block views and block identities."""
 
+import hashlib
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,12 @@ def test_block_regularity():
     assert block_regularity(lopsided) is None
 
 
+@pytest.mark.parametrize("bad", [np.zeros((0, 0), dtype=np.uint8), np.ones(3, dtype=np.uint8)], ids=["empty", "1-D"])
+def test_block_regularity_refuses_a_non_matrix(bad):
+    with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+        block_regularity(bad)
+
+
 # ---------------------------------------------------------------- reports
 
 def test_report_shape_and_failure_bookkeeping():
@@ -191,15 +199,8 @@ def test_recursive_blocks_all_small():
     ],
     ids=["zero", "corner", "flank"],
 )
-def test_block_checks_name_a_flipped_cell(monkeypatch, where, cell, detail):
-    real = blocks_module._adjacency
-
-    def flipped(V, k):
-        A = real(V, k)
-        A[cell] ^= 1
-        return A
-
-    monkeypatch.setattr(blocks_module, "_adjacency", flipped)
+def test_block_checks_name_a_flipped_cell(flip_stacked_counts, where, cell, detail):
+    flip_stacked_counts(1, cell)
     for report in (verify_recursive_blocks(3, 1), verify_permutahedron_blocks(3)):
         failures = [a for a in report.failures() if a.name != "block-regularity"]
         assert len(failures) == 1
@@ -271,6 +272,24 @@ def test_excluded_transposition_matrix_errors():
 
 def test_matrix_to_text():
     assert matrix_to_text(np.array([[0, 1], [1, 0]])) == "01\n10\n"
+    assert matrix_to_text(np.eye(2, dtype=bool)) == "10\n01\n"
+    text = matrix_to_text(adjacency_matrix(5, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == "47a4d7945eb8191257cfbd654fa911180a5bb5ba5435b5b8c2e0ec3e84594084"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0, 12], [12, 0]], "entries must be 0 or 1"),
+        ([[0, 1], [-1, 0]], "entries must be 0 or 1"),
+        ([[0.5]], "entries must be 0 or 1"),
+        ([0, 1], "2-D matrix"),
+        ([[[0, 1]]], "2-D matrix"),
+    ],
+)
+def test_matrix_to_text_refuses_anything_but_a_01_grid(bad, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_to_text(bad)
 
 
 def test_block_checks_make_no_per_vertex_tuple_calls(monkeypatch):
@@ -291,3 +310,73 @@ def test_block_checks_make_no_per_vertex_tuple_calls(monkeypatch):
     assert verify_permutahedron_blocks(6, S).passed
     assert np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7))
     assert verify_intertwining(7, S)
+
+
+# ---------------------------------------------------------------- the shared stacked counts
+
+def _stacked_checks(S):
+    # the eight checks that read the stacked counts of the base ordering S of [6]
+    return [
+        *(lambda k=k: verify_recursive_blocks(6, k, S).passed for k in range(1, 6)),
+        lambda: verify_permutahedron_blocks(6, S).passed,
+        lambda: np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7)),
+        lambda: verify_intertwining(7, S),
+    ]
+
+
+def test_stacked_checks_build_the_counts_once(monkeypatch):
+    real = blocks_module._prefix_mismatch_counts
+    stacked_builds = []
+
+    def counted(V):
+        if len(V) == 5040:
+            stacked_builds.append(V)
+        return real(V)
+
+    monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
+    blocks_module._stacked_counts.cache_clear()
+    S = list(enumerate_permutations(6))
+    random.Random(15).shuffle(S)
+    assert all(check() for check in _stacked_checks(S))
+    assert len(stacked_builds) == 1
+
+
+def test_stacked_counts_are_read_only():
+    _, C, _ = blocks_module._stacked(3, None)
+    assert not C.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        C[0, 1] = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_alternating_base_orderings_read_their_own_counts(n):
+    rng = random.Random(n)
+    S, T = list(enumerate_permutations(n)), list(enumerate_permutations(n))
+    rng.shuffle(S)
+    rng.shuffle(T)
+    b = len(S)
+    for base in (S, T, S, T):
+        _, C, size = blocks_module._stacked(n, base)
+        assert size == b
+        for k in range(1, n + 1):
+            oracle = adjacency_matrix(n + 1, k, concatenated_ordering(base))
+            for i in range(1, n + 2):
+                for j in range(1, n + 2):
+                    assert np.array_equal(block(C, i, j, b) == k, block(oracle, i, j, b)), (base, k, i, j)
+
+
+def test_stacked_checks_hold_no_second_plane():
+    # with the 5040 x 5040 slot warm, each check reads 720 x 720 blocks only:
+    # a second full plane would be 25.4 MB, every block-sized buffer 0.5 MB
+    S = list(enumerate_permutations(6))
+    random.Random(16).shuffle(S)
+    checks = _stacked_checks(S)
+    assert checks[0]()
+    for check in checks:
+        tracemalloc.start()
+        try:
+            assert check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

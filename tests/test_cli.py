@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjgraphs import blocks, cli, graphs, metrics, spectra, verify
+from fjgraphs import cli, graphs, metrics, spectra, verify
 from fjgraphs.cli import main
 
 
@@ -275,15 +275,8 @@ def test_a_disconnected_diameter_exits_1(capsys, monkeypatch):
     assert err == "verification failure: FJ(4,2) reached only 1 of 24 vertices\n"
 
 
-def test_a_wrong_block_exits_1(capsys, monkeypatch):
-    real = blocks._adjacency
-
-    def flipped(V, k):
-        A = real(V, k)
-        A[1, 16] ^= 1  # block (1,3) of FJ(4,1), a zero block, at its cell (2,5)
-        return A
-
-    monkeypatch.setattr(blocks, "_adjacency", flipped)
+def test_a_wrong_block_exits_1(capsys, flip_stacked_counts):
+    flip_stacked_counts(1, (1, 16))  # block (1,3) of FJ(4,1), a zero block, at its cell (2,5)
     code, doc, _ = run_json(capsys, "blocks", "--n", "3", "--check", "recursive")
     assert code == 1 and doc["passed"] is False
     assert [a for a in doc["assertions"] if not a["passed"]] == [

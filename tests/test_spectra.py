@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from jacobi_oracle import jacobi_eigenvalues
 
-import fjgraphs.blocks as blocks_module
 import fjgraphs.spectra as spectra_module
 from fjgraphs import (
     CapExceeded,
@@ -255,16 +254,9 @@ def test_intertwining_small():
         assert verify_intertwining(n)
 
 
-def test_intertwining_fails_on_one_flipped_entry(monkeypatch):
+def test_intertwining_fails_on_one_flipped_entry(flip_stacked_counts):
     # a check that always passes would survive every positive test above
-    real = blocks_module._adjacency  # builds every adjacency matrix, stacked ones included
-
-    def flipped(*args, **kwargs):
-        A = real(*args, **kwargs)
-        A[0, 1] ^= 1
-        return A
-
-    monkeypatch.setattr(blocks_module, "_adjacency", flipped)
+    flip_stacked_counts(1, (0, 1))
     for n in (3, 4, 5):
         assert verify_intertwining(n) is False
 
@@ -357,19 +349,12 @@ def test_regularity_matrix_from_blocks_is_ordering_independent():
     assert (regularity_matrix_from_blocks(4, ordering=scrambled) == regularity_matrix(4)).all()
 
 
-def test_regularity_matrix_from_blocks_reports_nonregular_loudly(monkeypatch):
+def test_regularity_matrix_from_blocks_reports_nonregular_loudly(flip_stacked_counts):
     # the raise path is unreachable through real inputs (the identities hold
     # for every stacked ordering), so force it to confirm the wiring: one
-    # more edge inside block (2,3) of FJ(4,1), mirrored into block (3,2),
-    # leaves both irregular, and the first in row-major order is named
-    real = spectra_module._stacked
-
-    def stacked(*args):
-        S, A, b = real(*args)
-        A = A.copy()
-        A[b, 2 * b] = A[2 * b, b] = 1 - A[b, 2 * b]
-        return S, A, b
-
-    monkeypatch.setattr(spectra_module, "_stacked", stacked)
+    # identity-flank edge of block (2,3) of FJ(4,1) removed, and its mirror in
+    # block (3,2), leaves both irregular, and the first in row-major order is named
+    b = 6
+    flip_stacked_counts(1, (b, 2 * b), (2 * b, b))
     with pytest.raises(TheoremViolation, match=r"block \(2,3\) of the FJ\(4,1\)"):
         regularity_matrix_from_blocks(4)
