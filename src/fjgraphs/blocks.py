@@ -39,8 +39,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FlagGraphSpec, check_ordering
-from .graphs import _check_matrix_cap, _insertion_images, _prefix_mismatch_counts, _product_ranks, _vertex_rows
+from .graphs import (
+    FlagGraphSpec,
+    _check_matrix_cap,
+    _insertion_images,
+    _prefix_mismatch_counts,
+    _product_ranks,
+    _rank_form,
+    _vertex_rows,
+    check_ordering,
+)
 from .perms import Perm
 
 
@@ -101,10 +109,14 @@ def block_regularity(B: np.ndarray) -> int | None:
     M = np.asarray(B)
     if M.ndim != 2 or not M.size:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {M.shape}")
-    rows = M.sum(axis=1, dtype=np.int64)
-    cols = M.sum(axis=0, dtype=np.int64)
+    return _regularity(M, np.int64)
+
+
+def _regularity(B: np.ndarray, dtype) -> int | None:
+    # block_regularity of a validated matrix, its row and column sums taken in ``dtype``
+    rows = B.sum(axis=1, dtype=dtype)
     r = rows[0]
-    if (rows == r).all() and (cols == r).all():
+    if (rows == r).all() and (B.sum(axis=0, dtype=dtype) == r).all():
         return int(r)
     return None
 
@@ -134,7 +146,7 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
         gens[row, j - 1], gens[row, j] = j, j - 1
     rows = np.arange(spec.vertex_count)
     A = np.zeros((len(rows), len(rows)), dtype=np.uint8)
-    A[rows[:, None], _product_ranks(spec, rows, gens)] = 1
+    A[rows[:, None], _product_ranks(spec, rows, _rank_form(gens))] = 1
     return A
 
 
@@ -305,7 +317,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
             elif abs(i - j) == 1:
                 checks.append(stacked.compare("identity-flank", (i, j), eye))
     for i in range(1, n + 2):
-        got_reg = block_regularity(stacked.read(i, i))
+        got_reg = _regularity(stacked.read(i, i), np.uint16)  # sums of at most b = n! <= 720
         if i in (1, n + 1):
             checks.append(stacked.compare("corner-subgraph", (i, i), corner))
             expected_reg = n - 1

@@ -16,10 +16,13 @@ one form only, an (n!, n) uint8 array of 0-based rows; tuples and labels
 are read from it.  Specs and generator tuples are immutable; all queries
 here are read-only.
 
-Edge lists and BFS run on that array: a batch of products u o g is composed
-by fancy indexing and ranked by a vectorized Lehmer code, and the batches
-are cut into vertex chunks of about ``CHUNK_PRODUCTS`` products, so the
-peak memory is fixed whatever the degree.
+Edge lists and BFS run on that array.  The lexicographic rank of a product
+u o g is an affine function of the inversion bits of u, one bit per
+position pair, so a batch of products is ranked by one float32 matrix
+product of the generators' rank forms with the batch's bits, without ever
+composing u o g.  The batches are cut into vertex chunks of about
+``CHUNK_PRODUCTS`` products, so the peak memory is fixed whatever the
+degree.
 """
 
 from __future__ import annotations
@@ -43,13 +46,15 @@ from .perms import (
     rank,
 )
 
-CHUNK_PRODUCTS = 1 << 18  # products u o g composed at once: bounds the working memory of edge lists and BFS
+CHUNK_PRODUCTS = 1 << 18  # products u o g ranked at once: bounds the working memory of edge lists and BFS
 _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
 CSV_ROWS = 1 << 14  # edges assembled per byte buffer in the exports, and per step of EdgeList iteration
 
 
 def _check_graph_cap(n: int) -> None:
-    if n > GRAPH_CAP:  # also the limit of the uint8 rows and the uint8 seen sets of _lex_ranks
+    # the one-digit labels of the exports need n < 10; the ranks (uint16 seen
+    # sets, float32 rank forms) are exact to n = 10, so the cap of 8 is a cost bound
+    if n > GRAPH_CAP:
         raise CapExceeded(f"n={n} exceeds the graph cap {GRAPH_CAP} ({factorial(n)} permutations)")
 
 
@@ -106,13 +111,14 @@ def _lex_ranks(columns, n: int) -> np.ndarray:
     column: ``columns`` yields uint8 arrays of 0-based values, one per
     position, and only the first n-1 are read.  The Lehmer digit at a
     position is the number of smaller values not seen yet,
-    v - np.bitwise_count(seen & (bit(v) - 1)), with ``seen`` the uint8 set
-    of values already placed.
+    v - np.bitwise_count(seen & (bit(v) - 1)), with ``seen`` the uint16 set
+    of values already placed, wide enough for every n <= 12 that the int32
+    ranks hold.
     """
     ranks = np.zeros(1, dtype=np.int32)  # broadcasts; also the rank of the one permutation of [1]
-    seen = np.uint8(0)
+    seen = np.uint16(0)
     for i, v in zip(range(n - 1), columns):
-        bit = 1 << v
+        bit = np.uint16(1) << v  # a Python 1 would take v's uint8 and wrap at v = 8
         ranks = ranks + (v - np.bitwise_count(seen & (bit - 1))) * np.int32(factorial(n - 1 - i))
         seen = seen | bit
     return ranks
@@ -128,9 +134,10 @@ class FlagGraphSpec:
     tuple ``ordering`` is read from it on first use.  Specs are immutable,
     and equal when n, k and the rows agree.  Ranks into the ordering index
     the edge lists and the uint16 BFS distance arrays.  Products are ranked
-    lexicographically and mapped to ordering positions through one int32
-    array, built on first use, in vertex chunks of about
-    ``CHUNK_PRODUCTS``, so the working memory stays under 64 MB at n <= 8.
+    lexicographically and, under any other ordering, mapped to ordering
+    positions through one int32 array, built on first use, in vertex chunks
+    of about ``CHUNK_PRODUCTS``, so the working memory stays under 64 MB at
+    n <= 8.
     """
 
     def __init__(self, n: int, k: int, ordering: Sequence[Sequence[int]] | None = None):
@@ -160,6 +167,11 @@ class FlagGraphSpec:
     @property
     def vertex_count(self) -> int:
         return len(self._vertices)
+
+    @property
+    def _lexicographic(self) -> bool:
+        # the shared lexicographic rows, whose positions are the lexicographic ranks
+        return self._vertices is _lex_vertices(self.n)
 
     @cached_property
     def _positions(self) -> np.ndarray:
@@ -314,21 +326,66 @@ def _fill_edges(spec: FlagGraphSpec, pairs) -> EdgeList:
     return EdgeList(edges)
 
 
-def _chunks(rows: np.ndarray, width: int):
-    # consecutive slices of `rows` holding about CHUNK_PRODUCTS products with `width` generators
-    step = max(1, CHUNK_PRODUCTS // width)
+def _chunks(rows: np.ndarray, form: np.ndarray):
+    # consecutive slices of `rows` for which neither the products of the
+    # (degree, C(n,2) + 1) rank form nor the bits hold over CHUNK_PRODUCTS cells
+    step = max(1, CHUNK_PRODUCTS // max(form.shape))
     return (rows[start : start + step] for start in range(0, len(rows), step))
 
 
-def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _position_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the C(n,2) position pairs a < b, row-major: (0, 1), (0, 2), ..., (n-2, n-1)
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _rank_form(gens: np.ndarray) -> np.ndarray:
+    """
+    The (degree, C(n,2) + 1) float32 rank forms of the generators given as
+    0-based position rows of ``gens``.  With w = u o g, so w(i) = u(g_i),
+    lexrank(w) = sum over i < j of (n-1-i)! * [u(g_i) > u(g_j)].  For the
+    position pair (a, b) = (g_i, g_j) sorted, the inversion bit
+    [u(a) > u(b)] of u adds (n-1-i)! when g_i < g_j, and (n-1-i)! minus
+    that when g_i > g_j.  So the rank of u o g is the form's row for g
+    dotted with u's C(n,2) inversion bits and a final 1, whose column holds
+    the offsets.  The pairs {g_i, g_j} of one g cover each position pair
+    once, so each entry is set by one vectorized assignment per (i, j).
+    """
+    degree, n = gens.shape
+    a, b = _position_pairs(n)
+    column = np.zeros((n, n), dtype=np.intp)
+    column[a, b] = np.arange(len(a))
+    form = np.zeros((degree, len(a) + 1), dtype=np.float32)
+    row = np.arange(degree)
+    for i, j in zip(a.tolist(), b.tolist()):
+        weight = factorial(n - 1 - i)
+        gi, gj = gens[:, i], gens[:, j]
+        ascending = gi < gj
+        form[row, column[np.minimum(gi, gj), np.maximum(gi, gj)]] = np.where(ascending, weight, -weight)
+        form[:, -1] += np.where(ascending, 0, weight)
+    return form
+
+
+def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> np.ndarray:
     """
     Ranks in ``spec``'s ordering of the products u o g, for the vertices u
-    at ranks ``rows`` and the generators g given as 0-based position rows of
-    ``gens``: a (len(rows), len(gens)) int32 array.  Column j of the
-    products is u at positions g_j, one fancy index per position.
+    at ranks ``rows`` and the generators g whose ``_rank_form`` rows are
+    ``form``: a (len(rows), len(form)) int32 array.  The inversion bits of
+    the vertices, one comparison per position pair, and a row of ones make
+    a (C(n,2) + 1, len(rows)) float32 matrix, and one matrix product with
+    the form gives the lexicographic ranks.  It is exact: every partial sum
+    is an integer of magnitude at most 2 * (n! - 1), below 2**24 for every
+    n <= 10, so float32 holds it for any summation order or thread count.
     """
-    U = spec._vertices[rows]
-    return spec._positions[_lex_ranks((U[:, g] for g in gens.T), spec.n)]
+    Ut = np.ascontiguousarray(spec._vertices[rows].T)
+    a, b = _position_pairs(spec.n)
+    bits = np.empty((len(a) + 1, len(rows)), dtype=np.float32)
+    np.greater(Ut[a], Ut[b], out=bits[:-1])
+    bits[-1] = 1
+    ranks = (bits.T @ form.T).astype(np.int32)
+    return ranks if spec._lexicographic else spec._positions[ranks]
 
 
 def _edge_chunks(spec: FlagGraphSpec):
@@ -338,9 +395,9 @@ def _edge_chunks(spec: FlagGraphSpec):
     """
     if spec.k == 0:
         return
-    gens = np.array(generators(spec.n, spec.k), dtype=np.intp) - 1
-    for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), len(gens)):
-        b = _product_ranks(spec, rows, gens)
+    form = _rank_form(np.array(generators(spec.n, spec.k), dtype=np.intp) - 1)
+    for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), form):
+        b = _product_ranks(spec, rows, form)
         b.sort(axis=1)
         keep = b > rows[:, None]
         yield np.broadcast_to(rows[:, None], b.shape)[keep], b[keep]
@@ -394,14 +451,14 @@ class EdgeList(Sequence):
 def build_edges(spec: FlagGraphSpec) -> EdgeList:
     """
     Edge list of rank pairs (a, b), a < b, sorted.  Runs in
-    O(n! * degree * n) by composing every vertex with the connection set
-    and ranking the products with a vectorized Lehmer code, instead of
-    testing all C(n!, 2) pairs.  The products are composed in vertex chunks
-    of about ``CHUNK_PRODUCTS`` and each chunk's edges are written into one
-    preallocated int64 array, so the peak is a fixed working set plus 16
-    bytes per edge.  FJ(n, 0) yields an empty list (loops are excluded by
-    convention).  A graph with more than ``config.EDGE_CAP`` edges raises
-    CapExceeded before anything is built.
+    O(n! * degree * n^2) by ranking the product of every vertex with every
+    generator through the generators' rank forms, one float32 matrix
+    product per chunk, instead of testing all C(n!, 2) pairs.  The products
+    are ranked in vertex chunks of about ``CHUNK_PRODUCTS`` and each chunk's
+    edges are written into one preallocated int64 array, so the peak is a
+    fixed working set plus 16 bytes per edge.  FJ(n, 0) yields an empty
+    list (loops are excluded by convention).  A graph with more than
+    ``config.EDGE_CAP`` edges raises CapExceeded before anything is built.
     """
     return _fill_edges(spec, _edge_chunks(spec))
 

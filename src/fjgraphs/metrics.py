@@ -7,13 +7,23 @@ that every edge must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .config import TheoremViolation
-from .graphs import FlagGraphSpec, _check_edge_budget, _chunks, _product_ranks, build_edges, generators
+from .graphs import (
+    FlagGraphSpec,
+    _check_edge_budget,
+    _chunks,
+    _lex_ranks,
+    _product_ranks,
+    _rank_form,
+    build_edges,
+    generators,
+)
 from .perms import Perm, identity, kendall_distance
 
 UNREACHED = 0xFFFF  # uint16 sentinel: no path found
@@ -39,9 +49,39 @@ class DistanceProfile:
 
 def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     """
-    Breadth-first distances from ``source`` to every vertex, level by
-    level, each level in the cheaper of two directions (Beamer, Asanovic
-    and Patterson's direction-optimizing BFS):
+    Breadth-first distances from ``source`` to every vertex.  FJ(n, k) is a
+    Cayley graph, so left multiplication by s is an automorphism and
+    d(s, v) = d(id, s^-1 o v): the distances from any source are those from
+    the identity, read at the lexicographic ranks of s^-1 o v.  The search
+    from the identity (``_identity_search``) runs once per graph and is kept
+    in a one-graph slot, so ``diameter`` and a ``bfs`` of the same graph
+    search once; another graph replaces it.  Returns a DistanceProfile whose
+    ``distances`` is a fresh uint16 array indexed by ordering rank,
+    ``UNREACHED`` where no path was found.  A graph over the edge budget
+    (``config.EDGE_CAP``) raises CapExceeded before the search.
+    """
+    if spec.k == 0:
+        raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
+    _check_edge_budget(spec.n, spec.k)
+    source = tuple(source)
+    spec.rank(source)  # a source that is not a vertex raises ValueError here
+    lex, eccentricity, reached = _identity_search(spec.n, spec.k)
+    inverse = np.empty(spec.n, dtype=np.uint8)
+    inverse[np.array(source) - 1] = np.arange(spec.n, dtype=np.uint8)
+    distances = lex[_lex_ranks(inverse[spec._vertices].T, spec.n)]
+    return DistanceProfile(source, distances, eccentricity, reached)
+
+
+@lru_cache(maxsize=1)
+def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
+    """
+    The read-only uint16 distances of FJ(n, k) from the identity, indexed by
+    lexicographic rank, with their eccentricity and reached count.  One
+    slot, so at most one n! array (80 KB at n = 8) stays alive, and a
+    search of another graph replaces it.
+
+    The search goes level by level, each level in the cheaper of two
+    directions (Beamer, Asanovic and Patterson's direction-optimizing BFS):
 
     * top-down: the frontier is composed with the connection set, and
       every unreached product gets the level.  Expansion stops after the
@@ -60,32 +100,27 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     a whole search composes at most 2 * n! * degree.  A connection set of
     at most 16 generators is one batch: its bottom-up levels compose all
     |unreached| * degree products, so they go bottom-up only when
-    |frontier| > |unreached|.  Products are composed
-    in vertex chunks of about ``graphs.CHUNK_PRODUCTS``, so the peak memory
-    is fixed whatever the degree.  Returns a DistanceProfile whose
-    ``distances`` is a uint16 array indexed by ordering rank, ``UNREACHED``
-    where no path was found.  A graph over the edge budget
-    (``config.EDGE_CAP``) raises CapExceeded before the search.
+    |frontier| > |unreached|.  Products are ranked through the generators'
+    rank forms (``graphs._product_ranks``) in vertex chunks of about
+    ``graphs.CHUNK_PRODUCTS``, so the peak memory is fixed whatever the
+    degree.
     """
-    if spec.k == 0:
-        raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
-    _check_edge_budget(spec.n, spec.k)
-    src = spec.rank(source)
-    gens = np.array(generators(spec.n, spec.k), dtype=np.intp) - 1
+    spec = FlagGraphSpec(n, k)
+    form = _rank_form(np.array(generators(n, k), dtype=np.intp) - 1)
 
     dist = np.full(spec.vertex_count, UNREACHED, dtype=np.uint16)
-    dist[src] = 0
-    frontier = np.array([src], dtype=np.int32)
+    dist[0] = 0  # the identity is lexicographic rank 0
+    frontier = np.zeros(1, dtype=np.int32)
     unreached = spec.vertex_count - 1
-    alpha = _BOTTOM_UP_ALPHA if len(gens) > _BOTTOM_UP_BATCH else _NARROW_ALPHA
+    alpha = _BOTTOM_UP_ALPHA if len(form) > _BOTTOM_UP_BATCH else _NARROW_ALPHA
     level = 0
     while frontier.size and unreached:
         level += 1
         if alpha * frontier.size > unreached:
             todo = np.flatnonzero(dist == UNREACHED)
-            for start in range(0, len(gens), _BOTTOM_UP_BATCH):
-                batch = gens[start : start + _BOTTOM_UP_BATCH]
-                for rows in _chunks(todo, len(batch)):
+            for start in range(0, len(form), _BOTTOM_UP_BATCH):
+                batch = form[start : start + _BOTTOM_UP_BATCH]
+                for rows in _chunks(todo, batch):
                     hit = (dist[_product_ranks(spec, rows, batch)] == level - 1).any(axis=1)
                     dist[rows[hit]] = level
                 todo = todo[dist[todo] == UNREACHED]
@@ -93,15 +128,15 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
                     break
             unreached = todo.size
         else:
-            for rows in _chunks(frontier, len(gens)):
-                b = _product_ranks(spec, rows, gens).ravel()
+            for rows in _chunks(frontier, form):
+                b = _product_ranks(spec, rows, form).ravel()
                 dist[b[dist[b] == UNREACHED]] = level
                 unreached = np.count_nonzero(dist == UNREACHED)
                 if not unreached:
                     break
         frontier = np.flatnonzero(dist == level)
-    ecc = int(dist[dist != UNREACHED].max())
-    return DistanceProfile(tuple(source), dist, ecc, spec.vertex_count - unreached)
+    dist.flags.writeable = False
+    return dist, int(dist[dist != UNREACHED].max()), spec.vertex_count - unreached
 
 
 def is_connected(spec: FlagGraphSpec) -> bool:

@@ -4,6 +4,19 @@ import pytest
 
 import fjgraphs as fj
 from fjgraphs import blocks
+from fjgraphs.metrics import _identity_search
+
+
+@pytest.fixture(autouse=True)
+def cold_search_slot():
+    """Empty the one-graph BFS slot around every test.
+
+    A search made under one test's patches (a changed connection set or
+    product ranking) can then never answer a ``bfs`` of another test.
+    """
+    _identity_search.cache_clear()
+    yield
+    _identity_search.cache_clear()
 
 
 @pytest.fixture(scope="session")
