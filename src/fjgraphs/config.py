@@ -12,7 +12,7 @@ one machine.  Only the eigensolver order can be set per call (``eigen_cap``,
 every matrix it solves from integers, so no tolerance is a setting.
 """
 
-GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320); the uint8 seen sets of the ranks and the uint32 pair bits of the swap bound need n <= 8
+GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320); the uint32 pair bits of the swap bound, C(n,2) of them, need n <= 8 (the uint16 seen sets of the ranks hold n <= 12)
 MATRIX_CAP = 7      # largest n for dense n! x n! matrices and all-pairs loops (7! = 5040)
 EIGEN_CAP = 720     # largest order of a dense eigensolve or a regularity matrix
 EDGE_CAP = 2**24    # most edges, n! * degree / 2, of an edge list or a BFS: admits FJ(7,6) and FJ(8,4), not FJ(8,5)

@@ -55,10 +55,13 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     the identity, read at the lexicographic ranks of s^-1 o v.  The search
     from the identity (``_identity_search``) runs once per graph and is kept
     in a one-graph slot, so ``diameter`` and a ``bfs`` of the same graph
-    search once; another graph replaces it.  Returns a DistanceProfile whose
-    ``distances`` is a fresh uint16 array indexed by ordering rank,
-    ``UNREACHED`` where no path was found.  A graph over the edge budget
-    (``config.EDGE_CAP``) raises CapExceeded before the search.
+    search once; another graph replaces it.  From the identity under the
+    lexicographic ordering, which is how ``diameter`` and ``is_connected``
+    call it, the slot is copied as it stands, with no relabelling.  Returns
+    a DistanceProfile whose ``distances`` is a fresh uint16 array indexed
+    by ordering rank, ``UNREACHED`` where no path was found.  A graph over
+    the edge budget (``config.EDGE_CAP``) raises CapExceeded before the
+    search.
     """
     if spec.k == 0:
         raise ValueError("FJ(n, 0) has no edges; BFS is undefined")
@@ -66,9 +69,12 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     source = tuple(source)
     spec.rank(source)  # a source that is not a vertex raises ValueError here
     lex, eccentricity, reached = _identity_search(spec.n, spec.k)
-    inverse = np.empty(spec.n, dtype=np.uint8)
-    inverse[np.array(source) - 1] = np.arange(spec.n, dtype=np.uint8)
-    distances = lex[_lex_ranks(inverse[spec._vertices].T, spec.n)]
+    if source == identity(spec.n) and spec._lexicographic:
+        distances = lex.copy()  # s^-1 o v = v, at its own lexicographic rank
+    else:
+        inverse = np.empty(spec.n, dtype=np.uint8)
+        inverse[np.array(source) - 1] = np.arange(spec.n, dtype=np.uint8)
+        distances = lex[_lex_ranks(inverse[spec._vertices].T, spec.n)]
     return DistanceProfile(source, distances, eccentricity, reached)
 
 

@@ -15,26 +15,38 @@ Each graph is searched once: a single BFS from the identity gives its
 connectivity and, because a Cayley graph looks the same from every vertex,
 its diameter.  A disconnected graph fails its connectivity entry and each
 of its diameter entries, and the battery goes on.
+
+Each graph's edge list is built once.  Up to ``config.MATRIX_CAP``, one
+n! x n! uint8 matrix of prefix-mismatch counts per n, held one at a time,
+checks the edge lists of every k by membership, with no second list, and,
+for n <= 5, adjacency as reducibility over all vertex pairs at once.  The
+regularity and intertwining checks of n run right after the block checks
+of base n-1, which read the same stacked counts, and their entries follow
+in the fixed order.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
+import numpy as np
+
 from .config import EIGEN_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import (
+    _MISMATCH_BLOCK,
     FlagGraphSpec,
     _check_edge_budget,
+    _lex_vertices,
+    _prefix_mismatch_counts,
     build_edges,
     degree,
     generators,
     insertion_embedding_check,
     neighbors,
-    pairwise_edges,
 )
-from .metrics import _edge_kendall_bound, bfs, diameter_lower_bound
-from .perms import enumerate_permutations, identity, prefix_mismatch_count, relative_pattern
+from .metrics import _EDGE_CHUNK, _edge_kendall_bound, bfs, diameter_lower_bound
+from .perms import identity
 from .spectra import (
     adjacency_spectrum,
     conjecture_second_largest,
@@ -46,16 +58,60 @@ from .spectra import (
 )
 
 
-def _maxscan_block_count(pattern) -> int:
-    # independent reducibility route: prefix covers {1..i} iff its max is i
-    count = 0
-    high = 0
-    for i, x in enumerate(pattern, start=1):
-        if x > high:
-            high = x
-        if high == i:
-            count += 1
-    return count
+def _pair_counts(counts: np.ndarray, n: int) -> list[int]:
+    # pairs[k] for 1 <= k < n: the pairs a < b with counts[a, b] == k, the edge
+    # count of FJ(n, k).  Each row block is read from its diagonal column on,
+    # less its cells on or below the diagonal, so nothing is cast or copied
+    # beyond one block
+    N = len(counts)
+    pairs = [0] * n
+    step = max(1, _MISMATCH_BLOCK // N)
+    for start in range(0, N, step):
+        rect = counts[start : start + step, start:]
+        below = np.tril(rect[:, : len(rect)])
+        for k in range(1, n):
+            pairs[k] += np.count_nonzero(rect == k) - np.count_nonzero(below == k)
+    return pairs
+
+
+def _edge_oracle(counts: np.ndarray, k: int, edges, expected: int) -> bool:
+    """
+    Does ``edges`` equal ``pairwise_edges`` of the lexicographic FJ(n, k),
+    read from its prefix-mismatch ``counts`` by membership?  It does exactly
+    when every edge (a, b) has a < b < N, the keys a * N + b strictly
+    increase along the whole list from 0 on (so a >= 0), every edge has
+    counts[a, b] == k, and there are ``expected`` edges, the number of pairs
+    a < b with counts == k: then the edges are distinct pairs of that set,
+    as many as it holds, in sorted order.  Edges go ``_EDGE_CHUNK`` at a
+    time.
+    """
+    N = len(counts)
+    flat = counts.ravel()
+    E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if len(E) != expected:
+        return False
+    last = -1
+    for start in range(0, len(E), _EDGE_CHUNK):
+        a, b = E[start : start + _EDGE_CHUNK].T
+        keys = a * N + b
+        if keys[0] <= last or (np.diff(keys) <= 0).any() or not (a < b).all() or b.max() >= N:
+            return False
+        if (flat[keys] != k).any():
+            return False
+        last = keys[-1]
+    return True
+
+
+def _block_counts(V: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """
+    The number of irreducible blocks of the relative pattern u^-1 o v for
+    every pair of rows u = V[a], v = V[b] of the 0-based vertex array V.
+    Entry t of the pattern is the position in u of v's entry t, and its
+    prefix of length i covers {0..i-1} exactly when its maximum is i-1.
+    """
+    inverse = np.argsort(V, axis=1)  # inverse[r, x]: position of value x in row r
+    pattern = np.take_along_axis(inverse[a], V[b], axis=1)
+    return (np.maximum.accumulate(pattern, axis=1) == np.arange(V.shape[1])).sum(axis=1)
 
 
 def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
@@ -108,16 +164,26 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
         add_diameter("diameter-lower-bound", {"n": n, "k": k}, n, k, bound <= got, f"bound {bound}, diameter {got}")
 
     # one edge list per graph, held one at a time, for the swap bound of
-    # every edge and, up to the matrix cap, its agreement with the
-    # quadratic pairwise predicate
-    kendall, oracle = {}, {}
-    for n, k in graphs:
-        spec = FlagGraphSpec(n, k)
-        edges = build_edges(spec)
-        kendall[n, k] = _edge_kendall_bound(spec, edges)
-        if n <= MATRIX_CAP:
-            oracle[n, k] = edges == pairwise_edges(spec)
-        del edges
+    # every edge; up to the matrix cap, one prefix-mismatch count matrix per
+    # n, also held one at a time, for the edge oracle of every k and, for
+    # n <= 5, adjacency as exactly n-k irreducible blocks
+    kendall, oracle, reducible = {}, {}, {}
+    for n in range(2, max_n + 1):
+        dense = n <= MATRIX_CAP
+        if dense:
+            counts = _prefix_mismatch_counts(_lex_vertices(n))
+            expected = _pair_counts(counts, n)
+        for k in range(1, n):
+            spec = FlagGraphSpec(n, k)
+            edges = build_edges(spec)
+            kendall[n, k] = _edge_kendall_bound(spec, edges)
+            if dense:
+                oracle[n, k] = _edge_oracle(counts, k, edges, expected[k])
+            del edges
+        if dense and n <= 5:
+            a, b = np.triu_indices(len(counts), 1)
+            reducible[n] = np.array_equal(_block_counts(_lex_vertices(n), a, b), n - counts[a, b])
+        counts = None  # freed before the next n builds its matrix
 
     # every edge stays within C(k+1,2) adjacent transpositions
     for n, k in graphs:
@@ -136,33 +202,31 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
         add("edge-oracle-equivalence", {"n": n, "k": k}, oracle[n, k])
 
     # adjacency means exactly n-k irreducible windows (independent max-scan)
-    for n in range(2, min(max_n, 5) + 1):
-        perms = enumerate_permutations(n)
-        ok = True
-        for a, u in enumerate(perms):
-            for v in perms[a + 1 :]:
-                mismatches = prefix_mismatch_count(u, v)
-                if _maxscan_block_count(relative_pattern(u, v)) != n - mismatches:
-                    ok = False
-        add("reducibility-adjacency-equivalence", {"n": n}, ok)
+    for n in reducible:
+        add("reducibility-adjacency-equivalence", {"n": n}, reducible[n])
 
-    # block identities of the stacked orderings
-    for big in range(3, min(max_n, MATRIX_CAP) + 1):
-        n = big - 1
-        for k in range(1, n):
-            rep = verify_recursive_blocks(n, k)
-            add("block-recursion", {"n": n, "k": k}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-        rep = verify_permutahedron_blocks(n)
-        add("permutahedron-blocks", {"n": n}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
+    # block identities of the stacked orderings; the regularity matrix and
+    # the lifting identity of n read the stacked counts of base n-1, so they
+    # run right after that base's block checks, n = 2 (base 1) first
+    quotient = {}
+    for n in range(2, min(max_n, MATRIX_CAP) + 1):
+        base = n - 1
+        if base >= 2:
+            for k in range(1, base):
+                rep = verify_recursive_blocks(base, k)
+                add("block-recursion", {"n": base, "k": k}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
+            rep = verify_permutahedron_blocks(base)
+            add("permutahedron-blocks", {"n": base}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
+        same = (regularity_matrix_from_blocks(n) == regularity_matrix(n)).all()
+        quotient[n] = bool(same), verify_intertwining(n)
 
     # regularity matrix: empirical block route equals the closed form
-    for n in range(2, min(max_n, MATRIX_CAP) + 1):
-        same = (regularity_matrix_from_blocks(n) == regularity_matrix(n)).all()
-        add("regularity-matrix", {"n": n}, bool(same))
+    for n in quotient:
+        add("regularity-matrix", {"n": n}, quotient[n][0])
 
     # lifting identity and spectrum containment
-    for n in range(2, min(max_n, MATRIX_CAP) + 1):
-        add("intertwining", {"n": n}, verify_intertwining(n))
+    for n in quotient:
+        add("intertwining", {"n": n}, quotient[n][1])
     for n in range(2, max_n + 1):
         if factorial(n) > eigen_cap:
             break

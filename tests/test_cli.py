@@ -268,8 +268,8 @@ def test_out_path_in_a_missing_directory_exits_2(capsys, tmp_path):
 
 
 def test_a_disconnected_diameter_exits_1(capsys, monkeypatch):
-    real = metrics.bfs
-    monkeypatch.setattr(metrics, "bfs", lambda *args: dataclasses.replace(real(*args), reached=1))
+    real = metrics._identity_search
+    monkeypatch.setattr(metrics, "_identity_search", lambda n, k: (*real(n, k)[:2], 1))
     code, out, err = run(capsys, "diameter", "--n", "4", "--k", "2")
     assert code == 1 and out == ""
     assert err == "verification failure: FJ(4,2) reached only 1 of 24 vertices\n"

@@ -86,7 +86,7 @@ def test_chunks_bound_both_the_product_and_the_bit_blocks():
 def test_bfs_from_any_source_matches_a_queue_search(n, k, ordered):
     spec = FlagGraphSpec(n, k) if ordered == "lexicographic" else shuffled_rows_spec(n, k, seed=n + k)
     gens = generators(n, k)
-    sources = [tuple(random.Random(100 * n + 10 * k + i).sample(range(1, n + 1), n)) for i in range(3)]
+    sources = [identity(n)] + [tuple(random.Random(100 * n + 10 * k + i).sample(range(1, n + 1), n)) for i in range(3)]
     expected = {source: generator_bfs(gens, source) for source in sources}
     for _ in range(2):  # the first source of each pass meets a cold slot, the later ones a warm one
         metrics._identity_search.cache_clear()
@@ -132,4 +132,6 @@ def test_the_slot_is_read_only_and_results_are_fresh():
     assert first.distances.flags.writeable and not np.shares_memory(first.distances, lex)
     first.distances[:] = UNREACHED
     assert np.array_equal(bfs(spec, source).distances, kept)
-    assert np.array_equal(bfs(spec, identity(6)).distances, lex)
+    from_identity = bfs(spec, identity(6))  # the slot copied, not relabelled
+    assert from_identity.distances.flags.writeable and not np.shares_memory(from_identity.distances, lex)
+    assert np.array_equal(from_identity.distances, lex)

@@ -28,9 +28,10 @@ from fjgraphs import (
     pairwise_edges,
     prefix_mismatch_count,
     rank,
+    relative_pattern,
     reversal,
 )
-from fjgraphs import graphs, metrics, perms, verify
+from fjgraphs import blocks, graphs, metrics, perms, verify
 from fjgraphs.metrics import UNREACHED
 
 
@@ -345,25 +346,137 @@ def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
 
 
 def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch):
-    built = Counter()
-    kendall_calls = [0]
-    real_build, real_kendall = graphs.build_edges, perms.kendall_distance
+    built, matrices, calls = Counter(), Counter(), Counter()
+    real_build, real_counts = graphs.build_edges, verify._prefix_mismatch_counts
 
     def counting_build(spec):
         built[spec.n, spec.k] += 1
         return real_build(spec)
 
-    def counting_kendall(u, v):
-        kendall_calls[0] += 1
-        return real_kendall(u, v)
+    def counting_matrix(V):
+        matrices[V.shape[1]] += 1
+        return real_counts(V)
+
+    def count_calls(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
 
     for module in (graphs, metrics, verify):
         monkeypatch.setattr(module, "build_edges", counting_build)
+    monkeypatch.setattr(verify, "_prefix_mismatch_counts", counting_matrix)
     for module in (perms, metrics):
-        monkeypatch.setattr(module, "kendall_distance", counting_kendall)
-    assert all(entry["passed"] for entry in verify.battery(5))
-    assert built == Counter({(n, k): 1 for n in range(2, 6) for k in range(1, n)})
-    assert kendall_calls[0] == 0
+        count_calls(module, "kendall_distance")
+    for module in (perms, graphs):
+        count_calls(module, "prefix_mismatch_count")
+    count_calls(perms, "relative_pattern")
+    count_calls(perms, "enumerate_permutations")
+    count_calls(graphs, "pairwise_edges")
+    routes = ("kendall_distance", "prefix_mismatch_count", "relative_pattern", "enumerate_permutations", "pairwise_edges")
+    assert not any(hasattr(verify, name) for name in routes)
+    blocks._stacked_counts.cache_clear()
+    assert all(entry["passed"] for entry in verify.battery(6, eigen_cap=120))
+    assert built == Counter({(n, k): 1 for n in range(2, 7) for k in range(1, n)})
+    assert matrices == Counter({n: 1 for n in range(2, 7)})
+    assert calls == Counter()
+    # one stacked count matrix per base ordering, bases 1..5
+    assert blocks._stacked_counts.cache_info().misses == 5
+
+
+def maxscan_block_count(pattern) -> int:
+    # reference reducibility route: a prefix of the pattern covers {1..i} iff its max is i
+    count = 0
+    high = 0
+    for i, x in enumerate(pattern, start=1):
+        if x > high:
+            high = x
+        if high == i:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_array_block_counts_match_the_per_pair_route(n):
+    V = graphs._lex_vertices(n)
+    a, b = np.triu_indices(len(V), 1)
+    if n == 6:  # 258,840 pairs: a seeded sample of them
+        pick = np.random.default_rng(6).choice(len(a), 3000, replace=False)
+        a, b = a[pick], b[pick]
+    lex = enumerate_permutations(n)
+    pairs = [(lex[i], lex[j]) for i, j in zip(a.tolist(), b.tolist())]
+    reference = [maxscan_block_count(relative_pattern(u, v)) for u, v in pairs]
+    assert verify._block_counts(V, a, b).tolist() == reference
+    assert reference == [n - prefix_mismatch_count(u, v) for u, v in pairs]
+
+
+def non_edge_gap(E, n, k):
+    # an index i and a pair a < b, not an edge of the lexicographic FJ(n, k),
+    # whose key a * N + b lies strictly between those of edges i and i + 1
+    V = graphs._lex_vertices(n)
+    keys = (E[:, 0] * len(V) + E[:, 1]).tolist()
+    for i in range(len(E) - 1):
+        for key in range(keys[i] + 1, keys[i + 1]):
+            a, b = divmod(key, len(V))
+            if a < b and prefix_mismatch_count(tuple(V[a] + 1), tuple(V[b] + 1)) != k:
+                return i, (a, b)
+    raise AssertionError("no non-edge fits between two edges")
+
+
+def corrupt(fault, E, n, k):
+    # each fault breaks one condition of the membership oracle: the length
+    # (dropped), the strict order (duplicated, swapped), a < b (reversed) or
+    # the count (other-count, extra)
+    E = E.copy()
+    if fault == "dropped":
+        return np.delete(E, 17, axis=0)
+    if fault == "duplicated":
+        E[18] = E[17]
+    elif fault == "swapped":
+        E[[17, 18]] = E[[18, 17]]
+    elif fault == "reversed":  # the last edge, so its key still goes up
+        E[-1] = E[-1, ::-1]
+    else:
+        i, pair = non_edge_gap(E, n, k)
+        if fault == "extra":
+            return np.insert(E, i + 1, pair, axis=0)
+        E[i + 1] = pair
+    return E
+
+
+@pytest.mark.parametrize("fault", ["dropped", "duplicated", "swapped", "reversed", "other-count", "extra"])
+def test_edge_oracle_fails_on_each_corrupted_edge_list(fault, monkeypatch):
+    real = graphs.build_edges
+
+    def corrupted(spec):
+        edges = real(spec)
+        return corrupt(fault, np.asarray(edges), spec.n, spec.k).tolist() if (spec.n, spec.k) == (4, 2) else edges
+
+    monkeypatch.setattr(verify, "build_edges", corrupted)
+    failed = [c["params"] for c in verify.battery(4) if c["name"] == "edge-oracle-equivalence" and not c["passed"]]
+    assert failed == [{"n": 4, "k": 2}]
+
+
+def test_a_flipped_count_cell_fails_the_edge_oracle_and_reducibility(monkeypatch):
+    real = verify._prefix_mismatch_counts
+
+    def flipped(V):
+        counts = real(V)
+        if V.shape[1] == 4:
+            assert counts[0, 1] == 1  # 1234 and 1243: an FJ(4,1) edge
+            counts[0, 1] = 2
+        return counts
+
+    monkeypatch.setattr(verify, "_prefix_mismatch_counts", flipped)
+    failed = [(c["name"], c["params"]) for c in verify.battery(4) if not c["passed"]]
+    assert failed == [
+        ("edge-oracle-equivalence", {"n": 4, "k": 1}),
+        ("edge-oracle-equivalence", {"n": 4, "k": 2}),
+        ("reducibility-adjacency-equivalence", {"n": 4}),
+    ]
 
 
 def traced_peak_mb(fn):
