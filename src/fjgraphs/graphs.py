@@ -13,8 +13,11 @@ A ``FlagGraphSpec`` fixes (n, k) together with an explicit vertex ordering
 (lexicographic unless overridden); ranks into that ordering are the vertex
 ids used by edge lists, BFS, matrices and exports.  The ordering is held in
 one form only, an (n!, n) uint8 array of 0-based rows; tuples and labels
-are read from it.  Specs and generator tuples are immutable; all queries
-here are read-only.
+are read from it.  The connection set of each (n, k) is held the same
+way, as one cached read-only (degree, n) uint8 array of 0-based rows
+filtered from the lexicographic vertex array, with its float32 rank form;
+``generators`` and ``neighbors`` are tuple views of those rows.  Specs are
+immutable; all queries here are read-only.
 
 Edge lists and BFS run on that array.  The lexicographic rank of a product
 u o g is an affine function of the inversion bits of u, one bit per
@@ -27,7 +30,6 @@ degree.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from functools import cached_property, lru_cache
@@ -39,8 +41,6 @@ import numpy as np
 from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded, TheoremViolation
 from .perms import (
     Perm,
-    compose,
-    is_irreducible,
     is_permutation,
     prefix_mismatch_count,
     rank,
@@ -200,12 +200,15 @@ def adjacent(spec: FlagGraphSpec, u: Sequence[int], v: Sequence[int]) -> bool:
     return prefix_mismatch_count(u, v) == spec.k
 
 
-@lru_cache(maxsize=None)
 def irreducible_patterns(m: int) -> tuple[Perm, ...]:
-    """All irreducible permutations of [m], in lexicographic order."""
+    """
+    All irreducible permutations of [m], in lexicographic order: the tuple
+    view of the connection rows of FJ(m, m-1), whose one block is the whole
+    permutation.  m above ``config.GRAPH_CAP`` raises CapExceeded.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return tuple(p for p in itertools.permutations(range(1, m + 1)) if is_irreducible(p))
+    return generators(m, m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -236,29 +239,52 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _connection_rows(n: int, k: int) -> np.ndarray:
+    """
+    The connection set of FJ(n, k) as a read-only (degree, n) uint8 array
+    of 0-based rows, in lexicographic order: the rows of
+    ``_lex_vertices(n)`` with exactly n-k irreducible blocks.  A block of
+    v ends at position i exactly when max(v[0..i]) == i, so one running
+    maximum, column by column, counts the blocks of every row at once.
+    k = 0 gives the identity alone, although FJ(n, 0) has no edges.
+    """
+    if n < 1 or not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    V = _lex_vertices(n)
+    top = np.zeros(len(V), dtype=np.uint8)
+    ends = np.ones(len(V), dtype=np.uint8)  # the last position always ends a block
+    for i, column in enumerate(np.ascontiguousarray(V[:, :-1].T)):
+        np.maximum(top, column, out=top)
+        ends += top == i
+    rows = np.compress(ends == n - k, V, axis=0)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _connection_form(n: int, k: int) -> np.ndarray:
+    # the read-only float32 ``_rank_form`` of the connection rows of FJ(n, k)
+    form = _rank_form(_connection_rows(n, k))
+    form.flags.writeable = False
+    return form
+
+
 def generators(n: int, k: int) -> tuple[Perm, ...]:
     """
     The connection set of FJ(n, k): every permutation of [n] that splits
-    into exactly n-k irreducible consecutive blocks.  Enumerated by choosing
-    the n-k block sizes (a composition of n) and filling each block with an
-    irreducible pattern, rather than filtering all of S_n; the brute filter
-    is kept in the test suite as the oracle.
+    into exactly n-k irreducible consecutive blocks, as 1-based tuples.
+    This is the tuple view of the cached connection rows, which edge lists
+    and searches read directly, so the order is lexicographic.  For n <= 4
+    that is also the order by block sizes, then by the irreducible patterns
+    filling the blocks (the construction the tests keep as the oracle);
+    from FJ(5,3) on the two orders differ.  n above ``config.GRAPH_CAP``
+    raises CapExceeded, as every route through the vertex array does.
 
     The set is closed under inverses, and contains the identity only in the
     degenerate case k = 0, where it is exactly {identity}.
     """
-    if n < 1 or not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-    gens = []
-    for sizes in _compositions(n, n - k):
-        for combo in itertools.product(*(irreducible_patterns(m) for m in sizes)):
-            g: list[int] = []
-            offset = 0
-            for pattern in combo:
-                g.extend(x + offset for x in pattern)
-                offset += len(pattern)
-            gens.append(tuple(g))
-    return tuple(gens)
+    return tuple(map(tuple, (_connection_rows(n, k) + 1).tolist()))
 
 
 def degree(n: int, k: int) -> int:
@@ -282,17 +308,19 @@ def degree(n: int, k: int) -> int:
 
 def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
     """
-    All vertices adjacent to u, as right products with the connection set.
+    All vertices adjacent to u, as right products with the connection set,
+    u o g for each row g of ``generators`` in its lexicographic order.
     Distinct generators give distinct products, so the list has exactly
     degree(n, k) entries and no duplicates.  For k = 0 the graph has no
-    edges and the list is empty.
+    edges and the list is empty.  n above ``config.GRAPH_CAP`` raises
+    CapExceeded.
     """
     u = tuple(u)
     if len(u) != spec.n:
         raise ValueError(f"vertex must have size {spec.n}")
     if spec.k == 0:
         return []
-    return [compose(u, g) for g in generators(spec.n, spec.k)]
+    return list(map(tuple, np.array(u)[_connection_rows(spec.n, spec.k)].tolist()))
 
 
 def _check_edge_budget(n: int, k: int) -> int:
@@ -345,26 +373,24 @@ def _rank_form(gens: np.ndarray) -> np.ndarray:
     """
     The (degree, C(n,2) + 1) float32 rank forms of the generators given as
     0-based position rows of ``gens``.  With w = u o g, so w(i) = u(g_i),
-    lexrank(w) = sum over i < j of (n-1-i)! * [u(g_i) > u(g_j)].  For the
-    position pair (a, b) = (g_i, g_j) sorted, the inversion bit
-    [u(a) > u(b)] of u adds (n-1-i)! when g_i < g_j, and (n-1-i)! minus
-    that when g_i > g_j.  So the rank of u o g is the form's row for g
-    dotted with u's C(n,2) inversion bits and a final 1, whose column holds
-    the offsets.  The pairs {g_i, g_j} of one g cover each position pair
-    once, so each entry is set by one vectorized assignment per (i, j).
+    lexrank(w) = sum over i < j of (n-1-i)! * [u(g_i) > u(g_j)].  A
+    position pair (a, b), a < b, of u is met once, at i = min(h_a, h_b)
+    with h the inverse of g.  Its inversion bit [u(a) > u(b)] adds (n-1-i)!
+    when h_a < h_b, and (n-1-i)! minus that when h_a > h_b.  So the rank of
+    u o g is the form's row for g dotted with u's C(n,2) inversion bits and
+    a final 1, whose column holds the offsets, and the whole form is read
+    off the inverse rows in a few vectorized steps, one column per pair.
     """
     degree, n = gens.shape
     a, b = _position_pairs(n)
-    column = np.zeros((n, n), dtype=np.intp)
-    column[a, b] = np.arange(len(a))
-    form = np.zeros((degree, len(a) + 1), dtype=np.float32)
-    row = np.arange(degree)
-    for i, j in zip(a.tolist(), b.tolist()):
-        weight = factorial(n - 1 - i)
-        gi, gj = gens[:, i], gens[:, j]
-        ascending = gi < gj
-        form[row, column[np.minimum(gi, gj), np.maximum(gi, gj)]] = np.where(ascending, weight, -weight)
-        form[:, -1] += np.where(ascending, 0, weight)
+    inverse = np.empty_like(gens)  # inverse[r, x]: the position of x in row r
+    np.put_along_axis(inverse, gens, np.arange(n, dtype=gens.dtype), axis=1)
+    ha, hb = inverse[:, a], inverse[:, b]
+    descending = ha > hb
+    weight = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.float32)[np.minimum(ha, hb)]
+    form = np.empty((degree, len(a) + 1), dtype=np.float32)
+    form[:, :-1] = np.where(descending, -weight, weight)
+    form[:, -1] = (weight * descending).sum(axis=1)
     return form
 
 
@@ -395,7 +421,7 @@ def _edge_chunks(spec: FlagGraphSpec):
     """
     if spec.k == 0:
         return
-    form = _rank_form(np.array(generators(spec.n, spec.k), dtype=np.intp) - 1)
+    form = _connection_form(spec.n, spec.k)
     for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), form):
         b = _product_ranks(spec, rows, form)
         b.sort(axis=1)

@@ -18,11 +18,11 @@ from .graphs import (
     FlagGraphSpec,
     _check_edge_budget,
     _chunks,
+    _connection_form,
     _lex_ranks,
     _product_ranks,
-    _rank_form,
     build_edges,
-    generators,
+    generators,  # not called here; fjbench's tracer wraps it in this namespace
 )
 from .perms import Perm, identity, kendall_distance
 
@@ -106,13 +106,14 @@ def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
     a whole search composes at most 2 * n! * degree.  A connection set of
     at most 16 generators is one batch: its bottom-up levels compose all
     |unreached| * degree products, so they go bottom-up only when
-    |frontier| > |unreached|.  Products are ranked through the generators'
-    rank forms (``graphs._product_ranks``) in vertex chunks of about
+    |frontier| > |unreached|.  Products are ranked through the cached rank form
+    of the connection rows (``graphs._connection_form``, read by
+    ``graphs._product_ranks``) in vertex chunks of about
     ``graphs.CHUNK_PRODUCTS``, so the peak memory is fixed whatever the
     degree.
     """
     spec = FlagGraphSpec(n, k)
-    form = _rank_form(np.array(generators(n, k), dtype=np.intp) - 1)
+    form = _connection_form(n, k)
 
     dist = np.full(spec.vertex_count, UNREACHED, dtype=np.uint16)
     dist[0] = 0  # the identity is lexicographic rank 0

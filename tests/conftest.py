@@ -4,19 +4,26 @@ import pytest
 
 import fjgraphs as fj
 from fjgraphs import blocks
+from fjgraphs.graphs import _connection_form, _connection_rows
 from fjgraphs.metrics import _identity_search
+
+_COLD = (_identity_search, _connection_rows, _connection_form)
 
 
 @pytest.fixture(autouse=True)
 def cold_search_slot():
-    """Empty the one-graph BFS slot around every test.
+    """Empty the one-graph BFS slot and the connection-set caches around every test.
 
-    A search made under one test's patches (a changed connection set or
-    product ranking) can then never answer a ``bfs`` of another test.
+    A search or rank form made under one test's patches (a changed
+    connection set or product ranking) can then never answer a ``bfs`` or
+    an edge list of another test, and each test can count the cache misses
+    it causes.
     """
-    _identity_search.cache_clear()
+    for cache in _COLD:
+        cache.cache_clear()
     yield
-    _identity_search.cache_clear()
+    for cache in _COLD:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,8 @@ def test_out_of_range_size_exits_2(capsys, monkeypatch, argv, message):
     def no_search(*args):
         raise AssertionError("a connection set was built before the size guard")
 
+    monkeypatch.setattr(graphs, "_connection_rows", no_search)
+    monkeypatch.setattr(verify, "_connection_rows", no_search)
     monkeypatch.setattr(graphs, "generators", no_search)
     monkeypatch.setattr(metrics, "generators", no_search)
     code, out, err = run(capsys, *argv)

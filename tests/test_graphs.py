@@ -1,10 +1,12 @@
 """FJ(n, k) construction: adjacency, generators, degrees, edges, exports."""
 
+import itertools
 import json
 import numbers
 import random
 import time
 import tracemalloc
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -48,6 +50,37 @@ def gens_by_filter(n, k):
     # oracle: filter all of S_n by block count relative to the identity
     ident = identity(n)
     return {p for p in enumerate_permutations(n) if len(block_boundaries(ident, p)) == n - k}
+
+
+@lru_cache(maxsize=None)
+def irreducible_by_filter(m):
+    # oracle: the irreducible permutations of [m], filtered from all of them in lexicographic order
+    return tuple(p for p in itertools.permutations(range(1, m + 1)) if is_irreducible(p))
+
+
+def compositions(total, parts):
+    # tuples of `parts` positive integers summing to `total`, in lexicographic order
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def gens_by_composition(n, k):
+    # oracle: choose the n-k block sizes (a composition of n) and fill each
+    # block with an irreducible pattern shifted past the blocks before it,
+    # without filtering S_n
+    gens = []
+    for sizes in compositions(n, n - k):
+        for combo in itertools.product(*(irreducible_by_filter(m) for m in sizes)):
+            g, offset = [], 0
+            for pattern in combo:
+                g.extend(x + offset for x in pattern)
+                offset += len(pattern)
+            gens.append(tuple(g))
+    return gens
 
 
 # ---------------------------------------------------------------- spec type
@@ -211,6 +244,29 @@ def test_generators_block_count_and_inverse_closure():
                 assert inverse(g) in gens
 
 
+@pytest.mark.parametrize("n", range(1, GRAPH_CAP + 1))
+def test_connection_rows_match_the_composition_oracle(n):
+    for k in range(n):
+        rows = graphs._connection_rows(n, k)
+        expected = gens_by_composition(n, k)
+        assert rows.dtype == np.uint8 and rows.shape == (len(expected), n)
+        assert not rows.flags.writeable
+        listed = (rows + 1).tolist()
+        assert set(map(tuple, listed)) == set(expected)
+        assert all(a < b for a, b in zip(listed, listed[1:]))  # strictly lexicographic
+        assert len(rows) == (degree(n, k) if k else 1)
+        assert generators(n, k) == tuple(map(tuple, listed))
+    assert generators(n, 0) == (identity(n),)  # k = 0 is the identity alone
+
+
+def test_connection_views_respect_the_graph_cap():
+    for view in (lambda: generators(GRAPH_CAP + 1, 1), lambda: irreducible_patterns(GRAPH_CAP + 1)):
+        with pytest.raises(CapExceeded, match="graph cap"):
+            view()
+    with pytest.raises(ValueError):
+        generators(3, 3)
+
+
 def test_generators_are_neighbors_of_identity():
     spec = FlagGraphSpec(5, 2)
     for g in generators(5, 2):
@@ -222,6 +278,7 @@ def test_generators_are_neighbors_of_identity():
 def test_irreducible_patterns_and_count():
     for m in range(1, 8):
         patterns = irreducible_patterns(m)
+        assert patterns == irreducible_by_filter(m)
         assert all(is_irreducible(p) for p in patterns)
         assert len(patterns) == irreducible_count(m)
     assert [irreducible_count(m) for m in (1, 3, 4)] == [1, 3, 13]

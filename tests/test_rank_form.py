@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fjgraphs import FlagGraphSpec, bfs, compose, diameter, generators, identity, rank, reversal
+from fjgraphs import FlagGraphSpec, bfs, build_edges, compose, diameter, generators, identity, rank, reversal
 from fjgraphs import graphs, metrics
+from fjgraphs.cli import main
 from fjgraphs.metrics import UNREACHED
 
 from test_vertex_arrays import generator_bfs
@@ -100,14 +101,15 @@ def test_bfs_from_any_source_matches_a_queue_search(n, k, ordered):
 
 
 def test_a_graph_is_searched_once_while_it_holds_the_slot(monkeypatch):
+    # each search reads the connection set's rank form once, from its cache
     searches = [0]
-    real = metrics._rank_form
+    real = metrics._connection_form
 
-    def counting(gens):
+    def counting(n, k):
         searches[0] += 1
-        return real(gens)
+        return real(n, k)
 
-    monkeypatch.setattr(metrics, "_rank_form", counting)
+    monkeypatch.setattr(metrics, "_connection_form", counting)
     spec = FlagGraphSpec(8, 2)
     assert diameter(spec) == 11
     for source in (identity(8), reversal(8), (3, 1, 4, 8, 5, 2, 6, 7)):
@@ -118,6 +120,28 @@ def test_a_graph_is_searched_once_while_it_holds_the_slot(monkeypatch):
     for spec_now in (other, spec, other, other, spec):
         bfs(spec_now, reversal(spec_now.n))
     assert searches[0] == 1 + 4
+
+
+def assert_each_connection_set_built_once(graph_count):
+    for cache in (graphs._connection_rows, graphs._connection_form):
+        info = cache.cache_info()
+        assert info.misses == info.currsize == graph_count
+
+
+def test_the_battery_builds_each_connection_set_once(capsys):
+    assert main(["verify-all", "--max-n", "6"]) == 0  # every check passed
+    capsys.readouterr()
+    assert_each_connection_set_built_once(sum(range(1, 6)))  # FJ(n, 1..n-1) for n = 2..6
+
+
+def test_dense_graphs_build_each_connection_set_once():
+    dense = [(6, 5), (7, 4), (7, 6)]
+    for n, k in dense:
+        spec = FlagGraphSpec(n, k)
+        assert len(build_edges(spec)) == spec.vertex_count * len(generators(n, k)) // 2
+        assert diameter(spec) == bfs(spec, reversal(n)).eccentricity
+    assert_each_connection_set_built_once(len(dense))
+    assert not graphs._connection_form(7, 6).flags.writeable
 
 
 def test_the_slot_is_read_only_and_results_are_fresh():

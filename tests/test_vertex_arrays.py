@@ -201,7 +201,9 @@ def test_bfs_of_a_disconnected_generator_set(alpha, monkeypatch):
     # the adjacent transpositions of [5] without (2 3): inverse-closed, but
     # they generate only S_2 x S_3, 12 of the 120 permutations
     gens = ((2, 1, 3, 4, 5), (1, 2, 4, 3, 5), (1, 2, 3, 5, 4))
-    monkeypatch.setattr(metrics, "generators", lambda n, k: gens)
+    # searches read the rank form that graphs._connection_form builds from these
+    # rows: the autouse fixture has emptied its cache
+    monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: np.array(gens, dtype=np.uint8) - 1)
     force_alpha(monkeypatch, alpha)
     spec = FlagGraphSpec(5, 1)
     source = (3, 1, 5, 2, 4)
@@ -329,8 +331,8 @@ def test_array_edge_check_passes_every_fj7():
 def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
     # the reversal of [4] is one irreducible block, so it is no generator of FJ(4,1);
     # an involution, it adds one neighbour per vertex, which the edge count must agree with
-    real, real_degree = graphs.generators, graphs.degree
-    monkeypatch.setattr(graphs, "generators", lambda n, k: real(n, k) + (reversal(n),))
+    real, real_degree = graphs._connection_rows, graphs.degree
+    monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: np.vstack([real(n, k), np.arange(n, dtype=np.uint8)[::-1]]))
     monkeypatch.setattr(graphs, "degree", lambda n, k: real_degree(n, k) + 1)
     witnesses = []
     for spec in (FlagGraphSpec(4, 1), shuffled_spec(4, 1, seed=7)):
