@@ -145,6 +145,13 @@ class FlagGraphSpec:
             raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
         self.__dict__.update(n=n, k=k, _vertices=_vertex_rows(n, ordering))
 
+    @classmethod
+    def _of_rows(cls, n: int, k: int, V: np.ndarray) -> "FlagGraphSpec":
+        # a spec over vertex rows V that _vertex_rows already returned, not validated again
+        spec = cls.__new__(cls)
+        spec.__dict__.update(n=n, k=k, _vertices=V)
+        return spec
+
     def __setattr__(self, name, value):
         raise AttributeError(f"FlagGraphSpec is immutable; cannot set {name!r}")
 

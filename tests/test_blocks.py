@@ -4,11 +4,13 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import fjgraphs.blocks as blocks_module
+import fjgraphs.graphs as graphs_module
 from fjgraphs import (
     BlockAssertion,
     BlockReport,
@@ -380,3 +382,126 @@ def test_stacked_checks_hold_no_second_plane():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------- the count identity the screen rests on
+
+def _bases(n):
+    # the lexicographic base rows of [n] and a seeded shuffle of them, 0-based uint8
+    lex = np.array(enumerate_permutations(n), dtype=np.uint8) - 1
+    return lex, lex[np.random.default_rng(n).permutation(len(lex))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_blocks_obey_the_count_identity(n):
+    # corners equal the base counts, flanks the base counts + 1, and a block
+    # |i-j| >= 2 off the diagonal has no count below |i-j|
+    for S in _bases(n):
+        C = blocks_module._stacked_counts(n, S.tobytes())
+        base, b = blocks_module._prefix_mismatch_counts(S), len(S)
+        for i in range(1, n + 2):
+            for j in range(1, n + 2):
+                B = block(C, i, j, b)
+                if (i, j) in ((1, 1), (n + 1, n + 1)):
+                    assert np.array_equal(B, base), (i, j)
+                elif abs(i - j) == 1:
+                    assert np.array_equal(B, base + 1), (i, j)
+                elif abs(i - j) >= 2:
+                    assert B.min() >= abs(i - j), (i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_count_is_the_gap_plus_the_outer_base_mismatches(n):
+    # with n+1 at positions i <= j, the count is j-i plus the base mismatches
+    # at prefix lengths 1..i-1 and j-1..n-1 (length i-1 twice when i = j), by
+    # prefix sets summed from the rows, independent of the count routines
+    for S in _bases(n):
+        C = blocks_module._stacked_counts(n, S.tobytes())
+        sets = np.cumsum(np.left_shift(1, S.astype(np.int64)), axis=1)
+        mismatch = [np.zeros((len(S), len(S)), dtype=np.int64)]  # length 0: both prefixes empty
+        mismatch += [(sets[:, L - 1, None] != sets[:, L - 1]).astype(np.int64) for L in range(1, n + 1)]
+        for i in range(1, n + 2):
+            for j in range(1, n + 2):
+                lo, hi = min(i, j), max(i, j)
+                expected = hi - lo + sum(mismatch[1:lo] + mismatch[hi - 1 : n], start=mismatch[0])
+                assert np.array_equal(block(C, i, j, len(S)), expected), (i, j)
+
+
+def _count_reads(monkeypatch):
+    # the 1-based blocks that _StackedBlocks.read is asked for, in order
+    reads, real = [], blocks_module._StackedBlocks.read
+
+    def counted(self, i, j):
+        reads.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(blocks_module._StackedBlocks, "read", counted)
+    return reads
+
+
+def _faulted_counts(C, n, k):
+    # a copy of C in which a corner cell whose count is not k takes another
+    # value that is not k, and a cell of the zero block (1, k+2), farther
+    # than k from the diagonal, falls below k+1 without reaching k
+    b = len(C) // (n + 1)
+    C = C.copy()
+    r, c = np.argwhere(block(C, 1, 1, b) > k)[0]
+    C[r, c] += 1
+    C[0, (k + 1) * b] = k - 1
+    return C
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 2), (5, 3)])
+def test_a_screen_miss_keeps_every_verdict(monkeypatch, n, k):
+    # both faults leave ``== k`` unchanged, so the screens miss and the cell
+    # by cell comparison they fall back on must give the unpatched reports
+    checks = [lambda: verify_recursive_blocks(n, k)]
+    if k == 1:
+        checks.append(lambda: verify_permutahedron_blocks(n))
+    reads = _count_reads(monkeypatch)
+    clean = []
+    for check in checks:
+        reads.clear()
+        clean.append((check().to_dict(), Counter(reads)))
+    real = blocks_module._stacked_counts
+    monkeypatch.setattr(blocks_module, "_stacked_counts", lambda *args: _faulted_counts(real(*args), n, k))
+    for check, (doc, clean_reads) in zip(checks, clean):
+        reads.clear()
+        report = check()
+        assert report.passed and report.to_dict() == doc
+        assert Counter(reads) - clean_reads == Counter([(1, 1), (1, k + 2)])  # both screens missed
+
+
+def test_passing_recursive_checks_read_no_block(monkeypatch):
+    S = list(enumerate_permutations(6))
+    random.Random(19).shuffle(S)
+    reads = _count_reads(monkeypatch)
+    for k in range(1, 6):
+        assert verify_recursive_blocks(6, k, S).passed
+    assert reads == []
+
+
+def test_regularity_checks_read_only_the_tridiagonal_blocks(monkeypatch):
+    S = list(enumerate_permutations(6))
+    random.Random(19).shuffle(S)
+    reads = _count_reads(monkeypatch)
+    tridiagonal = [(i, j) for i in range(1, 8) for j in range(1, 8) if abs(i - j) <= 1]
+    assert np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7))
+    assert reads == tridiagonal and len(reads) == 19
+    reads.clear()
+    assert verify_intertwining(7, S)
+    assert reads == tridiagonal
+
+
+def test_permutahedron_blocks_validate_the_base_ordering_once(monkeypatch):
+    real, calls = graphs_module.check_ordering, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs_module, "check_ordering", counted)
+    S = list(enumerate_permutations(5))
+    random.Random(19).shuffle(S)
+    assert verify_permutahedron_blocks(5, S).passed
+    assert len(calls) == 1

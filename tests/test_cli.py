@@ -89,6 +89,20 @@ def test_blocks_permutahedron(capsys):
     assert doc["passed"] is True
 
 
+def test_blocks_reports_are_pinned(capsys):
+    # every blocks report for n = 2..6, each k, the recursive check and then,
+    # at k = 1, the permutahedron check, fed in that order into one sha256:
+    # the digest of the reports before the block screens were added
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        for k in range(1, n):
+            for check in ("recursive", "permutahedron")[: 2 if k == 1 else 1]:
+                code, out, _ = run(capsys, "blocks", "--n", str(n), "--k", str(k), "--check", check)
+                assert code == 0
+                digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == "6421127b400f2ec8b72bc1c7c55ce182cfec3d8593a8dc32c5b4cf0fe3d91fd8"
+
+
 def test_blocks_permutahedron_requires_k1(capsys):
     code, _, err = run(capsys, "blocks", "--n", "3", "--k", "2", "--check", "permutahedron")
     assert code == 2

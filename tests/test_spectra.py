@@ -358,3 +358,13 @@ def test_regularity_matrix_from_blocks_reports_nonregular_loudly(flip_stacked_co
     flip_stacked_counts(1, (b, 2 * b), (2 * b, b))
     with pytest.raises(TheoremViolation, match=r"block \(2,3\) of the FJ\(4,1\)"):
         regularity_matrix_from_blocks(4)
+
+
+def test_a_lone_edge_far_off_the_diagonal_is_found(flip_stacked_counts):
+    # a block two off the diagonal is skipped only while every count in it
+    # exceeds 1, so one count lowered to 1 in block (1,3) of FJ(4,1) is read
+    b = 6
+    flip_stacked_counts(1, (0, 2 * b))
+    with pytest.raises(TheoremViolation, match=r"block \(1,3\) of the FJ\(4,1\)"):
+        regularity_matrix_from_blocks(4)
+    assert verify_intertwining(4) is False
