@@ -21,6 +21,7 @@ identities bit for bit and report every assertion with 1-based coordinates,
 so a discrepancy pinpoints itself.  S is validated once into a uint8 vertex
 array; corner and flank are ``counts == k`` and ``counts == k-1`` of its
 prefix-mismatch counts, so the k = 1 flank is ``counts == 0``, the identity.
+Those base counts are built once per process for the latest (n, S), like C.
 
 The stacked checks read one (n+1)! x (n+1)! uint8 matrix C of prefix-mismatch
 counts of the stacked rows, built once per process for the latest (n, S) and
@@ -186,6 +187,16 @@ def _stacked_counts(n: int, base: bytes) -> np.ndarray:
     return C
 
 
+@lru_cache(maxsize=1)
+def _base_counts(n: int, base: bytes) -> np.ndarray:
+    # the read-only prefix-mismatch counts of the base rows packed in ``base``,
+    # the corner and flank counts of both block checks, kept in one slot
+    # beside that of _stacked_counts
+    counts = _prefix_mismatch_counts(np.frombuffer(base, dtype=np.uint8).reshape(-1, n))
+    counts.flags.writeable = False
+    return counts
+
+
 @dataclass(frozen=True)
 class BlockAssertion:
     """One checked identity about one block, with a witness on failure."""
@@ -301,7 +312,7 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
     if k >= n:  # FJ(n, k) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     S, C, b = _stacked(n, ordering)
-    corner = _prefix_mismatch_counts(S)  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
+    corner = _base_counts(n, S.tobytes())  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
     flank = corner + np.uint8(1)
     stacked = _StackedBlocks(C, b, k)
 
@@ -336,7 +347,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
         raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
     S, C, b = _stacked(n, ordering)
     spec = FlagGraphSpec._of_rows(n, 1, S)  # the rows _stacked validated, for every interior rebuild
-    corner = _prefix_mismatch_counts(S)  # == 1 is A(FJ(n, 1)), and flank == 1 the identity
+    corner = _base_counts(n, S.tobytes())  # == 1 is A(FJ(n, 1)), and flank == 1 the identity
     flank = corner + np.uint8(1)
     stacked = _StackedBlocks(C, b, 1)
 

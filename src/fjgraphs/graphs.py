@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import factorial
 from collections.abc import Sequence
 
 import numpy as np
@@ -236,16 +236,6 @@ def irreducible_count(m: int) -> int:
     return total
 
 
-def _compositions(total: int, parts: int):
-    # Tuples of `parts` positive integers summing to `total`, lex order.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _connection_rows(n: int, k: int) -> np.ndarray:
     """
@@ -294,12 +284,17 @@ def generators(n: int, k: int) -> tuple[Perm, ...]:
     return tuple(map(tuple, (_connection_rows(n, k) + 1).tolist()))
 
 
+@lru_cache(maxsize=None)
 def degree(n: int, k: int) -> int:
     """
-    Common vertex degree of FJ(n, k): the connection-set size, i.e. the sum
-    over compositions (c1, ..., c_{n-k}) of n of the product of irreducible
-    counts of the parts.  FJ(n, 0) is represented without self-loops, so its
-    degree is 0.
+    Common vertex degree of FJ(n, k): the connection-set size, the number of
+    permutations of [n] with n-k irreducible blocks.  Splitting off the first
+    block gives the count of permutations of [m] with j blocks as
+    ways_j(m) = sum_i irreducible_count(i) * ways_{j-1}(m-i), taken here
+    block by block from ways_0, which counts the empty permutation alone.
+    Only m = j + d with 0 <= d <= k can still reach n with n-k blocks, so
+    ``ways[d]`` holds ways_j(j + d).  FJ(n, 0) is represented without
+    self-loops, so its degree is 0.
 
     >>> degree(4, 2)
     7
@@ -310,7 +305,11 @@ def degree(n: int, k: int) -> int:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
     if k == 0:
         return 0
-    return sum(prod(irreducible_count(c) for c in sizes) for sizes in _compositions(n, n - k))
+    irreducible = [irreducible_count(i) for i in range(1, k + 2)]  # a block of size i raises d by i-1
+    ways = [1] + [0] * k
+    for _ in range(n - k):
+        ways = [sum(irreducible[e] * ways[d - e] for e in range(d + 1)) for d in range(k + 1)]
+    return ways[k]
 
 
 def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:

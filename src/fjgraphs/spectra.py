@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
-from .blocks import _stacked, _StackedBlocks, adjacency_matrix
+from .blocks import _regularity, _stacked, _StackedBlocks, adjacency_matrix
 from .perms import Perm
 
 
@@ -101,10 +101,8 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
         for j in range(1, n + 1):
             if abs(i - j) > 1 and stacked.above_k(i, j):
                 continue
-            B = stacked.read(i, j)
-            rows = B.sum(axis=1, dtype=np.uint16)  # at most b = (n-1)! <= 720
-            r = rows[0]
-            if not ((rows == r).all() and (B.sum(axis=0, dtype=np.uint16) == r).all()):
+            r = _regularity(stacked.read(i, j), np.uint16)  # sums of at most b = (n-1)! <= 720
+            if r is None:
                 raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
             M[i - 1, j - 1] = r
     return M

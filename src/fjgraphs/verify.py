@@ -8,21 +8,22 @@ end-insertion embeddings, the agreement of the two edge routes, adjacency
 as reducibility, the block identities of stacked orderings, the regularity
 matrix, the lifting identity, spectrum containment, the second-largest
 eigenvalue conjecture and the degree identities.  Each checked instance
-becomes one entry ``{"name", "params", "passed"[, "detail"]}``, always in
-the same order, so the report is deterministic.
+becomes one entry ``{"name", "params", "passed"[, "detail"]}``.
 
-Each graph is searched once: a single BFS from the identity gives its
-connectivity and, because a Cayley graph looks the same from every vertex,
-its diameter.  A disconnected graph fails its connectivity entry and each
-of its diameter entries, and the battery goes on.
+The battery is one pass over n.  Each check appends its entry to its
+section of ``SECTIONS`` as it runs, and the report is the sections in that
+fixed order, so it is deterministic.  Everything a graph needs lives for
+its own iteration only: one BFS from the identity gives its connectivity
+and, because a Cayley graph looks the same from every vertex, its diameter;
+one edge list serves the swap bound, the edge oracle and the degree
+identities.  A disconnected graph fails its connectivity entry and each of
+its diameter entries, and the battery goes on.
 
-Each graph's edge list is built once.  Up to ``config.MATRIX_CAP``, one
-n! x n! uint8 matrix of prefix-mismatch counts per n, held one at a time,
-checks the edge lists of every k by membership, with no second list, and,
-for n <= 5, adjacency as reducibility over all vertex pairs at once.  The
-regularity and intertwining checks of n run right after the block checks
-of base n-1, which read the same stacked counts, and their entries follow
-in the fixed order.
+Up to ``config.MATRIX_CAP``, one n! x n! uint8 matrix of prefix-mismatch
+counts per n checks the edge lists of every k by membership, with no second
+list, and, for n <= 5, adjacency as reducibility over all vertex pairs at
+once.  It is freed before the block checks of base n-1 and the regularity
+and intertwining checks of n build the stacked counts they share.
 """
 
 from __future__ import annotations
@@ -55,6 +56,29 @@ from .spectra import (
     spectrum_subset_check,
     verify_intertwining,
 )
+
+
+# the report order: one section per check family, except that the
+# permutahedron blocks share the block-recursion section and the
+# second-largest evidence the spectrum-subset section, the two families of
+# a shared section interleaved by n
+SECTIONS = (
+    ("connectivity",),
+    ("diameter-k1",),
+    ("diameter-top",),
+    ("diameter-lower-bound",),
+    ("edge-kendall-bound",),
+    ("insertion-embedding",),
+    ("edge-oracle-equivalence",),
+    ("reducibility-adjacency-equivalence",),
+    ("block-recursion", "permutahedron-blocks"),
+    ("regularity-matrix",),
+    ("intertwining",),
+    ("spectrum-subset", "conjecture-second-largest"),
+    ("degree-identities",),
+    ("degree-k1-linear",),
+)
+_SECTION_OF = {name: i for i, names in enumerate(SECTIONS) for name in names}
 
 
 def _pair_counts(counts: np.ndarray, n: int) -> list[int]:
@@ -128,45 +152,23 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
         raise CapExceeded(f"n={max_n} exceeds the graph cap {GRAPH_CAP}")
     _check_edge_budget(max_n, max_n - 1)
 
-    checks: list[dict] = []
+    sections: list[list[dict]] = [[] for _ in SECTIONS]
 
     def add(name: str, params: dict, passed: bool, detail: str = "") -> None:
         entry = {"name": name, "params": params, "passed": bool(passed)}
         if detail:
             entry["detail"] = detail
-        checks.append(entry)
+        sections[_SECTION_OF[name]].append(entry)
 
-    graphs = [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
-    profiles = {(n, k): bfs(FlagGraphSpec(n, k), identity(n)) for n, k in graphs}
-
-    def add_diameter(name: str, params: dict, n: int, k: int, passed: bool, detail: str) -> None:
+    def add_diameter(profile, name: str, params: dict, passed: bool, detail: str) -> None:
         # the eccentricity of a disconnected graph is no diameter
-        profile = profiles[n, k]
         if not profile.connected:
             passed, detail = False, f"disconnected: reached {profile.reached} of {len(profile.distances)}"
         add(name, params, passed, detail)
 
-    # connectivity of every non-trivial graph
-    for n, k in graphs:
-        add("connectivity", {"n": n, "k": k}, profiles[n, k].connected)
+    def add_block_report(name: str, params: dict, rep) -> None:
+        add(name, params, rep.passed, "" if rep.passed else str(rep.failures()[0]))
 
-    # diameters: adjacent-swap family and top family, plus the general bound
-    for n in range(2, max_n + 1):
-        got = profiles[n, 1].eccentricity
-        add_diameter("diameter-k1", {"n": n}, n, 1, got == comb(n, 2), f"diameter {got}, expected {comb(n, 2)}")
-    for n in range(3, max_n + 1):
-        got = profiles[n, n - 1].eccentricity
-        add_diameter("diameter-top", {"n": n}, n, n - 1, got == 2, f"diameter {got}, expected 2")
-    for n, k in graphs:
-        got = profiles[n, k].eccentricity
-        bound = diameter_lower_bound(n, k)
-        add_diameter("diameter-lower-bound", {"n": n, "k": k}, n, k, bound <= got, f"bound {bound}, diameter {got}")
-
-    # one edge list per graph, held one at a time, for the swap bound of
-    # every edge; up to the matrix cap, one prefix-mismatch count matrix per
-    # n, also held one at a time, for the edge oracle of every k and, for
-    # n <= 5, adjacency as exactly n-k irreducible blocks
-    kendall, oracle, reducible, observed = {}, {}, {}, {}
     for n in range(2, max_n + 1):
         dense = n <= MATRIX_CAP
         if dense:
@@ -174,83 +176,69 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
             expected = _pair_counts(counts, n)
         for k in range(1, n):
             spec = FlagGraphSpec(n, k)
+            profile = bfs(spec, identity(n))
+            got = profile.eccentricity
+            add("connectivity", {"n": n, "k": k}, profile.connected)
+            if k == 1:
+                add_diameter(profile, "diameter-k1", {"n": n}, got == comb(n, 2), f"diameter {got}, expected {comb(n, 2)}")
+            if n >= 3 and k == n - 1:
+                add_diameter(profile, "diameter-top", {"n": n}, got == 2, f"diameter {got}, expected 2")
+            bound = diameter_lower_bound(n, k)
+            add_diameter(profile, "diameter-lower-bound", {"n": n, "k": k}, bound <= got, f"bound {bound}, diameter {got}")
+
+            # every edge stays within C(k+1,2) adjacent transpositions, and
+            # the generator-product edges match the quadratic pairwise predicate
             edges = build_edges(spec)
-            kendall[n, k] = _edge_kendall_bound(spec, edges)
-            # the identity is rank 0, so its neighbours are the leading edges
-            # (0, b) of the sorted list, fewer than n! of them; copied, so no
-            # view keeps the list alive once it is dropped
-            head = np.array(edges[: spec.vertex_count], dtype=np.int64).reshape(-1, 2)
-            observed[n, k] = int(np.searchsorted(head[:, 0], 1))
+            ok, witness = _edge_kendall_bound(spec, edges)
+            add("edge-kendall-bound", {"n": n, "k": k}, ok, "" if ok else f"witness {witness}")
             if dense:
-                oracle[n, k] = _edge_oracle(counts, k, edges, expected[k])
+                add("edge-oracle-equivalence", {"n": n, "k": k}, _edge_oracle(counts, k, edges, expected[k]))
+            # degree identities: formula vs connection set vs the identity's
+            # edges; the identity is rank 0, so its neighbours are the leading
+            # edges (0, b) of the sorted list, fewer than n! of them, copied so
+            # that no view keeps the list alive once it is dropped
+            head = np.array(edges[: spec.vertex_count], dtype=np.int64).reshape(-1, 2)
             del edges
+            formula = degree(n, k)
+            ok = formula == len(_connection_rows(n, k)) == int(np.searchsorted(head[:, 0], 1))
+            add("degree-identities", {"n": n, "k": k}, ok, f"degree {formula}")
+
+            # end insertions embed FJ(n,k) into FJ(n+1,k)
+            if n < max_n:
+                for position in (1, n + 1):
+                    ok, witness = insertion_embedding_check(n, k, position)
+                    add("insertion-embedding", {"n": n, "k": k, "position": position}, ok, "" if ok else f"witness {witness}")
+
+        # adjacency means exactly n-k irreducible windows (independent max-scan)
         if dense and n <= 5:
             a, b = np.triu_indices(len(counts), 1)
-            reducible[n] = np.array_equal(_block_counts(_lex_vertices(n), a, b), n - counts[a, b])
-        counts = None  # freed before the next n builds its matrix
+            add("reducibility-adjacency-equivalence", {"n": n}, np.array_equal(_block_counts(_lex_vertices(n), a, b), n - counts[a, b]))
+        counts = None  # freed before the stacked checks build their slot
 
-    # every edge stays within C(k+1,2) adjacent transpositions
-    for n, k in graphs:
-        ok, witness = kendall[n, k]
-        add("edge-kendall-bound", {"n": n, "k": k}, ok, "" if ok else f"witness {witness}")
+        # the block identities of base n-1, then the regularity matrix and the
+        # lifting identity of n, all read the stacked counts of base n-1
+        if dense:
+            base = n - 1
+            if base >= 2:
+                for k in range(1, base):
+                    add_block_report("block-recursion", {"n": base, "k": k}, verify_recursive_blocks(base, k))
+                add_block_report("permutahedron-blocks", {"n": base}, verify_permutahedron_blocks(base))
+            add("regularity-matrix", {"n": n}, (regularity_matrix_from_blocks(n) == regularity_matrix(n)).all())
+            add("intertwining", {"n": n}, verify_intertwining(n))
 
-    # end insertions embed FJ(n,k) into FJ(n+1,k)
-    for n in range(2, max_n):
-        for k in range(1, n):
-            for position in (1, n + 1):
-                ok, witness = insertion_embedding_check(n, k, position)
-                add("insertion-embedding", {"n": n, "k": k, "position": position}, ok, "" if ok else f"witness {witness}")
+        # spectrum containment, and the second-largest eigenvalue evidence
+        if factorial(n) <= eigen_cap:
+            full = adjacency_spectrum(n, 1, eigen_cap=eigen_cap)
+            match = spectrum_subset_check(eig_tridiagonal(regularity_matrix(n)), full)
+            add("spectrum-subset", {"n": n}, match.ok, "" if match.ok else f"unmatched {match.unmatched}")
+            if n >= 3:
+                holds = conjecture_second_largest(n, graph_spectrum=full)
+                if n <= 5:
+                    add("conjecture-second-largest", {"n": n}, holds)
+                else:
+                    add("conjecture-second-largest", {"n": n, "asserted": False}, True, f"evidence only: {holds}")
 
-    # generator-product edges match the quadratic pairwise predicate
-    for n, k in oracle:
-        add("edge-oracle-equivalence", {"n": n, "k": k}, oracle[n, k])
-
-    # adjacency means exactly n-k irreducible windows (independent max-scan)
-    for n in reducible:
-        add("reducibility-adjacency-equivalence", {"n": n}, reducible[n])
-
-    # block identities of the stacked orderings; the regularity matrix and
-    # the lifting identity of n read the stacked counts of base n-1, so they
-    # run right after that base's block checks, n = 2 (base 1) first
-    quotient = {}
-    for n in range(2, min(max_n, MATRIX_CAP) + 1):
-        base = n - 1
-        if base >= 2:
-            for k in range(1, base):
-                rep = verify_recursive_blocks(base, k)
-                add("block-recursion", {"n": base, "k": k}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-            rep = verify_permutahedron_blocks(base)
-            add("permutahedron-blocks", {"n": base}, rep.passed, "" if rep.passed else str(rep.failures()[0]))
-        same = (regularity_matrix_from_blocks(n) == regularity_matrix(n)).all()
-        quotient[n] = bool(same), verify_intertwining(n)
-
-    # regularity matrix: empirical block route equals the closed form
-    for n in quotient:
-        add("regularity-matrix", {"n": n}, quotient[n][0])
-
-    # lifting identity and spectrum containment
-    for n in quotient:
-        add("intertwining", {"n": n}, quotient[n][1])
-    for n in range(2, max_n + 1):
-        if factorial(n) > eigen_cap:
-            break
-        m_spec = eig_tridiagonal(regularity_matrix(n))
-        full = adjacency_spectrum(n, 1, eigen_cap=eigen_cap)
-        match = spectrum_subset_check(m_spec, full)
-        add("spectrum-subset", {"n": n}, match.ok, "" if match.ok else f"unmatched {match.unmatched}")
-        if n >= 3:
-            holds = conjecture_second_largest(n, graph_spectrum=full)
-            if n <= 5:
-                add("conjecture-second-largest", {"n": n}, holds)
-            else:
-                add("conjecture-second-largest", {"n": n, "asserted": False}, True, f"evidence only: {holds}")
-
-    # degree identities: formula vs connection set vs the identity's edges
-    for n, k in graphs:
-        formula = degree(n, k)
-        ok = formula == len(_connection_rows(n, k)) == observed[n, k]
-        add("degree-identities", {"n": n, "k": k}, ok, f"degree {formula}")
     for n in range(2, min(max_n + 3, 8) + 1):
         add("degree-k1-linear", {"n": n}, degree(n, 1) == n - 1)
 
-    return checks
+    return [entry for section in sections for entry in section]

@@ -3,7 +3,8 @@
 The battery runs once per session.  Every entry of a family must pass and
 must equal that family's entries in the golden ``verify-all --max-n 6``
 report, so a changed parameter range, detail text or evidence value shows
-up as a failure here.
+up as a failure here.  The largest battery the caps admit, ``--max-n 7
+--eigen-cap 120``, must equal its golden entry for entry.
 """
 
 import dataclasses
@@ -49,6 +50,13 @@ def test_battery_stops_spectra_at_the_eigen_cap(battery_to_6_timed):
     dropped = [c for c in checks if c["name"] in ("spectrum-subset", "conjecture-second-largest") and c["params"]["n"] == 6]
     assert len(dropped) == 2
     assert battery(6, eigen_cap=120) == [c for c in checks if c not in dropped]
+
+
+def test_largest_admitted_battery_matches_its_golden():
+    # the n = 7 entries: the edge oracle, the block checks of base 6, and the
+    # regularity and intertwining checks that read the 5040 x 5040 slot
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all_max_n_7_eigen_cap_120.json").read_text(encoding="utf-8"))
+    assert battery(7, eigen_cap=120) == golden["checks"]
 
 
 def test_criterion_02_top_k_diameter_is_two():

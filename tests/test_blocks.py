@@ -343,6 +343,24 @@ def test_stacked_checks_build_the_counts_once(monkeypatch):
     assert len(stacked_builds) == 1
 
 
+def test_block_checks_build_the_base_counts_once(monkeypatch):
+    real = blocks_module._prefix_mismatch_counts
+    base_builds = []
+
+    def counted(V):
+        if len(V) == 720:
+            base_builds.append(V)
+        return real(V)
+
+    monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
+    blocks_module._base_counts.cache_clear()
+    S = list(enumerate_permutations(6))
+    random.Random(20).shuffle(S)
+    assert all(check() for check in _stacked_checks(S)[:6])  # the recursive and permutahedron checks
+    assert len(base_builds) == 1
+    assert not blocks_module._base_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes()).flags.writeable
+
+
 def test_stacked_counts_are_read_only():
     _, C, _ = blocks_module._stacked(3, None)
     assert not C.flags.writeable

@@ -7,7 +7,7 @@ import random
 import time
 import tracemalloc
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -300,6 +300,22 @@ def test_degree_examples_and_identities():
             assert degree(n, k) == len(generators(n, k))
     with pytest.raises(ValueError):
         degree(3, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_degree_matches_the_composition_sum(n):
+    # oracle: over the compositions of n into n-k block sizes, the product of
+    # the irreducible counts of the parts
+    for k in range(1, n):
+        expected = sum(prod(irreducible_count(c) for c in sizes) for sizes in compositions(n, n - k))
+        assert degree(n, k) == expected
+
+
+def test_degrees_of_every_k_count_every_other_permutation():
+    # each permutation but the identity has between 1 and n-1 blocks, so it is
+    # a generator of exactly one FJ(n, k), k >= 1
+    for n in range(2, 41):
+        assert sum(degree(n, k) for k in range(1, n)) == factorial(n) - 1
 
 
 # ---------------------------------------------------------------- neighbors
