@@ -7,9 +7,11 @@ Every report is JSON with a schema_version field and a fixed key order, and
 eigenvalues are formatted to 12 decimal places, so identical configurations
 produce identical reports (timing fields excepted).
 
-Every subcommand takes --out.  spectrum and verify-all also take
---eigen-cap, the largest dense eigensolve; the other size guards and the
-tolerances are the fixed constants of ``config``.
+Every subcommand takes --out; a file there appears only once its text is
+whole.  export writes its text piece by piece as the edges are made, so it
+never holds the edge list or the whole text.  spectrum and verify-all also
+take --eigen-cap, the largest dense eigensolve; the other size guards and
+the tolerances are the fixed constants of ``config``.
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
 2 invalid arguments or a size guard tripped.
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from collections.abc import Iterable
 
 from .config import EIGEN_CAP, TheoremViolation
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
-from .graphs import FlagGraphSpec, build_edges, edges_to_csv, edges_to_dot, edges_to_json
+from .graphs import FlagGraphSpec, _export_pieces
 from .metrics import diameter, diameter_lower_bound
 from .spectra import (
     Spectrum,
@@ -44,28 +48,40 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12f}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """
+    Write the pieces of a text as they come: to stdout, or to PATH.  A
+    regular file at PATH appears only once the text is whole: the pieces
+    go to a file beside it that replaces PATH on success and is removed on
+    any failure, so an export whose last check fails leaves no file.  A
+    PATH that exists and is no regular file (a device, a pipe) is written
+    in place.
+    """
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    target = os.path.realpath(out_path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        return
+    partial = f"{target}.{os.getpid()}.partial"
+    fh = open(partial, "x", encoding="utf-8")  # never another file's name: a failure here leaves nothing
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(partial, target)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    _emit([json.dumps(doc, indent=2) + "\n"], out_path)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    spec = FlagGraphSpec(args.n, args.k)
-    edges = build_edges(spec)
-    if args.format == "dot":
-        text = edges_to_dot(spec, edges)
-    elif args.format == "csv":
-        text = edges_to_csv(edges)
-    else:
-        text = edges_to_json(spec, edges)
-    _emit(text, args.out)
+    _emit(_export_pieces(FlagGraphSpec(args.n, args.k), args.format), args.out)
     return 0
 
 

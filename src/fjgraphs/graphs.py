@@ -25,7 +25,10 @@ position pair, so a batch of products is ranked by one float32 matrix
 product of the generators' rank forms with the batch's bits, without ever
 composing u o g.  The batches are cut into vertex chunks of about
 ``CHUNK_PRODUCTS`` products, so the peak memory is fixed whatever the
-degree.
+degree.  The edges reach the exports and the verification battery as one
+counted stream of those chunks (``_edge_stream``), so nothing but
+``build_edges`` ever holds a whole edge list, and the DOT, CSV and JSON
+writers turn each chunk into text as it comes.
 """
 
 from __future__ import annotations
@@ -188,11 +191,15 @@ class FlagGraphSpec:
         return positions
 
     def rank(self, p: Sequence[int]) -> int:
-        """Position of a vertex in the ordering."""
+        """
+        Position of a vertex in the ordering: its lexicographic rank, mapped
+        through ``_positions`` only under another ordering, so a
+        lexicographic spec never builds that n! array.
+        """
         p = tuple(p)
         if len(p) != self.n or not is_permutation(p):
             raise ValueError(f"{p!r} is not a vertex of FJ({self.n},{self.k})")
-        return int(self._positions[rank(p)])
+        return rank(p) if self._lexicographic else int(self._positions[rank(p)])
 
 
 def adjacent(spec: FlagGraphSpec, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -339,24 +346,49 @@ def _check_edge_budget(n: int, k: int) -> int:
     return edges
 
 
+def _counted(spec: FlagGraphSpec, pairs, expected: int):
+    """
+    The (a, b) rank-array pairs that ``pairs`` yields, passed on as they
+    come, and after the last one the check that they held ``expected``
+    edges, n! * degree / 2: any other total contradicts the degree formula
+    and raises TheoremViolation.
+    """
+    total = 0
+    for a, b in pairs:
+        total += len(a)
+        yield a, b
+    if total != expected:
+        raise TheoremViolation(f"FJ({spec.n},{spec.k}) has {total} edges, not n! * degree / 2 = {expected}")
+
+
+def _edge_stream(spec: FlagGraphSpec):
+    """
+    The edges (a, b), a < b, of ``spec``'s graph as pairs of equal-length
+    int32 rank arrays, one vertex chunk of ``_edge_chunks`` at a time, in
+    sorted order; the one route by which the exports and the battery read
+    edges, so none of them holds an edge list.  A graph over the edge
+    budget raises CapExceeded here, at the call, before any edge is made
+    or anything is written; a total other than n! * degree / 2 raises
+    TheoremViolation after the last chunk.
+    """
+    return _counted(spec, _edge_chunks(spec), _check_edge_budget(spec.n, spec.k))
+
+
 def _fill_edges(spec: FlagGraphSpec, pairs) -> EdgeList:
     """
     The EdgeList of the (a, b) rank-array pairs that ``pairs`` yields,
     written in order into one (n! * degree / 2, 2) int64 array allocated
-    before the first pair, so no part outlives its copy.  An edge count
-    other than that size contradicts the degree formula and raises
-    TheoremViolation.
+    before the first pair, so no part outlives its copy; the pairs are
+    counted as ``_edge_stream`` counts them.
     """
     edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int64)
     filled = 0
-    for a, b in pairs:
+    for a, b in _counted(spec, pairs, len(edges)):
         end = filled + len(a)
         if end <= len(edges):
             edges[filled:end, 0] = a
             edges[filled:end, 1] = b
         filled = end
-    if filled != len(edges):
-        raise TheoremViolation(f"FJ({spec.n},{spec.k}) has {filled} edges, not n! * degree / 2 = {len(edges)}")
     return EdgeList(edges)
 
 
@@ -424,6 +456,9 @@ def _edge_chunks(spec: FlagGraphSpec):
     """
     The edges (a, b) with a < b as pairs of equal-length int32 rank arrays,
     one vertex chunk at a time; concatenated they are sorted by (a, b).
+    The chunk's product ranks and mask are dropped before it is yielded,
+    so a consumer holds one chunk of edges beside the fixed working set.
+    Read through ``_edge_stream``, which counts them.
     """
     if spec.k == 0:
         return
@@ -432,7 +467,9 @@ def _edge_chunks(spec: FlagGraphSpec):
         b = _product_ranks(spec, rows, form)
         b.sort(axis=1)
         keep = b > rows[:, None]
-        yield np.broadcast_to(rows[:, None], b.shape)[keep], b[keep]
+        a, b = np.broadcast_to(rows[:, None], b.shape)[keep], b[keep]
+        del keep
+        yield a, b
 
 
 class EdgeList(Sequence):
@@ -491,6 +528,9 @@ def build_edges(spec: FlagGraphSpec) -> EdgeList:
     fixed working set plus 16 bytes per edge.  FJ(n, 0) yields an empty
     list (loops are excluded by convention).  A graph with more than
     ``config.EDGE_CAP`` edges raises CapExceeded before anything is built.
+    The exports and the battery never hold this list: they read the same
+    chunks from ``_edge_stream``, one at a time.  It stays as the
+    materialised form that the oracles and the tests compare.
     """
     return _fill_edges(spec, _edge_chunks(spec))
 
@@ -658,24 +698,104 @@ def _join_rows(literals: Sequence[str], fields: Sequence[np.ndarray]) -> str:
     return str(flat[flat != 0], "ascii")
 
 
-def _format_rows(literals: tuple[str, str, str], edges: np.ndarray, fields) -> list[str]:
+def _rows(literals: tuple[str, str, str], pairs, fields):
     """
-    One row ``head a middle b tail`` per edge (a, b), for the three
-    ``literals``, ``CSV_ROWS`` edges per byte buffer, so the exports never
-    hold a Python object per edge.  ``fields`` maps a (c, 2) chunk of rank
-    pairs to its (c, 2, width) NUL-padded ASCII bytes.
+    One text piece per ``CSV_ROWS`` edges of the (a, b) rank-array chunks
+    that ``pairs`` yields: a row ``head a middle b tail`` per edge (a, b),
+    for the three ``literals``, so a writer never holds a Python object per
+    edge, nor more than one piece of text.  ``fields`` maps an array of
+    ranks to their (c, width) NUL-padded ASCII bytes.
     """
-    parts = []
-    for start in range(0, len(edges), CSV_ROWS):
-        ends = fields(edges[start : start + CSV_ROWS])
-        parts.append(_join_rows(literals, [ends[:, 0], ends[:, 1]]))
-    return parts
+    for a, b in pairs:
+        for start in range(0, len(a), CSV_ROWS):
+            stop = start + CSV_ROWS
+            yield _join_rows(literals, [fields(a[start:stop]), fields(b[start:stop])])
+
+
+def _gather(table: np.ndarray):
+    """
+    The field source of a byte table whose row r holds the NUL-padded
+    ASCII bytes of rank r, at most 8 of them (5 rank digits below 8!, or a
+    label of n <= 8 digits): each row goes right-aligned into 8 bytes read
+    as one uint64, so the bytes of a chunk of ranks are one integer gather.
+    """
+    skip = 8 - table.shape[1]
+    padded = np.zeros((len(table), 8), dtype=np.uint8)
+    padded[:, skip:] = table
+    words = padded.view(np.uint64).ravel()
+    return lambda ranks: words[ranks].view(np.uint8).reshape(-1, 8)[:, skip:]
+
+
+def _rank_digits(spec: FlagGraphSpec):
+    # the field source of the decimal ranks 0..n!-1 of spec's vertices
+    return _gather(_digits(np.arange(spec.vertex_count)))
 
 
 def _labels(spec: FlagGraphSpec) -> np.ndarray:
     # row r is the ASCII label of rank r: one digit per value, as
     # perm_to_string prints it, since n <= GRAPH_CAP < 10
     return spec._vertices + np.uint8(ord("1"))
+
+
+def _csv_pieces(pairs, fields):
+    # the CSV writer: a "u,v" header row, then one row of ranks per edge
+    yield "u,v\n"
+    yield from _rows(("", ",", "\n"), pairs, fields)
+
+
+def _dot_pieces(spec: FlagGraphSpec, pairs):
+    # the DOT writer: one node line per vertex label, then one line per edge
+    labels = _labels(spec)
+    yield f'graph "FJ({spec.n},{spec.k})" {{\n'
+    yield _join_rows(('  "', '";\n'), [labels])
+    yield from _rows(('  "', '" -- "', '";\n'), pairs, _gather(labels))
+    yield "}\n"
+
+
+def _json_pieces(spec: FlagGraphSpec, edge_count: int, pairs):
+    """
+    The JSON writer, in the layout json.dumps(indent=2) gives the document:
+    the head needs only the graph's parameters, its labels (from the byte
+    table of the DOT writer, spliced into the ``json.dumps`` head) and
+    ``edge_count``, so it is written before the first edge.  Each [a, b]
+    row ends with a comma but the last, so one piece is held back.
+    """
+    doc = {
+        "schema_version": 1,
+        "n": spec.n,
+        "k": spec.k,
+        "vertex_count": spec.vertex_count,
+        "degree": degree(spec.n, spec.k),
+        "vertices": [],
+        "edge_count": edge_count,
+        "edges": [],
+    }
+    # the label list, the last label without its comma
+    labels = _join_rows(('\n    "', '",'), [_labels(spec)])[:-1]
+    head = json.dumps(doc, indent=2).replace('"vertices": []', f'"vertices": [{labels}\n  ]')  # ends with '"edges": []\n}'
+    yield head[: -len("]\n}")]
+    held = None
+    for piece in _rows(("\n    [\n      ", ",\n      ", "\n    ],"), pairs, _rank_digits(spec)):
+        if held is not None:
+            yield held
+        held = piece
+    yield "]\n}\n" if held is None else held[:-1] + "\n  ]\n}\n"
+
+
+def _export_pieces(spec: FlagGraphSpec, fmt: str):
+    """
+    The text of ``fjgraph export`` in ``fmt`` ("csv", "dot" or "json"),
+    piece by piece as the edge stream makes it, so the peak is one chunk
+    of edges and one piece of text whatever the graph.  A graph over the
+    edge budget raises CapExceeded here, before any piece; an edge total
+    off the degree formula raises TheoremViolation after the last one.
+    """
+    pairs = _edge_stream(spec)
+    if fmt == "csv":
+        return _csv_pieces(pairs, _rank_digits(spec))
+    if fmt == "dot":
+        return _dot_pieces(spec, pairs)
+    return _json_pieces(spec, _check_edge_budget(spec.n, spec.k), pairs)
 
 
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
@@ -685,10 +805,7 @@ def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     rank of ``spec`` raises ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
-    labels = _labels(spec)
-    nodes = _join_rows(('  "', '";\n'), [labels])
-    rows = _format_rows(('  "', '" -- "', '";\n'), edges, labels.__getitem__)
-    return "".join([f'graph "FJ({spec.n},{spec.k})" {{\n', nodes, *rows, "}\n"])
+    return "".join(_dot_pieces(spec, [(edges[:, 0], edges[:, 1])]))
 
 
 def edges_to_csv(edges) -> str:
@@ -698,33 +815,14 @@ def edges_to_csv(edges) -> str:
     more, is not a rank and raises ValueError.
     """
     edges = _edge_array(edges, 2**32)
-    return "".join(["u,v\n", *_format_rows(("", ",", "\n"), edges, _digits)])
+    return "".join(_csv_pieces([(edges[:, 0], edges[:, 1])], _digits))
 
 
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
     """
     JSON document: graph parameters, vertex labels, rank-pair edge array
     (from an EdgeList, array or sequence of pairs).  An end that is not a
-    rank of ``spec`` raises ValueError.  The labels come from the byte
-    table of ``edges_to_dot``, spliced into the ``json.dumps`` head.
+    rank of ``spec`` raises ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
-    doc = {
-        "schema_version": 1,
-        "n": spec.n,
-        "k": spec.k,
-        "vertex_count": spec.vertex_count,
-        "degree": degree(spec.n, spec.k),
-        "vertices": [],
-        "edge_count": len(edges),
-        "edges": [],
-    }
-    # the label list in the layout json.dumps(indent=2) gives it, the last label without its comma
-    labels = _join_rows(('\n    "', '",'), [_labels(spec)])[:-1]
-    head = json.dumps(doc, indent=2).replace('"vertices": []', f'"vertices": [{labels}\n  ]')  # ends with '"edges": []\n}'
-    if not len(edges):
-        return head + "\n"
-    # each [a, b] in the layout json.dumps(indent=2) gives a non-empty list; the last drops its comma
-    rows = _format_rows(("\n    [\n      ", ",\n      ", "\n    ],"), edges, _digits)
-    rows[-1] = rows[-1][:-1]
-    return "".join([head[: -len("]\n}")], *rows, "\n  ]\n}\n"])
+    return "".join(_json_pieces(spec, len(edges), [(edges[:, 0], edges[:, 1])]))

@@ -30,7 +30,6 @@ UNREACHED = 0xFFFF  # uint16 sentinel: no path found
 _BOTTOM_UP_ALPHA = 2  # a level goes bottom-up when ALPHA * |frontier| > |unreached| (measured)
 _NARROW_ALPHA = 1  # the same for connection sets of at most one batch, whose bottom-up levels cannot stop early
 _BOTTOM_UP_BATCH = 16  # generators composed per bottom-up pass over the unreached vertices
-_EDGE_CHUNK = 1 << 18  # edges whose swap bound is checked at once
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,8 @@ def edge_transposition_bound_check(spec: FlagGraphSpec):
 
     This is the reference route, one ``kendall_distance`` call per edge, as
     ``pairwise_edges`` is for ``build_edges``: the battery checks the bound
-    on arrays (``_edge_kendall_bound``) over the edge list it builds once
-    per graph, and the tests hold that route to this one.  It stays public
+    on arrays (``_swap_witness``) on each chunk of the edge stream it reads
+    once per graph, and the tests hold that route to this one.  It stays public
     because it states the bound in the terms of the paper, pair by pair,
     and because the benchmark's tracer counts its calls.
     """
@@ -211,28 +210,32 @@ def edge_transposition_bound_check(spec: FlagGraphSpec):
     return True, None
 
 
-def _edge_kendall_bound(spec: FlagGraphSpec, edges) -> tuple[bool, tuple[Perm, Perm] | None]:
+def _inversion_bits(spec: FlagGraphSpec) -> np.ndarray:
     """
-    ``edge_transposition_bound_check`` on arrays, over a given edge list:
-    (True, None), or (False, (u, v)) for the first edge (a, b) of ``edges``
-    whose ends lie more than C(k+1, 2) adjacent transpositions apart.  That
-    distance is the number of value pairs that u and v put in opposite
-    orders, so each vertex gets one bit per value pair, set when the pair
-    stands inverted in it (read from the inverse vertex rows), and an edge
-    costs one XOR and one ``np.bitwise_count``; edges go ``_EDGE_CHUNK`` at
-    a time.  Only the edge list and the ordering are read, never the
-    connection set.
+    One uint32 per vertex of ``spec``, by rank, with a bit per value pair
+    (C(8, 2) = 28 bits fit) set when the pair stands inverted in that
+    vertex, read from the inverse vertex rows.  The number of adjacent
+    transpositions between u and v, the number of value pairs they put in
+    opposite orders, is then the bit count of the XOR of their words.
     """
-    bound = comb(spec.k + 1, 2)
     inverse = np.argsort(spec._vertices, axis=1).T  # inverse[x, r]: position of value x in vertex r
-    inverted = np.zeros(spec.vertex_count, dtype=np.uint32)  # C(8, 2) = 28 bits fit
+    inverted = np.zeros(spec.vertex_count, dtype=np.uint32)
     for bit, (x, y) in enumerate(combinations(range(spec.n), 2)):
         inverted |= (inverse[x] > inverse[y]).astype(np.uint32) << np.uint32(bit)
-    E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    for start in range(0, len(E), _EDGE_CHUNK):
-        a, b = E[start : start + _EDGE_CHUNK].T
-        bad = np.flatnonzero(np.bitwise_count(inverted[a] ^ inverted[b]) > bound)
-        if bad.size:
-            u, v = (spec._vertices[E[start + bad[0]]] + 1).tolist()
-            return False, (tuple(u), tuple(v))
-    return True, None
+    return inverted
+
+
+def _swap_witness(spec: FlagGraphSpec, inverted: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[Perm, Perm] | None:
+    """
+    ``edge_transposition_bound_check`` on arrays, for the edges (a[i], b[i])
+    given as two rank arrays: the first edge whose ends lie more than
+    C(k+1, 2) adjacent transpositions apart, as a pair of vertices, or
+    None.  Each edge costs one XOR and one ``np.bitwise_count`` of the
+    ``_inversion_bits`` of its ends; only the edges and the ordering are
+    read, never the connection set.
+    """
+    bad = np.flatnonzero(np.bitwise_count(inverted[a] ^ inverted[b]) > comb(spec.k + 1, 2))
+    if not bad.size:
+        return None
+    u, v = (spec._vertices[[a[bad[0]], b[bad[0]]]] + 1).tolist()
+    return tuple(u), tuple(v)

@@ -15,15 +15,18 @@ section of ``SECTIONS`` as it runs, and the report is the sections in that
 fixed order, so it is deterministic.  Everything a graph needs lives for
 its own iteration only: one BFS from the identity gives its connectivity
 and, because a Cayley graph looks the same from every vertex, its diameter;
-one edge list serves the swap bound, the edge oracle and the degree
-identities.  A disconnected graph fails its connectivity entry and each of
-its diameter entries, and the battery goes on.
+one pass over its edge stream (``graphs._edge_stream``) serves the swap
+bound, the edge oracle and the degree identities, each chunk checked as it
+comes, so no edge list is ever held.  A disconnected graph fails its
+connectivity entry and each of its diameter entries, and the battery goes
+on.
 
 Up to ``config.MATRIX_CAP``, one n! x n! uint8 matrix of prefix-mismatch
-counts per n checks the edge lists of every k by membership, with no second
-list, and, for n <= 5, adjacency as reducibility over all vertex pairs at
-once.  It is freed before the block checks of base n-1 and the regularity
-and intertwining checks of n build the stacked counts they share.
+counts per n checks the edge streams of every k by membership, with no
+second route, and, for n <= 5, adjacency as reducibility over all vertex
+pairs at once.  It is freed before the block checks of base n-1 and the
+regularity and intertwining checks of n build the stacked counts they
+share.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from .graphs import (
     FlagGraphSpec,
     _check_edge_budget,
     _connection_rows,
+    _edge_stream,
     _lex_vertices,
     _prefix_mismatch_counts,
-    build_edges,
     degree,
     insertion_embedding_check,
 )
-from .metrics import _EDGE_CHUNK, _edge_kendall_bound, bfs, diameter_lower_bound
+from .metrics import _inversion_bits, _swap_witness, bfs, diameter_lower_bound
 from .perms import identity
 from .spectra import (
     adjacency_spectrum,
@@ -97,32 +100,40 @@ def _pair_counts(counts: np.ndarray, n: int) -> list[int]:
     return pairs
 
 
-def _edge_oracle(counts: np.ndarray, k: int, edges, expected: int) -> bool:
+def _edge_pass(spec: FlagGraphSpec, counts: np.ndarray | None, expected: int):
     """
-    Does ``edges`` equal ``pairwise_edges`` of the lexicographic FJ(n, k),
-    read from its prefix-mismatch ``counts`` by membership?  It does exactly
-    when every edge (a, b) has a < b < N, the keys a * N + b strictly
-    increase along the whole list from 0 on (so a >= 0), every edge has
-    counts[a, b] == k, and there are ``expected`` edges, the number of pairs
-    a < b with counts == k: then the edges are distinct pairs of that set,
-    as many as it holds, in sorted order.  Edges go ``_EDGE_CHUNK`` at a
-    time.
+    The battery's three edge checks of ``spec``'s lexicographic graph, in
+    one pass over its edge stream, each chunk checked as it comes and then
+    dropped.  Returns:
+
+    * the first edge over the swap bound, as ``_swap_witness`` gives it, or
+      None; the chunks come in sorted order, so it is the first of the list;
+    * whether the edges equal ``pairwise_edges``, read from the
+      prefix-mismatch ``counts`` by membership (None without counts).  They
+      do exactly when every edge (a, b) has a < b < N, the keys a * N + b
+      strictly increase along the whole stream from 0 on (so a >= 0; each
+      chunk starts above the last key of the one before), every edge has
+      counts[a, b] == k, and there are ``expected`` edges, the number of
+      pairs a < b with counts == k: then the edges are distinct pairs of
+      that set, as many as it holds, in sorted order;
+    * the identity's degree: the identity is rank 0, so its neighbours are
+      the edges (0, b).
     """
-    N = len(counts)
-    flat = counts.ravel()
-    E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(E) != expected:
-        return False
-    last = -1
-    for start in range(0, len(E), _EDGE_CHUNK):
-        a, b = E[start : start + _EDGE_CHUNK].T
-        keys = a * N + b
-        if keys[0] <= last or (np.diff(keys) <= 0).any() or not (a < b).all() or b.max() >= N:
-            return False
-        if (flat[keys] != k).any():
-            return False
-        last = keys[-1]
-    return True
+    N, k = spec.vertex_count, spec.k
+    flat = None if counts is None else counts.ravel()
+    inverted = _inversion_bits(spec)
+    witness, last, total, identity_degree = None, -1, 0, 0
+    for a, b in _edge_stream(spec):
+        if witness is None:
+            witness = _swap_witness(spec, inverted, a, b)
+        if flat is not None and last is not None and len(a):
+            keys = a * N + b  # int32 like the ranks: N^2 <= 5040^2 < 2^31
+            ordered = keys[0] > last and (np.diff(keys) > 0).all() and (a < b).all() and b.max() < N
+            last = keys[-1] if ordered and (flat[keys] == k).all() else None
+        total += len(a)
+        identity_degree += int(np.count_nonzero(a == 0))
+    member = None if flat is None else last is not None and total == expected
+    return witness, member, identity_degree
 
 
 def _block_counts(V: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,21 +197,16 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
             bound = diameter_lower_bound(n, k)
             add_diameter(profile, "diameter-lower-bound", {"n": n, "k": k}, bound <= got, f"bound {bound}, diameter {got}")
 
-            # every edge stays within C(k+1,2) adjacent transpositions, and
-            # the generator-product edges match the quadratic pairwise predicate
-            edges = build_edges(spec)
-            ok, witness = _edge_kendall_bound(spec, edges)
-            add("edge-kendall-bound", {"n": n, "k": k}, ok, "" if ok else f"witness {witness}")
+            # every edge stays within C(k+1,2) adjacent transpositions, the
+            # generator-product edges match the quadratic pairwise predicate,
+            # and the degree formula, the connection set and the identity's
+            # edges agree, all from one pass over the edge stream
+            witness, member, identity_degree = _edge_pass(spec, counts if dense else None, expected[k] if dense else 0)
+            add("edge-kendall-bound", {"n": n, "k": k}, witness is None, "" if witness is None else f"witness {witness}")
             if dense:
-                add("edge-oracle-equivalence", {"n": n, "k": k}, _edge_oracle(counts, k, edges, expected[k]))
-            # degree identities: formula vs connection set vs the identity's
-            # edges; the identity is rank 0, so its neighbours are the leading
-            # edges (0, b) of the sorted list, fewer than n! of them, copied so
-            # that no view keeps the list alive once it is dropped
-            head = np.array(edges[: spec.vertex_count], dtype=np.int64).reshape(-1, 2)
-            del edges
+                add("edge-oracle-equivalence", {"n": n, "k": k}, member)
             formula = degree(n, k)
-            ok = formula == len(_connection_rows(n, k)) == int(np.searchsorted(head[:, 0], 1))
+            ok = formula == len(_connection_rows(n, k)) == identity_degree
             add("degree-identities", {"n": n, "k": k}, ok, f"degree {formula}")
 
             # end insertions embed FJ(n,k) into FJ(n+1,k)

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,52 @@ def test_export_json_to_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["edge_count"] == 36 and doc["vertex_count"] == 24
+
+
+def test_an_export_off_the_degree_formula_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # the count check runs after the text is written: --out keeps nothing,
+    # and stdout still exits 1
+    real = graphs.degree
+    monkeypatch.setattr(graphs, "degree", lambda n, k: real(n, k) + 1)
+    target = tmp_path / "fj42.csv"
+    code, out, err = run(capsys, "export", "--n", "4", "--k", "2", "--format", "csv", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: ") and "edges" in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, err = run(capsys, "export", "--n", "4", "--k", "2", "--format", "csv")
+    assert code == 1 and out.startswith("u,v\n")
+    assert err.startswith("verification failure: ")
+
+
+HEXAGON_CSV = "u,v\n0,1\n0,2\n1,4\n2,3\n3,5\n4,5\n"  # FJ(3,1): 123 132 312 321 231 213
+
+
+def test_export_replaces_a_file_only_when_whole(capsys, tmp_path):
+    target = tmp_path / "fj31.csv"
+    target.write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    for path in (target, link):
+        code, out, _ = run(capsys, "export", "--n", "3", "--k", "1", "--format", "csv", "--out", str(path))
+        assert code == 0 and out == ""
+        assert target.read_text() == HEXAGON_CSV
+        target.write_text("old")
+    # the link still names the file it wrote through, and no partial file is left
+    assert link.is_symlink() and sorted(tmp_path.iterdir()) == [target, link]
+
+
+def test_export_writes_into_a_pipe_in_place(capsys, tmp_path):
+    # a PATH that is no regular file is never replaced
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # the small text fits the pipe's buffer
+    try:
+        code, out, _ = run(capsys, "export", "--n", "3", "--k", "1", "--format", "csv", "--out", str(pipe))
+        text = os.read(reader, 1 << 16).decode("ascii")
+    finally:
+        os.close(reader)
+    assert code == 0 and out == "" and text == HEXAGON_CSV
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
 def test_blocks_recursive(capsys):

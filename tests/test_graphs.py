@@ -19,11 +19,13 @@ from fjgraphs import (
     FlagGraphSpec,
     TheoremViolation,
     adjacent,
+    bfs,
     block_boundaries,
     build_edges,
     check_ordering,
     compose,
     degree,
+    diameter,
     edges_to_csv,
     edges_to_dot,
     edges_to_json,
@@ -115,6 +117,26 @@ def test_spec_rank_and_custom_ordering():
     assert spec2.ordering[0] == (3, 2, 1)
     with pytest.raises(ValueError):
         FlagGraphSpec(3, 1, reordered[:-1])
+
+
+def test_lexicographic_rank_builds_no_positions():
+    # a lexicographic spec ranks a vertex by its Lehmer code alone, so the
+    # n! positions array is never built, not even when bfs checks its source
+    spec = FlagGraphSpec(8, 1)
+    assert diameter(spec) == 28
+    bfs(spec, (8, 7, 6, 5, 4, 3, 2, 1))
+    assert spec.rank((1, 2, 3, 4, 5, 6, 8, 7)) == 1
+    assert "_positions" not in spec.__dict__
+    small = FlagGraphSpec(4, 2)
+    assert [small.rank(p) for p in small.ordering] == list(range(24))
+    for vertex in [(1, 2, 3), (1, 2, 3, 3), (0, 1, 2, 3), (1, 2, 3, 5)]:
+        with pytest.raises(ValueError, match="not a vertex"):
+            small.rank(vertex)
+    assert "_positions" not in small.__dict__
+    shuffled = list(enumerate_permutations(4))
+    random.Random(4).shuffle(shuffled)
+    custom = FlagGraphSpec(4, 2, shuffled)
+    assert [custom.rank(p) for p in shuffled] == list(range(24))
 
 
 def ordering_oracle(ordering, n=None):
@@ -430,10 +452,16 @@ def test_edge_routes_fill_one_array(route, working_mib):
     assert peak < edges.array.nbytes + (working_mib << 20), peak
 
 
-@pytest.mark.parametrize("route", [build_edges, pairwise_edges])
+def read_stream(spec):
+    # the edge stream that the exports and the battery read, to its end
+    return [len(a) for a, b in graphs._edge_stream(spec)]
+
+
+@pytest.mark.parametrize("route", [build_edges, pairwise_edges, read_stream])
 @pytest.mark.parametrize("off", [-1, 1])
 def test_edge_count_off_the_degree_formula_raises(route, off, monkeypatch):
-    # a list longer or shorter than n! * degree / 2 is never returned
+    # a list longer or shorter than n! * degree / 2 is never returned, and a
+    # stream of another length raises after its last chunk
     real = graphs.degree
     monkeypatch.setattr(graphs, "degree", lambda n, k: real(n, k) + off)
     with pytest.raises(TheoremViolation, match="edges"):
@@ -538,6 +566,36 @@ def test_exports_match_per_edge_oracles(n, monkeypatch):
         assert edges_to_dot(spec, edges) == dot_oracle(spec, pairs)
         assert edges_to_json(spec, edges) == json_oracle(spec, pairs)
         assert edges_to_csv(edges) == "u,v\n" + "".join(f"{a},{b}\n" for a, b in pairs)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "dot"])
+def test_streamed_exports_equal_the_string_exports(fmt, monkeypatch):
+    # every FJ(n,k) with n <= 5; 7 rows per piece, so the graphs take none,
+    # one, a partial or many pieces, and the JSON holds back its last row
+    monkeypatch.setattr("fjgraphs.graphs.CSV_ROWS", 7)
+    public = {
+        "csv": lambda spec, edges: edges_to_csv(edges),
+        "json": edges_to_json,
+        "dot": edges_to_dot,
+    }[fmt]
+    for n in range(1, 6):
+        for k in range(n):
+            spec = FlagGraphSpec(n, k)
+            assert "".join(graphs._export_pieces(spec, fmt)) == public(spec, build_edges(spec))
+
+
+def test_streamed_csv_export_holds_no_edge_list():
+    # FJ(7,4): 824,040 edges, whose int64 list alone is 12.6 MiB; the stream
+    # holds one chunk of edges and one piece of text at a time
+    spec = FlagGraphSpec(7, 4)
+    tracemalloc.start()
+    try:
+        size = sum(map(len, graphs._export_pieces(spec, "csv")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == len(edges_to_csv(build_edges(spec)))
+    assert peak < 824040 * 2 * 8, peak
 
 
 def test_text_exports_hold_no_object_per_edge():

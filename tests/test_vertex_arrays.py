@@ -297,9 +297,17 @@ def test_edge_list_reads_as_a_list_of_pairs():
         edges[len(pairs)]
 
 
+def array_edge_check(spec, edges):
+    # the battery's swap check over a whole edge list at once, in the
+    # (ok, witness) form of edge_transposition_bound_check
+    E = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    witness = metrics._swap_witness(spec, metrics._inversion_bits(spec), E[:, 0], E[:, 1])
+    return witness is None, witness
+
+
 def both_edge_checks(spec):
     # the per-edge reference route and the array route over the same edge list
-    return [edge_transposition_bound_check(spec), metrics._edge_kendall_bound(spec, build_edges(spec))]
+    return [edge_transposition_bound_check(spec), array_edge_check(spec, build_edges(spec))]
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
@@ -319,13 +327,15 @@ def test_array_edge_check_finds_the_first_edge_over_a_tighter_bound(n, monkeypat
             spec = FlagGraphSpec(n, k, dense.ordering)
             reference = edge_transposition_bound_check(spec)
             assert not reference[0]
-            assert metrics._edge_kendall_bound(spec, edges) == reference
+            assert array_edge_check(spec, edges) == reference
 
 
 def test_array_edge_check_passes_every_fj7():
+    # chunk by chunk over the edge stream, as the battery reads it
     for k in range(1, 7):
         spec = FlagGraphSpec(7, k)
-        assert metrics._edge_kendall_bound(spec, build_edges(spec)) == (True, None)
+        inverted = metrics._inversion_bits(spec)
+        assert all(metrics._swap_witness(spec, inverted, a, b) is None for a, b in graphs._edge_stream(spec))
 
 
 def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
@@ -348,8 +358,13 @@ def test_edge_check_finds_a_generator_outside_the_connection_set(monkeypatch):
 
 
 def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch):
-    built, matrices, calls = Counter(), Counter(), Counter()
-    real_build, real_counts = graphs.build_edges, verify._prefix_mismatch_counts
+    # one edge stream per graph, read once, and no edge list held
+    streams, built, matrices, calls = Counter(), Counter(), Counter(), Counter()
+    real_stream, real_build, real_counts = graphs._edge_stream, graphs.build_edges, verify._prefix_mismatch_counts
+
+    def counting_stream(spec):
+        streams[spec.n, spec.k] += 1
+        return real_stream(spec)
 
     def counting_build(spec):
         built[spec.n, spec.k] += 1
@@ -368,7 +383,8 @@ def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch)
 
         monkeypatch.setattr(module, name, counting)
 
-    for module in (graphs, metrics, verify):
+    monkeypatch.setattr(verify, "_edge_stream", counting_stream)
+    for module in (graphs, metrics):
         monkeypatch.setattr(module, "build_edges", counting_build)
     monkeypatch.setattr(verify, "_prefix_mismatch_counts", counting_matrix)
     for module in (perms, metrics):
@@ -378,11 +394,12 @@ def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch)
     count_calls(perms, "relative_pattern")
     count_calls(perms, "enumerate_permutations")
     count_calls(graphs, "pairwise_edges")
-    routes = ("kendall_distance", "prefix_mismatch_count", "relative_pattern", "enumerate_permutations", "pairwise_edges")
+    routes = ("kendall_distance", "prefix_mismatch_count", "relative_pattern", "enumerate_permutations", "pairwise_edges", "build_edges")
     assert not any(hasattr(verify, name) for name in routes)
     blocks._stacked_counts.cache_clear()
     assert all(entry["passed"] for entry in verify.battery(6, eigen_cap=120))
-    assert built == Counter({(n, k): 1 for n in range(2, 7) for k in range(1, n)})
+    assert streams == Counter({(n, k): 1 for n in range(2, 7) for k in range(1, n)})
+    assert built == Counter()
     assert matrices == Counter({n: 1 for n in range(2, 7)})
     assert calls == Counter()
     # one stacked count matrix per base ordering, bases 1..5
@@ -451,15 +468,56 @@ def corrupt(fault, E, n, k):
 
 @pytest.mark.parametrize("fault", ["dropped", "duplicated", "swapped", "reversed", "other-count", "extra"])
 def test_edge_oracle_fails_on_each_corrupted_edge_list(fault, monkeypatch):
-    real = graphs.build_edges
+    real = graphs._edge_stream
 
     def corrupted(spec):
-        edges = real(spec)
-        return corrupt(fault, np.asarray(edges), spec.n, spec.k).tolist() if (spec.n, spec.k) == (4, 2) else edges
+        chunks = list(real(spec))  # read to its end, so its own count check passes
+        if (spec.n, spec.k) != (4, 2):
+            return chunks
+        (a, b), = chunks  # FJ(4,2) is one chunk
+        E = corrupt(fault, np.column_stack([a, b]), spec.n, spec.k).astype(np.int32)
+        return [(E[:, 0], E[:, 1])]
 
-    monkeypatch.setattr(verify, "build_edges", corrupted)
+    monkeypatch.setattr(verify, "_edge_stream", corrupted)
     failed = [c["params"] for c in verify.battery(4) if c["name"] == "edge-oracle-equivalence" and not c["passed"]]
     assert failed == [{"n": 4, "k": 2}]
+
+
+def test_edge_oracle_carries_the_last_key_across_chunks(monkeypatch):
+    # 10 vertices per chunk, so FJ(4,2) streams in three sorted chunks; in
+    # reverse order each chunk still holds sorted edges of the graph, and
+    # only the key carried from one chunk to the next tells
+    monkeypatch.setattr(graphs, "CHUNK_PRODUCTS", 70)
+    real = graphs._edge_stream
+    assert len(list(real(FlagGraphSpec(4, 2)))) == 3
+    assert all(entry["passed"] for entry in verify.battery(4))
+
+    def reversed_chunks(spec):
+        chunks = list(real(spec))
+        return chunks[::-1] if (spec.n, spec.k) == (4, 2) else chunks
+
+    monkeypatch.setattr(verify, "_edge_stream", reversed_chunks)
+    failed = [(c["name"], c["params"]) for c in verify.battery(4) if not c["passed"]]
+    assert failed == [("edge-oracle-equivalence", {"n": 4, "k": 2})]
+
+
+def test_battery_names_the_first_edge_over_the_swap_bound(monkeypatch):
+    # two foreign edges of FJ(4,1) in chunks of their own, after the real ones:
+    # 1234 -- 4321 (6 swaps) comes first in the stream, so it is the witness
+    real = graphs._edge_stream
+
+    def foreign(spec):
+        chunks = list(real(spec))
+        if (spec.n, spec.k) == (4, 1):
+            chunks += [(np.array([0], dtype=np.int32), np.array([23], dtype=np.int32))]
+            chunks += [(np.array([1], dtype=np.int32), np.array([22], dtype=np.int32))]
+        return chunks
+
+    monkeypatch.setattr(verify, "_edge_stream", foreign)
+    failed = [c for c in verify.battery(4) if c["name"] == "edge-kendall-bound" and not c["passed"]]
+    assert failed == [
+        {"name": "edge-kendall-bound", "params": {"n": 4, "k": 1}, "passed": False, "detail": "witness ((1, 2, 3, 4), (4, 3, 2, 1))"}
+    ]
 
 
 def test_a_flipped_count_cell_fails_the_edge_oracle_and_reducibility(monkeypatch):
