@@ -18,17 +18,21 @@ submatrices of size n! x n! with rigid contents:
 
 ``verify_recursive_blocks`` and ``verify_permutahedron_blocks`` check these
 identities bit for bit and report every assertion with 1-based coordinates,
-so a discrepancy pinpoints itself.  S is validated once into a uint8 vertex
-array; corner and flank are ``counts == k`` and ``counts == k-1`` of its
-prefix-mismatch counts, so the k = 1 flank is ``counts == 0``, the identity.
-Those base counts are built once per process for the latest (n, S), like C.
+so a discrepancy pinpoints itself.
 
-The stacked checks read one (n+1)! x (n+1)! uint8 matrix C of prefix-mismatch
-counts of the stacked rows, built once per process for the latest (n, S) and
-kept read-only (at most 25.4 MB, at ``config.MATRIX_CAP`` 7); another base
-ordering replaces it.  Every check reads ``block(C, i, j, n!) == k`` one
-n! x n! block at a time, so none holds a second (n+1)!-sized plane.
-Matrices are dense uint8; block extraction is a numpy view, never a copy.
+Every read of the stacked blocks, here and in ``spectra``, goes through one
+reader, ``_StackedBlocks(n, S, k)``.  It validates S once into a uint8
+vertex array and takes two read-only matrices from one slot, built once per
+process for the latest (n, S): the n! x n! prefix-mismatch counts of S (the
+corner and flank counts, ``== k`` and ``== k-1``, so the k = 1 flank is
+``counts == 0``, the identity) and the (n+1)! x (n+1)! counts C of the
+stacked rows (at most 25.4 MB, at ``config.MATRIX_CAP`` 7).  Another base
+ordering replaces both.  A block is read as ``block(C, i, j, n!) == k`` into
+a buffer of the reader, one n! x n! block at a time, so no check holds a
+second (n+1)!-sized plane; block extraction is a numpy view, never a copy.
+Its ``blocks`` walk, the one ``spectra`` loops over, visits every block in
+row-major order and yields None for a block two or more off the diagonal
+whose every count exceeds k: it has no edge.
 
 The blocks obey an identity on the raw counts.  Put n+1 into base rows u'
 and v' at positions i <= j: their stacked count is j-i plus the number of
@@ -162,38 +166,15 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     return A
 
 
-def _stacked(n: int, ordering: Sequence[Perm] | None):
-    """
-    The base ordering S of the permutations of [n] (lexicographic if None
-    or empty) as validated 0-based vertex rows, the read-only prefix-mismatch
-    counts C of the stacked ordering built from S, and the block size n!.
-    ``C == k`` off the diagonal is the adjacency matrix of FJ(n+1, k) under
-    that ordering, and the diagonal of C is 0.  The stacked rows are
-    permutations by construction, so only S is validated.  n+1 above
-    ``config.MATRIX_CAP`` raises CapExceeded first.
-    """
-    _check_matrix_cap(n + 1)
-    S = _vertex_rows(n, ordering)
-    return S, _stacked_counts(n, S.tobytes()), factorial(n)
-
-
 @lru_cache(maxsize=1)
-def _stacked_counts(n: int, base: bytes) -> np.ndarray:
-    # the counts of _stacked for the base rows packed in ``base``: one slot,
-    # so the process keeps the matrix of the latest base ordering only
+def _stacked_counts(n: int, base: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # the read-only prefix-mismatch counts of the base rows packed in ``base``
+    # and of their stacked rows: one slot, so the process keeps the two
+    # matrices of the latest base ordering only
     S = np.frombuffer(base, dtype=np.uint8).reshape(-1, n)
-    C = _prefix_mismatch_counts(_insertion_images(S, range(1, n + 2)))
-    C.flags.writeable = False
-    return C
-
-
-@lru_cache(maxsize=1)
-def _base_counts(n: int, base: bytes) -> np.ndarray:
-    # the read-only prefix-mismatch counts of the base rows packed in ``base``,
-    # the corner and flank counts of both block checks, kept in one slot
-    # beside that of _stacked_counts
-    counts = _prefix_mismatch_counts(np.frombuffer(base, dtype=np.uint8).reshape(-1, n))
-    counts.flags.writeable = False
+    counts = _prefix_mismatch_counts(S), _prefix_mismatch_counts(_insertion_images(S, range(1, n + 2)))
+    for M in counts:
+        M.flags.writeable = False
     return counts
 
 
@@ -242,15 +223,35 @@ class BlockReport:
 
 class _StackedBlocks:
     """
-    The n! x n! blocks ``block(C, i, j, b) == k`` of stacked counts C, each
-    read into the same bool buffer and compared through a second one: a
-    fresh block-sized array per block would have its pages faulted in anew.
+    The n! x n! blocks ``block(C, i, j, n!) == k`` of the stacked counts C of
+    a base ordering S of the permutations of [n] (lexicographic if None or
+    empty): ``C == k`` off the diagonal is the adjacency matrix of
+    FJ(n+1, k) under the stacked ordering, and the diagonal of C is 0.  n+1
+    above ``config.MATRIX_CAP`` raises CapExceeded first; then S is
+    validated, once, since the stacked rows are permutations by
+    construction.  The reader holds S, the base counts ``base``, C, the
+    block size ``b`` = n! and k.  Each block is read into the same bool
+    buffer and compared through a second one: a fresh block-sized array per
+    block would have its pages faulted in anew.
     """
 
-    def __init__(self, C: np.ndarray, b: int, k: int):
-        self.C, self.k, self.b = C, k, b
-        self._got = np.empty((b, b), dtype=bool)
-        self._diff = np.empty((b, b), dtype=bool)
+    def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
+        _check_matrix_cap(n + 1)
+        self.S = _vertex_rows(n, ordering)
+        self.base, self.C = _stacked_counts(n, self.S.tobytes())
+        self.n, self.k, self.b = n, k, factorial(n)
+        self._got = np.empty((self.b, self.b), dtype=bool)
+        self._diff = np.empty((self.b, self.b), dtype=bool)
+
+    def blocks(self):
+        """
+        Every block (i, j), 1-based, in row-major order, as ``(i, j, block)``
+        with the block as ``read`` gives it, or None for a block two or more
+        off the diagonal whose every count exceeds k, which has no edge.
+        """
+        for i in range(1, self.n + 2):
+            for j in range(1, self.n + 2):
+                yield i, j, None if abs(i - j) > 1 and self.above_k(i, j) else self.read(i, j)
 
     def read(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), 1-based, valid until the next read."""
@@ -311,10 +312,9 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
         raise ValueError("the block identities concern k >= 1")
     if k >= n:  # FJ(n, k) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-    S, C, b = _stacked(n, ordering)
-    corner = _base_counts(n, S.tobytes())  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
+    stacked = _StackedBlocks(n, ordering, k)
+    corner = stacked.base  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
     flank = corner + np.uint8(1)
-    stacked = _StackedBlocks(C, b, k)
 
     checks = []
     for i in range(1, n + 2):
@@ -345,11 +345,10 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     """
     if n < 2:  # FJ(n, 1) of the corner does not exist
         raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
-    S, C, b = _stacked(n, ordering)
-    spec = FlagGraphSpec._of_rows(n, 1, S)  # the rows _stacked validated, for every interior rebuild
-    corner = _base_counts(n, S.tobytes())  # == 1 is A(FJ(n, 1)), and flank == 1 the identity
+    stacked = _StackedBlocks(n, ordering, 1)
+    spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for every interior rebuild
+    corner = stacked.base  # == 1 is A(FJ(n, 1)), and flank == 1 the identity
     flank = corner + np.uint8(1)
-    stacked = _StackedBlocks(C, b, 1)
 
     checks = []
     for i in range(1, n + 2):

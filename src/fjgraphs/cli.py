@@ -10,8 +10,8 @@ produce identical reports (timing fields excepted).
 Every subcommand takes --out; a file there appears only once its text is
 whole.  export writes its text piece by piece as the edges are made, so it
 never holds the edge list or the whole text.  spectrum and verify-all also
-take --eigen-cap, the largest dense eigensolve; the other size guards and
-the tolerances are the fixed constants of ``config``.
+take --eigen-cap, the largest dense eigensolve, at least 1; the other size
+guards and the tolerances are the fixed constants of ``config``.
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
 2 invalid arguments or a size guard tripped.
@@ -32,6 +32,7 @@ from .graphs import FlagGraphSpec, _export_pieces
 from .metrics import diameter, diameter_lower_bound
 from .spectra import (
     Spectrum,
+    _check_eigen_cap,
     adjacency_spectrum,
     conjecture_second_largest,
     eig_tridiagonal,
@@ -119,6 +120,7 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    _check_eigen_cap(args.eigen_cap)
     n = args.n
     m_spec = eig_tridiagonal(regularity_matrix(n))
     report: dict = {

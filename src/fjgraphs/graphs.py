@@ -196,22 +196,25 @@ class FlagGraphSpec:
         through ``_positions`` only under another ordering, so a
         lexicographic spec never builds that n! array.
         """
+        p = self._vertex(p)
+        return rank(p) if self._lexicographic else int(self._positions[rank(p)])
+
+    def _vertex(self, p: Sequence[int]) -> Perm:
+        # p as a tuple; anything that is not a permutation of [n] raises ValueError
         p = tuple(p)
         if len(p) != self.n or not is_permutation(p):
             raise ValueError(f"{p!r} is not a vertex of FJ({self.n},{self.k})")
-        return rank(p) if self._lexicographic else int(self._positions[rank(p)])
+        return p
 
 
 def adjacent(spec: FlagGraphSpec, u: Sequence[int], v: Sequence[int]) -> bool:
     """
     The adjacency predicate: do the flags of u and v differ in exactly k
     prefix positions?  Symmetric.  For k = 0 this is true only for u == v;
-    for k = 1 it means u and v differ by one adjacent transposition.
+    for k = 1 it means u and v differ by one adjacent transposition.  An
+    argument that is not a permutation of [n] raises ValueError.
     """
-    u, v = tuple(u), tuple(v)
-    if len(u) != spec.n or len(v) != spec.n:
-        raise ValueError(f"vertices must have size {spec.n}")
-    return prefix_mismatch_count(u, v) == spec.k
+    return prefix_mismatch_count(spec._vertex(u), spec._vertex(v)) == spec.k
 
 
 def irreducible_patterns(m: int) -> tuple[Perm, ...]:
@@ -325,12 +328,10 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
     u o g for each row g of ``generators`` in its lexicographic order.
     Distinct generators give distinct products, so the list has exactly
     degree(n, k) entries and no duplicates.  For k = 0 the graph has no
-    edges and the list is empty.  n above ``config.GRAPH_CAP`` raises
-    CapExceeded.
+    edges and the list is empty.  A u that is not a permutation of [n]
+    raises ValueError, and n above ``config.GRAPH_CAP`` CapExceeded.
     """
-    u = tuple(u)
-    if len(u) != spec.n:
-        raise ValueError(f"vertex must have size {spec.n}")
+    u = spec._vertex(u)
     if spec.k == 0:
         return []
     return list(map(tuple, np.array(u)[_connection_rows(spec.n, spec.k)].tolist()))
@@ -479,13 +480,14 @@ class EdgeList(Sequence):
     an (a, b) tuple of ints, a slice or ``+`` gives an EdgeList, iteration
     goes ``CSV_ROWS`` pairs at a time, and it equals the list of the same
     pairs -- while ``np.asarray(edges)`` (or ``edges.array``) is the
-    array itself, without a copy.
+    array itself, without a copy.  The pairs must form an (E, 2) integer
+    array, or be empty, else ValueError.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, pairs=()):
-        self.array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.array = _integer_pairs(pairs).astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.array)
@@ -644,16 +646,23 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     return False, (tuple(u), tuple(v))
 
 
+def _integer_pairs(pairs) -> np.ndarray:
+    # pairs as an (E, 2) array of an integer dtype, an empty input as zero
+    # pairs; any other shape, or an end that is no integer, raises ValueError
+    P = np.asarray(pairs)
+    if not P.size:
+        return np.empty((0, 2), dtype=np.int64)
+    if P.ndim != 2 or P.shape[1] != 2 or not np.issubdtype(P.dtype, np.integer):
+        raise ValueError(f"edges must be an (E, 2) array of integer ranks, got {P.dtype} of shape {P.shape}")
+    return P
+
+
 def _edge_array(edges, bound: int) -> np.ndarray:
     # the rank pairs as an (E, 2) int64 array; an end outside 0..bound-1 raises ValueError
-    message = f"edge ends must be ranks in 0..{bound - 1}"
-    try:
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ValueError(message) from exc
+    pairs = _integer_pairs(edges)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= bound):
-        raise ValueError(message)
-    return pairs
+        raise ValueError(f"edge ends must be ranks in 0..{bound - 1}")
+    return pairs.astype(np.int64, copy=False)
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -801,8 +810,9 @@ def _export_pieces(spec: FlagGraphSpec, fmt: str):
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     """
     Undirected DOT text from rank pairs (an EdgeList, array or sequence);
-    node names are one-line permutation strings.  An end that is not a
-    rank of ``spec`` raises ValueError.
+    node names are one-line permutation strings.  An end that is not an
+    integer rank of ``spec``, or pairs that do not form an (E, 2) array,
+    raise ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
     return "".join(_dot_pieces(spec, [(edges[:, 0], edges[:, 1])]))
@@ -811,8 +821,9 @@ def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
 def edges_to_csv(edges) -> str:
     """
     CSV rank pairs under a "u,v" header row, from an EdgeList, an (E, 2)
-    array or any sequence of pairs.  A negative end, or one of 2**32 or
-    more, is not a rank and raises ValueError.
+    array or any sequence of pairs.  A negative end, one of 2**32 or more,
+    or one that is no integer is not a rank and raises ValueError, as do
+    pairs that do not form an (E, 2) array; an empty input is zero edges.
     """
     edges = _edge_array(edges, 2**32)
     return "".join(_csv_pieces([(edges[:, 0], edges[:, 1])], _digits))
@@ -821,8 +832,9 @@ def edges_to_csv(edges) -> str:
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
     """
     JSON document: graph parameters, vertex labels, rank-pair edge array
-    (from an EdgeList, array or sequence of pairs).  An end that is not a
-    rank of ``spec`` raises ValueError.
+    (from an EdgeList, array or sequence of pairs).  An end that is not an
+    integer rank of ``spec``, or pairs that do not form an (E, 2) array,
+    raise ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
     return "".join(_json_pieces(spec, len(edges), [(edges[:, 0], edges[:, 1])]))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
-from .blocks import _regularity, _stacked, _StackedBlocks, adjacency_matrix
+from .blocks import _regularity, _StackedBlocks, adjacency_matrix
 from .perms import Perm
 
 
@@ -82,29 +82,23 @@ def regularity_matrix(n: int) -> np.ndarray:
 
 def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
-    The same matrix read off empirically: from the stacked counts of an
-    ordering of the permutations of [n-1] (lexicographic by default), read
-    each block of the adjacency matrix of FJ(n, 1) under the stacked
-    ordering and record its regularity.  Each block's row and column sums
-    are uint16 reductions of that (n-1)! x (n-1)! block alone; a block two
-    or more off the diagonal whose every count exceeds 1 has no edge, so
-    its regularity is 0 without a read.  A block with unequal row or column
-    sums would break the whole construction, so the first such block in
-    row-major order raises TheoremViolation.
+    The same matrix read off empirically: walk the blocks of the adjacency
+    matrix of FJ(n, 1) under the ordering stacked from an ordering of the
+    permutations of [n-1] (lexicographic by default), in row-major order,
+    and record each block's regularity.  Each block's row and column sums
+    are uint16 reductions of that (n-1)! x (n-1)! block alone; a block the
+    walk skips has no edge, so its regularity is 0.  A block with unequal
+    row or column sums would break the whole construction, so the first
+    such block in row-major order raises TheoremViolation.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, C, b = _stacked(n - 1, ordering)
-    stacked = _StackedBlocks(C, b, 1)
     M = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if abs(i - j) > 1 and stacked.above_k(i, j):
-                continue
-            r = _regularity(stacked.read(i, j), np.uint16)  # sums of at most b = (n-1)! <= 720
-            if r is None:
-                raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
-            M[i - 1, j - 1] = r
+    for i, j, B in _StackedBlocks(n - 1, ordering, 1).blocks():
+        r = 0 if B is None else _regularity(B, np.uint16)  # sums of at most (n-1)! <= 720
+        if r is None:
+            raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
+        M[i - 1, j - 1] = r
     return M
 
 
@@ -154,6 +148,12 @@ def eig_tridiagonal(matrix) -> Spectrum:
     return eig_symmetric(T)
 
 
+def _check_eigen_cap(cap: int) -> None:
+    # an eigensolver cap below 1 admits no spectrum at all, so it is refused rather than read as "skip"
+    if cap < 1:
+        raise ValueError(f"the eigensolver cap must be at least 1, got {cap}")
+
+
 def adjacency_spectrum(
     n: int,
     k: int = 1,
@@ -188,24 +188,19 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     matrices: A @ lift(e_i) == lift(M @ e_i) for every basis vector e_i,
     where A is the FJ(n, 1) adjacency matrix under the stacked ordering and
     M is the regularity matrix.  Column j of the left side is the row sums
-    of A over the columns of block j, so the check reads A one block (i, j)
-    at a time from the stacked counts: every row sum of that block, a uint16
-    reduction, must equal M[i, j].  A block two or more off the diagonal
-    whose every count exceeds 1 has all row sums 0 without a read.  No
+    of A over the columns of block j, so the check walks the blocks (i, j)
+    of A in row-major order: every row sum of a block, a uint16 reduction,
+    must equal M[i, j], and a block the walk skips has all row sums 0.  No
     tolerances are involved.  When this holds, every eigenpair of M lifts
     to an eigenpair of A.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _, C, b = _stacked(n - 1, ordering)
-    stacked = _StackedBlocks(C, b, 1)
+    walk = _StackedBlocks(n - 1, ordering, 1).blocks()
     M = regularity_matrix(n)
     return all(
-        M[i - 1, j - 1] == 0
-        if abs(i - j) > 1 and stacked.above_k(i, j)
-        else (stacked.read(i, j).sum(axis=1, dtype=np.uint16) == M[i - 1, j - 1]).all()
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
+        M[i - 1, j - 1] == 0 if B is None else (B.sum(axis=1, dtype=np.uint16) == M[i - 1, j - 1]).all()
+        for i, j, B in walk
     )
 
 

@@ -51,6 +51,7 @@ from .graphs import (
 from .metrics import _inversion_bits, _swap_witness, bfs, diameter_lower_bound
 from .perms import identity
 from .spectra import (
+    _check_eigen_cap,
     adjacency_spectrum,
     conjecture_second_largest,
     eig_tridiagonal,
@@ -153,15 +154,16 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
     Run every check on the graphs with 2 <= n <= max_n and return the
     entries in a fixed order.  Checks on dense matrices stop at
     ``config.MATRIX_CAP`` and full spectra at order ``eigen_cap``.
-    ``max_n`` below 2 raises ValueError; ``max_n`` above
-    ``config.GRAPH_CAP``, or an FJ(max_n, max_n-1) over the edge budget,
-    raises CapExceeded before any check runs.
+    ``max_n`` below 2 or ``eigen_cap`` below 1 raises ValueError; ``max_n``
+    above ``config.GRAPH_CAP``, or an FJ(max_n, max_n-1) over the edge
+    budget, raises CapExceeded before any check runs.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_n > GRAPH_CAP:
         raise CapExceeded(f"n={max_n} exceeds the graph cap {GRAPH_CAP}")
     _check_edge_budget(max_n, max_n - 1)
+    _check_eigen_cap(eigen_cap)
 
     sections: list[list[dict]] = [[] for _ in SECTIONS]
 

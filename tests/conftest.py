@@ -43,19 +43,21 @@ def fj61_spectrum_timed():
 def flip_stacked_counts(monkeypatch):
     """Inject one fault into the stacked counts that every stacked block check reads.
 
-    ``flip(k, *cells)`` patches the cached count builder itself: it returns a
-    writable copy in which ``== k`` reads the other way at each cell, so a
-    slot warmed by an earlier call can never bypass the fault.
+    ``flip(k, *cells)`` patches the cached count builder itself: beside the
+    base counts it returns a writable copy of the stacked counts in which
+    ``== k`` reads the other way at each cell, so a slot warmed by an
+    earlier call can never bypass the fault.
     """
 
     def flip(k, *cells):
         real = blocks._stacked_counts
 
         def flipped(*args):
-            C = real(*args).copy()
+            base, C = real(*args)
+            C = C.copy()
             for cell in cells:
                 C[cell] = k + 1 if C[cell] == k else k
-            return C
+            return base, C
 
         monkeypatch.setattr(blocks, "_stacked_counts", flipped)
 

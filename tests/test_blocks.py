@@ -327,12 +327,12 @@ def _stacked_checks(S):
 
 
 def test_stacked_checks_build_the_counts_once(monkeypatch):
+    # one slot holds the base and the stacked counts that all eight checks read
     real = blocks_module._prefix_mismatch_counts
-    stacked_builds = []
+    builds = Counter()
 
     def counted(V):
-        if len(V) == 5040:
-            stacked_builds.append(V)
+        builds[len(V)] += 1
         return real(V)
 
     monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
@@ -340,32 +340,18 @@ def test_stacked_checks_build_the_counts_once(monkeypatch):
     S = list(enumerate_permutations(6))
     random.Random(15).shuffle(S)
     assert all(check() for check in _stacked_checks(S))
-    assert len(stacked_builds) == 1
-
-
-def test_block_checks_build_the_base_counts_once(monkeypatch):
-    real = blocks_module._prefix_mismatch_counts
-    base_builds = []
-
-    def counted(V):
-        if len(V) == 720:
-            base_builds.append(V)
-        return real(V)
-
-    monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
-    blocks_module._base_counts.cache_clear()
-    S = list(enumerate_permutations(6))
-    random.Random(20).shuffle(S)
-    assert all(check() for check in _stacked_checks(S)[:6])  # the recursive and permutahedron checks
-    assert len(base_builds) == 1
-    assert not blocks_module._base_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes()).flags.writeable
+    assert builds == Counter({720: 1, 5040: 1})
+    slot = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes())
+    assert not any(counts.flags.writeable for counts in slot)
+    assert blocks_module._stacked_counts.cache_info().misses == 1
 
 
 def test_stacked_counts_are_read_only():
-    _, C, _ = blocks_module._stacked(3, None)
-    assert not C.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        C[0, 1] = 0
+    stacked = blocks_module._StackedBlocks(3, None, 1)
+    for counts in (stacked.base, stacked.C):
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 1] = 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -376,13 +362,19 @@ def test_alternating_base_orderings_read_their_own_counts(n):
     rng.shuffle(T)
     b = len(S)
     for base in (S, T, S, T):
-        _, C, size = blocks_module._stacked(n, base)
-        assert size == b
         for k in range(1, n + 1):
+            stacked = blocks_module._StackedBlocks(n, base, k)
+            assert stacked.b == b
             oracle = adjacency_matrix(n + 1, k, concatenated_ordering(base))
-            for i in range(1, n + 2):
-                for j in range(1, n + 2):
-                    assert np.array_equal(block(C, i, j, b) == k, block(oracle, i, j, b)), (base, k, i, j)
+            walked = []
+            for i, j, B in stacked.blocks():  # a block the walk skips must have no edge
+                walked.append((i, j))
+                expected = block(oracle, i, j, b)
+                if B is None:
+                    assert abs(i - j) > 1 and not expected.any(), (base, k, i, j)
+                else:
+                    assert np.array_equal(B, expected), (base, k, i, j)
+            assert walked == [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
 
 
 def test_stacked_checks_hold_no_second_plane():
@@ -415,8 +407,9 @@ def test_stacked_blocks_obey_the_count_identity(n):
     # corners equal the base counts, flanks the base counts + 1, and a block
     # |i-j| >= 2 off the diagonal has no count below |i-j|
     for S in _bases(n):
-        C = blocks_module._stacked_counts(n, S.tobytes())
+        slot_base, C = blocks_module._stacked_counts(n, S.tobytes())
         base, b = blocks_module._prefix_mismatch_counts(S), len(S)
+        assert np.array_equal(slot_base, base)
         for i in range(1, n + 2):
             for j in range(1, n + 2):
                 B = block(C, i, j, b)
@@ -434,7 +427,7 @@ def test_stacked_count_is_the_gap_plus_the_outer_base_mismatches(n):
     # at prefix lengths 1..i-1 and j-1..n-1 (length i-1 twice when i = j), by
     # prefix sets summed from the rows, independent of the count routines
     for S in _bases(n):
-        C = blocks_module._stacked_counts(n, S.tobytes())
+        _, C = blocks_module._stacked_counts(n, S.tobytes())
         sets = np.cumsum(np.left_shift(1, S.astype(np.int64)), axis=1)
         mismatch = [np.zeros((len(S), len(S)), dtype=np.int64)]  # length 0: both prefixes empty
         mismatch += [(sets[:, L - 1, None] != sets[:, L - 1]).astype(np.int64) for L in range(1, n + 1)]
@@ -482,7 +475,12 @@ def test_a_screen_miss_keeps_every_verdict(monkeypatch, n, k):
         reads.clear()
         clean.append((check().to_dict(), Counter(reads)))
     real = blocks_module._stacked_counts
-    monkeypatch.setattr(blocks_module, "_stacked_counts", lambda *args: _faulted_counts(real(*args), n, k))
+
+    def faulted(*args):
+        base, C = real(*args)
+        return base, _faulted_counts(C, n, k)
+
+    monkeypatch.setattr(blocks_module, "_stacked_counts", faulted)
     for check, (doc, clean_reads) in zip(checks, clean):
         reads.clear()
         report = check()

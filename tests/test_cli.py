@@ -296,8 +296,24 @@ def test_invalid_nk_exits_2(capsys):
         (("export", "--n", "8", "--k", "7", "--format", "csv"), "edge budget"),
         (("diameter", "--n", "8", "--k", "7"), "edge budget"),
         (("spectrum", "--n", "721"), "eigensolver cap"),
+        (("verify-all", "--max-n", "3", "--eigen-cap", "-5"), "eigensolver cap must be at least 1, got -5"),
+        (("verify-all", "--max-n", "3", "--eigen-cap", "0"), "eigensolver cap must be at least 1, got 0"),
+        (("spectrum", "--n", "4", "--eigen-cap", "-1"), "eigensolver cap must be at least 1, got -1"),
+        (("spectrum", "--n", "4", "--full", "--eigen-cap", "0"), "eigensolver cap must be at least 1, got 0"),
     ],
-    ids=["max-n=-2", "max-n=1", "max-n=9", "max-n=8", "export-fj87", "diameter-fj87", "spectrum-721"],
+    ids=[
+        "max-n=-2",
+        "max-n=1",
+        "max-n=9",
+        "max-n=8",
+        "export-fj87",
+        "diameter-fj87",
+        "spectrum-721",
+        "verify-all-cap=-5",
+        "verify-all-cap=0",
+        "spectrum-cap=-1",
+        "spectrum-full-cap=0",
+    ],
 )
 def test_out_of_range_size_exits_2(capsys, monkeypatch, argv, message):
     def no_search(*args):

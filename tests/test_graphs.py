@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fjgraphs import (
     CapExceeded,
+    EdgeList,
     FlagGraphSpec,
     TheoremViolation,
     adjacent,
@@ -231,6 +232,14 @@ def test_adjacent_symmetric_and_degenerate():
         adjacent(spec1, (1, 2), (2, 1))
 
 
+@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4)])
+def test_adjacent_rejects_a_non_vertex(bad):
+    spec = FlagGraphSpec(3, 1)
+    for u, v in ((bad, (1, 2, 3)), ((1, 2, 3), bad)):
+        with pytest.raises(ValueError, match="not a vertex of FJ"):
+            adjacent(spec, u, v)
+
+
 def test_k1_adjacency_is_one_adjacent_swap():
     spec = FlagGraphSpec(4, 1)
     for u in enumerate_permutations(4):
@@ -348,6 +357,13 @@ def test_neighbors_examples():
     nbrs = neighbors(FlagGraphSpec(4, 2), identity(4))
     assert len(nbrs) == 7 and len(set(nbrs)) == 7
     assert neighbors(FlagGraphSpec(3, 0), (1, 2, 3)) == []
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4)])
+def test_neighbors_reject_a_non_vertex(bad, k):
+    with pytest.raises(ValueError, match="not a vertex of FJ"):
+        neighbors(FlagGraphSpec(3, k), bad)
 
 
 def test_neighbors_all_adjacent_no_duplicates():
@@ -626,15 +642,28 @@ def test_number_exports_at_the_digit_boundaries(monkeypatch):
         assert edges_to_json(spec, edges) == json_oracle(spec, ranks)
 
 
-@pytest.mark.parametrize("end", [-1, 2**32, 2**64])
+@pytest.mark.parametrize("end", [-1, 2**32, 2**64, 0.5, 1.7, "3"])
 def test_exports_refuse_an_end_that_is_no_rank(end):
     spec = FlagGraphSpec(3, 1)
     for export in (edges_to_csv, lambda edges: edges_to_json(spec, edges), lambda edges: edges_to_dot(spec, edges)):
-        with pytest.raises(ValueError, match="ranks"):
-            export([(0, 1), (2, end)])
+        for edges in ([(0, 1), (2, end)], [(end, end)]):
+            with pytest.raises(ValueError, match="ranks"):
+                export(edges)
+        for edges in ([[0], [1]], [(0, 1, 2)], [0, 1], np.array([[0.0, 1.0]])):  # not (E, 2), or not integer
+            with pytest.raises(ValueError, match="ranks"):
+                export(edges)
+        assert export([]) == export(np.empty((0, 2), dtype=np.int64))
     for export in (edges_to_json, edges_to_dot):
         with pytest.raises(ValueError, match="ranks"):
             export(spec, [(0, spec.vertex_count)])
+    assert edges_to_csv([]) == "u,v\n"
+
+
+@pytest.mark.parametrize("pairs", [[(0.5, 1.7)], [("3", "4")], [[0], [1]], [(0, 1, 2)], [(True, False)], [(0, 2**64)]])
+def test_edge_lists_refuse_pairs_that_are_not_integer_pairs(pairs):
+    with pytest.raises(ValueError, match="ranks"):
+        EdgeList(pairs)
+    assert EdgeList([]) == EdgeList() == [] and EdgeList().array.shape == (0, 2)
 
 
 def test_dot_export():

@@ -402,7 +402,7 @@ def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch)
     assert built == Counter()
     assert matrices == Counter({n: 1 for n in range(2, 7)})
     assert calls == Counter()
-    # one stacked count matrix per base ordering, bases 1..5
+    # one slot of base and stacked counts per base ordering, bases 1..5
     assert blocks._stacked_counts.cache_info().misses == 5
 
 
