@@ -346,6 +346,25 @@ def test_stacked_checks_build_the_counts_once(monkeypatch):
     assert blocks_module._stacked_counts.cache_info().misses == 1
 
 
+def test_block_checks_build_the_base_counts_once(monkeypatch):
+    real = blocks_module._prefix_mismatch_counts
+    base_builds = []
+
+    def counted(V):
+        if len(V) == 720:
+            base_builds.append(V)
+        return real(V)
+
+    monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
+    blocks_module._stacked_counts.cache_clear()
+    S = list(enumerate_permutations(6))
+    random.Random(20).shuffle(S)
+    assert all(check() for check in _stacked_checks(S)[:6])  # the recursive and permutahedron checks
+    assert len(base_builds) == 1
+    base, _ = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes())
+    assert not base.flags.writeable
+
+
 def test_stacked_counts_are_read_only():
     stacked = blocks_module._StackedBlocks(3, None, 1)
     for counts in (stacked.base, stacked.C):
