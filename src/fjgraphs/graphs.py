@@ -51,7 +51,7 @@ from .perms import (
 
 CHUNK_PRODUCTS = 1 << 18  # products u o g ranked at once: bounds the working memory of edge lists and BFS
 _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
-CSV_ROWS = 1 << 14  # edges assembled per byte buffer in the exports, and per step of EdgeList iteration
+CSV_ROWS = 1 << 14  # edges gathered per text piece (one word buffer) in the exports, and per step of EdgeList iteration
 
 
 def _check_graph_cap(n: int) -> None:
@@ -687,57 +687,44 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(digits, 0, -1)
 
 
-def _join_rows(literals: Sequence[str], fields: Sequence[np.ndarray]) -> str:
+def _table(*parts) -> np.ndarray:
     """
-    One text row per row of the fields, literals[0] + fields[0] +
-    literals[1] + ... + fields[-1] + literals[-1], assembled in one uint8
-    buffer.  A field is a (rows, width) uint8 array of ASCII bytes padded
-    with NUL, which no literal holds, so one boolean compress of the buffer
-    drops the padding.
+    The word table of text rows: row r joins the parts (literal strings,
+    or row r of each (rows, width) uint8 array of NUL-padded ASCII bytes)
+    and is NUL-padded to whole uint64 words, so one rank's text is one row.
     """
-    parts = [np.frombuffer(literals[0].encode("ascii"), dtype=np.uint8)]
-    for values, literal in zip(fields, literals[1:]):
-        parts += [values, np.frombuffer(literal.encode("ascii"), dtype=np.uint8)]
-    rows = np.empty((len(fields[0]), sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+    rows = next(len(part) for part in parts if not isinstance(part, str))
+    parts = [np.frombuffer(part.encode("ascii"), dtype=np.uint8) if isinstance(part, str) else part for part in parts]
+    table = np.zeros((rows, -(-sum(part.shape[-1] for part in parts) // 8) * 8), dtype=np.uint8)
     start = 0
     for part in parts:
-        rows[:, start : start + part.shape[-1]] = part
+        table[:, start : start + part.shape[-1]] = part
         start += part.shape[-1]
-    flat = rows.ravel()
-    return str(flat[flat != 0], "ascii")
+    return table.view(np.uint64)
 
 
-def _rows(literals: tuple[str, str, str], pairs, fields):
+def _text(words: np.ndarray) -> str:
+    # the ASCII text of a word array without its NUL padding, which no literal, digit or label holds
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _rows(pairs, first: np.ndarray, second: np.ndarray):
     """
     One text piece per ``CSV_ROWS`` edges of the (a, b) rank-array chunks
-    that ``pairs`` yields: a row ``head a middle b tail`` per edge (a, b),
-    for the three ``literals``, so a writer never holds a Python object per
-    edge, nor more than one piece of text.  ``fields`` maps an array of
-    ranks to their (c, width) NUL-padded ASCII bytes.
+    that ``pairs`` yields: row a of the word table ``first`` then row b of
+    ``second`` per edge, two gathers into one preallocated uint64 buffer
+    whose NUL padding one ``bytes.translate`` deletes, with no Python object
+    per edge.  The writers fold every literal into ``first``, led by the one
+    closing the row before, so ``second``, read at random, is a bare word.
     """
+    split = first.shape[1]
+    buffer = np.empty((CSV_ROWS, split + second.shape[1]), dtype=np.uint64)
     for a, b in pairs:
         for start in range(0, len(a), CSV_ROWS):
-            stop = start + CSV_ROWS
-            yield _join_rows(literals, [fields(a[start:stop]), fields(b[start:stop])])
-
-
-def _gather(table: np.ndarray):
-    """
-    The field source of a byte table whose row r holds the NUL-padded
-    ASCII bytes of rank r, at most 8 of them (5 rank digits below 8!, or a
-    label of n <= 8 digits): each row goes right-aligned into 8 bytes read
-    as one uint64, so the bytes of a chunk of ranks are one integer gather.
-    """
-    skip = 8 - table.shape[1]
-    padded = np.zeros((len(table), 8), dtype=np.uint8)
-    padded[:, skip:] = table
-    words = padded.view(np.uint64).ravel()
-    return lambda ranks: words[ranks].view(np.uint8).reshape(-1, 8)[:, skip:]
-
-
-def _rank_digits(spec: FlagGraphSpec):
-    # the field source of the decimal ranks 0..n!-1 of spec's vertices
-    return _gather(_digits(np.arange(spec.vertex_count)))
+            rows = buffer[: min(CSV_ROWS, len(a) - start)]
+            np.take(first, a[start : start + CSV_ROWS], axis=0, out=rows[:, :split])
+            np.take(second, b[start : start + CSV_ROWS], axis=0, out=rows[:, split:])
+            yield _text(rows)
 
 
 def _labels(spec: FlagGraphSpec) -> np.ndarray:
@@ -746,28 +733,32 @@ def _labels(spec: FlagGraphSpec) -> np.ndarray:
     return spec._vertices + np.uint8(ord("1"))
 
 
-def _csv_pieces(pairs, fields):
-    # the CSV writer: a "u,v" header row, then one row of ranks per edge
-    yield "u,v\n"
-    yield from _rows(("", ",", "\n"), pairs, fields)
+def _csv_pieces(pairs, digits: np.ndarray):
+    # the CSV writer: a "u,v" header row, then a row "a,b" per edge, each
+    # opened by the newline that ends the row before it
+    yield "u,v"
+    yield from _rows(pairs, _table("\n", digits, ","), _table(digits))
+    yield "\n"
 
 
 def _dot_pieces(spec: FlagGraphSpec, pairs):
-    # the DOT writer: one node line per vertex label, then one line per edge
+    # the DOT writer: the node lines, one label table taken whole, then a line
+    # per edge, each opened by the '";' and newline ending the line before
     labels = _labels(spec)
     yield f'graph "FJ({spec.n},{spec.k})" {{\n'
-    yield _join_rows(('  "', '";\n'), [labels])
-    yield from _rows(('  "', '" -- "', '";\n'), pairs, _gather(labels))
-    yield "}\n"
+    yield _text(_table('  "', labels, '";\n'))[: -len('";\n')]
+    yield from _rows(pairs, _table('";\n  "', labels, '" -- "'), _table(labels))
+    yield '";\n}\n'
 
 
 def _json_pieces(spec: FlagGraphSpec, edge_count: int, pairs):
     """
     The JSON writer, in the layout json.dumps(indent=2) gives the document:
-    the head needs only the graph's parameters, its labels (from the byte
-    table of the DOT writer, spliced into the ``json.dumps`` head) and
+    the head needs only the graph's parameters, its labels (one label
+    table taken whole, spliced into the ``json.dumps`` head) and
     ``edge_count``, so it is written before the first edge.  Each [a, b]
-    row ends with a comma but the last, so one piece is held back.
+    row opens with the "]," that closes the row before it, which the first
+    piece drops, and the last row is closed after the last piece.
     """
     doc = {
         "schema_version": 1,
@@ -780,28 +771,33 @@ def _json_pieces(spec: FlagGraphSpec, edge_count: int, pairs):
         "edges": [],
     }
     # the label list, the last label without its comma
-    labels = _join_rows(('\n    "', '",'), [_labels(spec)])[:-1]
+    labels = _text(_table('\n    "', _labels(spec), '",'))[:-1]
     head = json.dumps(doc, indent=2).replace('"vertices": []', f'"vertices": [{labels}\n  ]')  # ends with '"edges": []\n}'
     yield head[: -len("]\n}")]
-    held = None
-    for piece in _rows(("\n    [\n      ", ",\n      ", "\n    ],"), pairs, _rank_digits(spec)):
-        if held is not None:
-            yield held
-        held = piece
-    yield "]\n}\n" if held is None else held[:-1] + "\n  ]\n}\n"
+    close = "\n    ],"
+    digits = _digits(np.arange(spec.vertex_count))
+    rows = _rows(pairs, _table(close + "\n    [\n      ", digits, ",\n      "), _table(digits))
+    first = next(rows, None)
+    if first is None:
+        yield "]\n}\n"
+        return
+    yield first[len(close) :]
+    yield from rows
+    yield "\n    ]\n  ]\n}\n"
 
 
 def _export_pieces(spec: FlagGraphSpec, fmt: str):
     """
     The text of ``fjgraph export`` in ``fmt`` ("csv", "dot" or "json"),
-    piece by piece as the edge stream makes it, so the peak is one chunk
-    of edges and one piece of text whatever the graph.  A graph over the
-    edge budget raises CapExceeded here, before any piece; an edge total
-    off the degree formula raises TheoremViolation after the last one.
+    piece by piece as the edge stream makes it, from word tables built once
+    per call, so the peak is the tables, one chunk of edges and one piece
+    of text whatever the graph.  A graph over the edge budget raises
+    CapExceeded here, before any piece; an edge total off the degree
+    formula raises TheoremViolation after the last one.
     """
     pairs = _edge_stream(spec)
     if fmt == "csv":
-        return _csv_pieces(pairs, _rank_digits(spec))
+        return _csv_pieces(pairs, _digits(np.arange(spec.vertex_count)))
     if fmt == "dot":
         return _dot_pieces(spec, pairs)
     return _json_pieces(spec, _check_edge_budget(spec.n, spec.k), pairs)
@@ -809,10 +805,10 @@ def _export_pieces(spec: FlagGraphSpec, fmt: str):
 
 def edges_to_dot(spec: FlagGraphSpec, edges) -> str:
     """
-    Undirected DOT text from rank pairs (an EdgeList, array or sequence);
-    node names are one-line permutation strings.  An end that is not an
-    integer rank of ``spec``, or pairs that do not form an (E, 2) array,
-    raise ValueError.
+    Undirected DOT text from rank pairs (an EdgeList, array or sequence),
+    by the word-table writer of ``fjgraph export``; node names are one-line
+    permutation strings.  An end that is not an integer rank of ``spec``,
+    or pairs that do not form an (E, 2) array, raise ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
     return "".join(_dot_pieces(spec, [(edges[:, 0], edges[:, 1])]))
@@ -824,17 +820,21 @@ def edges_to_csv(edges) -> str:
     array or any sequence of pairs.  A negative end, one of 2**32 or more,
     or one that is no integer is not a rank and raises ValueError, as do
     pairs that do not form an (E, 2) array; an empty input is zero edges.
+    The ends need not be ranks of one graph, so each piece of ``CSV_ROWS``
+    pairs is one word table of its own rows' digits, with no gather.
     """
     edges = _edge_array(edges, 2**32)
-    return "".join(_csv_pieces([(edges[:, 0], edges[:, 1])], _digits))
+    pieces = (_digits(edges[start : start + CSV_ROWS]) for start in range(0, len(edges), CSV_ROWS))
+    return "".join(["u,v", *(_text(_table("\n", d[:, 0], ",", d[:, 1])) for d in pieces), "\n"])
 
 
 def edges_to_json(spec: FlagGraphSpec, edges) -> str:
     """
     JSON document: graph parameters, vertex labels, rank-pair edge array
-    (from an EdgeList, array or sequence of pairs).  An end that is not an
-    integer rank of ``spec``, or pairs that do not form an (E, 2) array,
-    raise ValueError.
+    (from an EdgeList, array or sequence of pairs), written from word
+    tables of the labels and rank digits as ``fjgraph export`` writes it.
+    An end that is not an integer rank of ``spec``, or pairs that do not
+    form an (E, 2) array, raise ValueError.
     """
     edges = _edge_array(edges, spec.vertex_count)
     return "".join(_json_pieces(spec, len(edges), [(edges[:, 0], edges[:, 1])]))

@@ -15,6 +15,7 @@ to call concurrently without restriction.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -26,16 +27,22 @@ Perm = tuple[int, ...]
 
 def is_permutation(seq: Sequence[int]) -> bool:
     """
-    True iff ``seq`` contains each of 1..len(seq) exactly once.
+    True iff ``seq`` contains each of 1..len(seq) exactly once.  An entry
+    that is no integer (``operator.index`` rejects it) makes it False;
+    numpy integers count as integers.
 
-    >>> [is_permutation(s) for s in [(1,), (2, 1, 3), (1, 1, 2), (0, 1), ()]]
-    [True, True, False, False, False]
+    >>> [is_permutation(s) for s in [(1,), (2, 1, 3), (1, 1, 2), (0, 1), (), (1.0, 2.0)]]
+    [True, True, False, False, False, False]
     """
     n = len(seq)
     if n == 0:
         return False
     mask = 0
     for x in seq:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            return False
         if not 1 <= x <= n:
             return False
         mask |= 1 << x

@@ -232,7 +232,10 @@ def test_adjacent_symmetric_and_degenerate():
         adjacent(spec1, (1, 2), (2, 1))
 
 
-@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4)])
+NON_INTEGER_VERTICES = [(1.0, 2.0, 3.0), (1.5, 2, 3), ("1", "2", "3")]
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4), *NON_INTEGER_VERTICES])
 def test_adjacent_rejects_a_non_vertex(bad):
     spec = FlagGraphSpec(3, 1)
     for u, v in ((bad, (1, 2, 3)), ((1, 2, 3), bad)):
@@ -360,7 +363,7 @@ def test_neighbors_examples():
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4), *NON_INTEGER_VERTICES])
 def test_neighbors_reject_a_non_vertex(bad, k):
     with pytest.raises(ValueError, match="not a vertex of FJ"):
         neighbors(FlagGraphSpec(3, k), bad)
@@ -600,18 +603,28 @@ def test_streamed_exports_equal_the_string_exports(fmt, monkeypatch):
             assert "".join(graphs._export_pieces(spec, fmt)) == public(spec, build_edges(spec))
 
 
-def test_streamed_csv_export_holds_no_edge_list():
+def assert_streamed_export_holds_no_edge_list(fmt, public):
     # FJ(7,4): 824,040 edges, whose int64 list alone is 12.6 MiB; the stream
-    # holds one chunk of edges and one piece of text at a time
+    # holds one chunk of edges, the word tables and one piece of text at a time
     spec = FlagGraphSpec(7, 4)
     tracemalloc.start()
     try:
-        size = sum(map(len, graphs._export_pieces(spec, "csv")))
+        size = sum(map(len, graphs._export_pieces(spec, fmt)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size == len(edges_to_csv(build_edges(spec)))
-    assert peak < 824040 * 2 * 8, peak
+    assert size == len(public(spec, build_edges(spec)))
+    assert peak < 824040 * 2 * 8, (fmt, peak)
+
+
+def test_streamed_csv_export_holds_no_edge_list():
+    assert_streamed_export_holds_no_edge_list("csv", lambda spec, edges: edges_to_csv(edges))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_streamed_json_and_dot_exports_hold_no_edge_list(fmt):
+    # the JSON and DOT rows span more words than CSV's, under the same bound
+    assert_streamed_export_holds_no_edge_list(fmt, {"json": edges_to_json, "dot": edges_to_dot}[fmt])
 
 
 def test_text_exports_hold_no_object_per_edge():

@@ -58,6 +58,9 @@ def test_bfs_errors():
         bfs(FlagGraphSpec(8, 7), identity(8))
     with pytest.raises(ValueError):
         bfs(FlagGraphSpec(3, 1), (1, 2, 4))
+    for source in [(1.0, 2.0, 3.0), (1.5, 2, 3), ("1", "2", "3")]:  # no integer entries
+        with pytest.raises(ValueError, match="not a vertex of FJ"):
+            bfs(FlagGraphSpec(3, 1), source)
 
 
 def test_identity_to_reversal_distance():

@@ -4,6 +4,7 @@ import random
 from collections import deque
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,9 @@ def test_is_permutation():
     assert not is_permutation((1, 1, 2))
     assert not is_permutation((0, 1))
     assert not is_permutation(())
+    assert is_permutation((np.int64(2), np.uint8(1)))  # numpy integers are integers
+    for bad in [(1.0, 2.0), (1.5, 2), ("1", "2"), (None,)]:
+        assert not is_permutation(bad)
 
 
 def test_check_permutation_rejects():
