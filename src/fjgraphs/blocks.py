@@ -55,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import MATRIX_CAP, CapExceeded
 from .graphs import (
     FlagGraphSpec,
     _check_matrix_cap,
@@ -236,7 +237,9 @@ class _StackedBlocks:
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
-        _check_matrix_cap(n + 1)
+        if n + 1 > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
+            m = n + 1
+            raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
         self.S = _vertex_rows(n, ordering)
         self.base, self.C = _stacked_counts(n, self.S.tobytes())
         self.n, self.k, self.b = n, k, factorial(n)

@@ -378,11 +378,12 @@ def _edge_stream(spec: FlagGraphSpec):
 def _fill_edges(spec: FlagGraphSpec, pairs) -> EdgeList:
     """
     The EdgeList of the (a, b) rank-array pairs that ``pairs`` yields,
-    written in order into one (n! * degree / 2, 2) int64 array allocated
+    written in order into one (n! * degree / 2, 2) int32 array allocated
     before the first pair, so no part outlives its copy; the pairs are
-    counted as ``_edge_stream`` counts them.
+    counted as ``_edge_stream`` counts them.  Ranks are below n! <= 8!, so
+    int32, the dtype of the product ranks, holds every end.
     """
-    edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int64)
+    edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int32)
     filled = 0
     for a, b in _counted(spec, pairs, len(edges)):
         end = filled + len(a)
@@ -475,19 +476,22 @@ def _edge_chunks(spec: FlagGraphSpec):
 
 class EdgeList(Sequence):
     """
-    An edge list: a sequence of rank pairs (a, b) held as one (E, 2) int64
+    An edge list: a sequence of rank pairs (a, b) held as one (E, 2) int32
     array.  It reads like the list of pairs it stands for -- an index gives
     an (a, b) tuple of ints, a slice or ``+`` gives an EdgeList, iteration
     goes ``CSV_ROWS`` pairs at a time, and it equals the list of the same
     pairs -- while ``np.asarray(edges)`` (or ``edges.array``) is the
     array itself, without a copy.  The pairs must form an (E, 2) integer
-    array, or be empty, else ValueError.
+    array, or be empty, and every end must fit int32, else ValueError.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, pairs=()):
-        self.array = _integer_pairs(pairs).astype(np.int64, copy=False)
+        pairs = _integer_pairs(pairs)
+        if not np.can_cast(pairs.dtype, np.int32) and len(pairs) and (pairs.min() < -(2**31) or pairs.max() >= 2**31):
+            raise ValueError("edge ends must fit int32, -2**31..2**31-1")
+        self.array = pairs.astype(np.int32, copy=False)
 
     def __len__(self) -> int:
         return len(self.array)
@@ -526,8 +530,8 @@ def build_edges(spec: FlagGraphSpec) -> EdgeList:
     generator through the generators' rank forms, one float32 matrix
     product per chunk, instead of testing all C(n!, 2) pairs.  The products
     are ranked in vertex chunks of about ``CHUNK_PRODUCTS`` and each chunk's
-    edges are written into one preallocated int64 array, so the peak is a
-    fixed working set plus 16 bytes per edge.  FJ(n, 0) yields an empty
+    edges are written into one preallocated int32 array, so the peak is a
+    fixed working set plus 8 bytes per edge.  FJ(n, 0) yields an empty
     list (loops are excluded by convention).  A graph with more than
     ``config.EDGE_CAP`` edges raises CapExceeded before anything is built.
     The exports and the battery never hold this list: they read the same
@@ -651,18 +655,19 @@ def _integer_pairs(pairs) -> np.ndarray:
     # pairs; any other shape, or an end that is no integer, raises ValueError
     P = np.asarray(pairs)
     if not P.size:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int32)
     if P.ndim != 2 or P.shape[1] != 2 or not np.issubdtype(P.dtype, np.integer):
         raise ValueError(f"edges must be an (E, 2) array of integer ranks, got {P.dtype} of shape {P.shape}")
     return P
 
 
 def _edge_array(edges, bound: int) -> np.ndarray:
-    # the rank pairs as an (E, 2) int64 array; an end outside 0..bound-1 raises ValueError
+    # the rank pairs as an (E, 2) array of the integer dtype they came in,
+    # so an EdgeList is not copied; an end outside 0..bound-1 raises ValueError
     pairs = _integer_pairs(edges)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= bound):
         raise ValueError(f"edge ends must be ranks in 0..{bound - 1}")
-    return pairs.astype(np.int64, copy=False)
+    return pairs
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

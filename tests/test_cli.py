@@ -157,6 +157,14 @@ def test_blocks_permutahedron_requires_k1(capsys):
     assert "k = 1" in err
 
 
+@pytest.mark.parametrize("check", ["recursive", "permutahedron"])
+def test_blocks_at_the_matrix_cap_name_the_requested_base(capsys, check):
+    # base 7 is the cap itself; its checks read the stacked counts of n = 8
+    code, out, err = run(capsys, "blocks", "--n", "7", "--k", "1", "--check", check)
+    assert code == 2 and out == ""
+    assert err == "error: the checks of base 7 read the 8! x 8! counts of n = 8, over the matrix cap 7\n"
+
+
 def test_spectrum_report(capsys):
     code, doc, _ = run_json(capsys, "spectrum", "--n", "4", "--check-subset", "--conjecture")
     assert code == 0

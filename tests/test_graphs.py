@@ -457,9 +457,9 @@ def test_pairwise_edges_never_holds_the_full_count_matrix():
 
 @pytest.mark.parametrize("route, working_mib", [(build_edges, 8), (pairwise_edges, 2)])
 def test_edge_routes_fill_one_array(route, working_mib):
-    # FJ(7,4): 824,040 edges, 12.6 MiB as int64 pairs.  Measured beside the
-    # result: 5.8 MiB of products (build_edges), 1.0 MiB of row blocks
-    # (pairwise_edges); joining per-chunk parts took 9.0 and 12.9 MiB.
+    # FJ(7,4): 824,040 edges, 6.3 MiB as int32 pairs (12.6 MiB as int64,
+    # which the absolute bound refuses).  Measured beside the result: 4.0 MiB
+    # of products (build_edges), 1.0 MiB of row blocks (pairwise_edges).
     spec = FlagGraphSpec(7, 4)
     tracemalloc.start()
     try:
@@ -469,6 +469,7 @@ def test_edge_routes_fill_one_array(route, working_mib):
         tracemalloc.stop()
     assert len(edges) == 824040
     assert peak < edges.array.nbytes + (working_mib << 20), peak
+    assert peak < 824040 * 2 * 4 + (working_mib << 20), peak
 
 
 def read_stream(spec):
@@ -604,8 +605,9 @@ def test_streamed_exports_equal_the_string_exports(fmt, monkeypatch):
 
 
 def assert_streamed_export_holds_no_edge_list(fmt, public):
-    # FJ(7,4): 824,040 edges, whose int64 list alone is 12.6 MiB; the stream
-    # holds one chunk of edges, the word tables and one piece of text at a time
+    # FJ(7,4): 824,040 edges, whose int32 list alone is 6.3 MiB; the stream
+    # holds one chunk of edges, the word tables and one piece of text at a
+    # time, 4.4 to 5.5 MiB here
     spec = FlagGraphSpec(7, 4)
     tracemalloc.start()
     try:
@@ -614,7 +616,7 @@ def assert_streamed_export_holds_no_edge_list(fmt, public):
     finally:
         tracemalloc.stop()
     assert size == len(public(spec, build_edges(spec)))
-    assert peak < 824040 * 2 * 8, (fmt, peak)
+    assert peak < 824040 * 2 * 4, (fmt, peak)
 
 
 def test_streamed_csv_export_holds_no_edge_list():

@@ -1,6 +1,6 @@
 """BFS distances, connectivity, diameters and the per-edge swap bound."""
 
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from fjgraphs import (
     TheoremViolation,
     bfs,
     build_edges,
+    degree,
     diameter,
     diameter_lower_bound,
     edge_transposition_bound_check,
@@ -83,6 +84,34 @@ def test_diameter_table_of_fj7_and_fj8():
     assert [diameter(FlagGraphSpec(7, k)) for k in range(1, 7)] == [21, 8, 5, 3, 3, 2]
     assert [diameter(FlagGraphSpec(8, k)) for k in range(1, 5)] == [28, 11, 6, 4]
     assert [diameter_lower_bound(8, k) for k in range(1, 5)] == [28, 10, 5, 3]
+
+
+def mahonian(n):
+    # the coefficients of prod_{i=1..n} (1 - q^i) / (1 - q), each factor 1 + q + ... + q^(i-1)
+    counts = np.ones(1, dtype=np.int64)
+    for i in range(2, n + 1):
+        counts = np.convolve(counts, np.ones(i, dtype=np.int64))
+    return counts.tolist()
+
+
+def level_sizes(n, k):
+    # the number of vertices at each distance from the identity
+    return np.bincount(bfs(FlagGraphSpec(n, k), identity(n)).distances).tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_permutahedron_level_sizes_are_mahonian(n):
+    # the distance from the identity in FJ(n,1) is the inversion count
+    assert mahonian(4) == [1, 3, 5, 6, 5, 3, 1]
+    assert level_sizes(n, 1) == mahonian(n)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_top_graph_level_sizes(n):
+    # FJ(n,n-1) has diameter 2, so every vertex off the closed neighbourhood
+    # of the identity is at distance 2; FJ(8,7) is over the edge budget
+    d = degree(n, n - 1)
+    assert level_sizes(n, n - 1) == [1, d, factorial(n) - 1 - d]
 
 
 def exhaustive_diameter(spec):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fjgraphs import (
+    EdgeList,
     FlagGraphSpec,
     bfs,
     build_edges,
@@ -276,13 +277,28 @@ def test_numpy_ordering_matches_its_tuple_form():
         )
 
 
-def test_edge_lists_are_int64_pair_arrays():
+def test_edge_lists_are_int32_pair_arrays():
     for spec in (FlagGraphSpec(3, 0), FlagGraphSpec(4, 2)):
         for edges in (build_edges(spec), pairwise_edges(spec)):
             E = np.asarray(edges)
-            assert E.dtype == np.int64 and E.shape == (len(edges), 2)
+            assert E.dtype == np.int32 and E.shape == (len(edges), 2)
             assert np.shares_memory(E, edges.array) or not len(edges)
+            for derived in (edges[1:], edges + [(0, 1)], EdgeList(E.tolist()), EdgeList(E.astype(np.int64))):
+                assert derived.array.dtype == np.int32
     assert len(build_edges(FlagGraphSpec(4, 2))) == 24 * degree(4, 2) // 2
+
+
+def test_edge_list_refuses_ends_that_int32_cannot_hold():
+    # the list of Python ints, ``+`` and a wide array are all checked before the cast, which would wrap
+    edges = build_edges(FlagGraphSpec(4, 2))
+    for end in (2**31, 2**32, -(2**31) - 1):
+        for make in (lambda: EdgeList([(0, end)]), lambda: edges + [(0, end)]):
+            with pytest.raises(ValueError, match="int32"):
+                make()
+    with pytest.raises(ValueError, match="int32"):
+        EdgeList(np.array([[0, 2**63]], dtype=np.uint64))
+    limits = [(0, 2**31 - 1), (-(2**31), 0)]
+    assert EdgeList(limits) == limits and (edges + limits)[-2:] == limits
 
 
 def test_edge_list_reads_as_a_list_of_pairs():
