@@ -58,6 +58,7 @@ import numpy as np
 from .config import MATRIX_CAP, CapExceeded
 from .graphs import (
     FlagGraphSpec,
+    _check_domain,
     _check_matrix_cap,
     _insertion_images,
     _prefix_mismatch_counts,
@@ -89,15 +90,9 @@ def adjacency_matrix(n: int, k: int, ordering: Sequence[Perm] | None = None) -> 
     uint8 entries; every row sums to degree(n, k).  n above
     ``config.MATRIX_CAP`` raises CapExceeded.
     """
-    if n < 1 or not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    _check_domain(n, k)
     _check_matrix_cap(n)
-    return _adjacency(_vertex_rows(n, ordering), k)
-
-
-def _adjacency(V: np.ndarray, k: int) -> np.ndarray:
-    # the matrix of adjacency_matrix over the already validated 0-based vertex rows V
-    A = _prefix_mismatch_counts(V)
+    A = _prefix_mismatch_counts(_vertex_rows(n, ordering))
     np.equal(A, k, out=A, casting="unsafe")
     np.fill_diagonal(A, 0)
     return A
@@ -313,8 +308,7 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
     """
     if k < 1:
         raise ValueError("the block identities concern k >= 1")
-    if k >= n:  # FJ(n, k) of the corner does not exist
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    _check_domain(n, k)  # FJ(n, k) of the corner must exist
     stacked = _StackedBlocks(n, ordering, k)
     corner = stacked.base  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
     flank = corner + np.uint8(1)
@@ -346,8 +340,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
         compared bit for bit; its regularity is n-2 (0 when n = 2, where
         the interior generating set is empty).
     """
-    if n < 2:  # FJ(n, 1) of the corner does not exist
-        raise ValueError(f"need 0 <= k < n, got n={n}, k=1")
+    _check_domain(n, 1)  # FJ(n, 1) of the corner must exist
     stacked = _StackedBlocks(n, ordering, 1)
     spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for every interior rebuild
     corner = stacked.base  # == 1 is A(FJ(n, 1)), and flank == 1 the identity

@@ -54,6 +54,12 @@ _MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
 CSV_ROWS = 1 << 14  # edges gathered per text piece (one word buffer) in the exports, and per step of EdgeList iteration
 
 
+def _check_domain(n: int, k: int) -> None:
+    # the one check that FJ(n, k) exists, with the message every entry point gives
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+
+
 def _check_graph_cap(n: int) -> None:
     # the one-digit labels of the exports need n < 10; the ranks (uint16 seen
     # sets, float32 rank forms) are exact to n = 10, so the cap of 8 is a cost bound
@@ -144,8 +150,7 @@ class FlagGraphSpec:
     """
 
     def __init__(self, n: int, k: int, ordering: Sequence[Sequence[int]] | None = None):
-        if n < 1 or not 0 <= k < n:
-            raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+        _check_domain(n, k)
         self.__dict__.update(n=n, k=k, _vertices=_vertex_rows(n, ordering))
 
     @classmethod
@@ -256,8 +261,7 @@ def _connection_rows(n: int, k: int) -> np.ndarray:
     maximum, column by column, counts the blocks of every row at once.
     k = 0 gives the identity alone, although FJ(n, 0) has no edges.
     """
-    if n < 1 or not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    _check_domain(n, k)
     V = _lex_vertices(n)
     top = np.zeros(len(V), dtype=np.uint8)
     ends = np.ones(len(V), dtype=np.uint8)  # the last position always ends a block
@@ -311,8 +315,7 @@ def degree(n: int, k: int) -> int:
     >>> degree(5, 1)
     4
     """
-    if n < 1 or not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    _check_domain(n, k)
     if k == 0:
         return 0
     irreducible = [irreducible_count(i) for i in range(1, k + 2)]  # a block of size i raises d by i-1
@@ -551,8 +554,8 @@ def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
     Pairwise prefix-mismatch counts for every pair in the ordering, as an
     N x N uint8 array, for an ordering that ``check_ordering`` accepts;
     n above ``config.MATRIX_CAP`` raises CapExceeded before it is checked.
-    Prefix sets are one-byte bitmasks per vertex, compared one row block at
-    a time, so the only temporaries are block-sized.
+    Prefix sets are one-byte bitmasks per vertex, compared one row band at
+    a time, so the only temporaries are band-sized.
     """
     P = np.asarray(ordering)
     if P.ndim == 2:
@@ -566,15 +569,29 @@ def _prefix_masks(V: np.ndarray) -> np.ndarray:
     return np.bitwise_or.accumulate(np.left_shift(1, values, dtype=np.uint8), axis=0)
 
 
+def _band_rows(N: int):
+    # the row bands, in order, of a count matrix of N <= _MISMATCH_BLOCK columns, each of at most _MISMATCH_BLOCK cells
+    step = _MISMATCH_BLOCK // N
+    return (slice(start, min(start + step, N)) for start in range(0, N, step))
+
+
+def _mismatch_band(masks: np.ndarray, rows: slice, cols: slice, buffer: np.ndarray) -> np.ndarray:
+    # the one comparison of prefix masks across vertex pairs: the uint8 band, in the front of the caller's
+    # contiguous buffer, whose cell (r, c) counts the prefix lengths at which rows[r] and cols[c] differ
+    a, b = masks[:, rows], masks[:, cols]
+    band = buffer.reshape(-1)[: a.shape[1] * b.shape[1]].reshape(a.shape[1], b.shape[1])
+    band[...] = 0
+    for x, y in zip(a, b):
+        band += (x[:, None] != y).view(np.uint8)
+    return band
+
+
 def _prefix_mismatch_counts(V: np.ndarray) -> np.ndarray:
-    # the N x N uint8 counts for the N rows of V (n <= MATRIX_CAP, or its insertion images), a row block at a time
+    # the N x N uint8 counts for the N rows of V (n <= MATRIX_CAP, or its insertion images), a row band at a time
     masks, N = _prefix_masks(V), len(V)
-    counts = np.zeros((N, N), dtype=np.uint8)
-    step = max(1, _MISMATCH_BLOCK // N)
-    for start in range(0, N, step):
-        block = counts[start : start + step]
-        for m in masks:
-            block += (m[start : start + step, None] != m).view(np.uint8)
+    counts = np.empty((N, N), dtype=np.uint8)
+    for rows in _band_rows(N):
+        _mismatch_band(masks, rows, slice(None), counts[rows])
     return counts
 
 
@@ -583,30 +600,24 @@ def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
     Quadratic reference route: the adjacency predicate on every vertex pair,
     from prefix-mismatch counts and no products, cross-checks ``build_edges``
     with the same sorted EdgeList of rank pairs a < b.  The counts fill one
-    reused row block at a time from its diagonal on, never the n! x n! matrix,
-    and each block's edges go straight into the preallocated edge array.
+    reused row band at a time from its diagonal on, never the n! x n! matrix,
+    and each band's edges go straight into the preallocated edge array.
     """
     _check_matrix_cap(spec.n)
     return _fill_edges(spec, _pairwise_blocks(spec))
 
 
 def _pairwise_blocks(spec: FlagGraphSpec):
-    # the edges (a, b), a < b, of each row block of pairwise_edges, as rank arrays in row-major order
-    masks, N = _prefix_masks(spec._vertices), spec.vertex_count
-    step = max(1, _MISMATCH_BLOCK // N)
-    buffer = np.empty(step * N, dtype=np.uint8)
-    for start in range(0, N, step):
-        block = buffer[: min(step, N - start) * (N - start)].reshape(-1, N - start)
-        block[...] = 0
-        for m in masks:
-            block += (m[start : start + len(block), None] != m[start:]).view(np.uint8)
-        # cell (r, c) is the pair (start + r, start + c): keep c > r, clearing the
-        # diagonal and below in the square of the first len(block) columns
-        hit = block == spec.k
+    # the edges (a, b), a < b, of each row band of pairwise_edges, as rank arrays in row-major order
+    masks, buffer = _prefix_masks(spec._vertices), np.empty(_MISMATCH_BLOCK, dtype=np.uint8)
+    for rows in _band_rows(spec.vertex_count):
+        # cell (r, c) of the band, read from its diagonal column on, is the pair (rows.start + r, rows.start + c):
+        # keep c > r, clearing the diagonal and below in the square of the first len(hit) columns
+        hit = _mismatch_band(masks, rows, slice(rows.start, None), buffer) == spec.k
         hit[:, : len(hit)] = np.triu(hit[:, : len(hit)], 1)
         a, b = hit.nonzero()  # column views of one (edges, 2) index array, shifted in place
-        a += start
-        b += start
+        a += rows.start
+        b += rows.start
         yield a, b
 
 
@@ -624,30 +635,26 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     and n+1; interior positions generally break it, and the witness pair
     shows where: the first failing pair (u, v), u before v, in
     lexicographic order.  Returns (ok, witness_pair).  The check compares
-    the prefix-mismatch matrices of the permutations and of their
-    insertion images, two n! x n! arrays, so n above ``config.MATRIX_CAP``
-    raises CapExceeded; k outside 0..n-1 raises ValueError.
+    the prefix-mismatch counts of the permutations and of their insertion
+    images one row band at a time, never an n! x n! array, in n!^2 steps, so
+    n above ``config.MATRIX_CAP`` raises CapExceeded; k outside 0..n-1 ValueError.
     """
-    if not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
+    _check_domain(n, k)
     if not 1 <= position <= n + 1:
         raise ValueError(f"insertion position {position} out of range 1..{n + 1}")
     _check_matrix_cap(n)
     V = _lex_vertices(n)
-    # two n! x n! uint8 planes at once: each count matrix becomes its 0/1
-    # adjacency in place, and the second is XORed into the first
-    differ = _prefix_mismatch_counts(V)
-    np.equal(differ, k, out=differ, casting="unsafe")
-    images = _prefix_mismatch_counts(_insertion_images(V, [position]))
-    np.equal(images, k, out=images, casting="unsafe")
-    differ ^= images
-    # both matrices are symmetric with a zero diagonal, so the first
-    # differing cell in row-major order lies above the diagonal
-    first = int(np.argmax(differ))
-    if not differ.flat[first]:
-        return True, None
-    u, v = (V[list(divmod(first, len(V)))] + 1).tolist()
-    return False, (tuple(u), tuple(v))
+    masks, images = _prefix_masks(V), _prefix_masks(_insertion_images(V, [position]))
+    buffer = np.empty(_MISMATCH_BLOCK, dtype=np.uint8)  # one band of each count matrix in turn
+    for rows in _band_rows(len(V)):
+        adjacent = _mismatch_band(masks, rows, slice(None), buffer) == k
+        broken = adjacent != (_mismatch_band(images, rows, slice(None), buffer) == k)
+        # the full-width bands run in row order, so a band's first broken cell is the first in
+        # row-major order, above the diagonal: both count matrices are symmetric, zero on it
+        r, c = divmod(int(np.argmax(broken)), len(V))
+        if broken[r, c]:
+            return False, tuple(map(tuple, (V[[rows.start + r, c]] + 1).tolist()))
+    return True, None
 
 
 def _integer_pairs(pairs) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
 from .blocks import _regularity, _StackedBlocks, adjacency_matrix
+from .graphs import _check_graph_cap
 from .perms import Perm
 
 
@@ -171,7 +172,8 @@ def lift_vector(vec, n: int) -> np.ndarray:
     Expand a length-n vector to length n! by giving every one of the
     (n-1)! coordinates of block i the value vec[i]: the linear map that
     sends basis vector i to the indicator of ordering block i.  The dtype
-    of the input is preserved, so integer vectors lift exactly.
+    of the input is preserved, so integer vectors lift exactly.  n above
+    ``config.GRAPH_CAP`` raises CapExceeded before anything is allocated.
 
     >>> lift_vector([1, 0, 0], 3).tolist()
     [1, 1, 0, 0, 0, 0]
@@ -179,6 +181,7 @@ def lift_vector(vec, n: int) -> np.ndarray:
     v = np.asarray(vec)
     if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}")
+    _check_graph_cap(n)
     return np.repeat(v, factorial(n - 1))
 
 

@@ -38,8 +38,8 @@ import numpy as np
 from .config import EIGEN_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import (
-    _MISMATCH_BLOCK,
     FlagGraphSpec,
+    _band_rows,
     _check_edge_budget,
     _connection_rows,
     _edge_stream,
@@ -86,15 +86,12 @@ _SECTION_OF = {name: i for i, names in enumerate(SECTIONS) for name in names}
 
 
 def _pair_counts(counts: np.ndarray, n: int) -> list[int]:
-    # pairs[k] for 1 <= k < n: the pairs a < b with counts[a, b] == k, the edge
-    # count of FJ(n, k).  Each row block is read from its diagonal column on,
-    # less its cells on or below the diagonal, so nothing is cast or copied
-    # beyond one block
-    N = len(counts)
+    # pairs[k] for 1 <= k < n: the pairs a < b with counts[a, b] == k, the edge count of FJ(n, k).  Each row
+    # band is read from its diagonal column on, less its cells on or below the diagonal, so nothing is cast
+    # or copied beyond one band
     pairs = [0] * n
-    step = max(1, _MISMATCH_BLOCK // N)
-    for start in range(0, N, step):
-        rect = counts[start : start + step, start:]
+    for rows in _band_rows(len(counts)):
+        rect = counts[rows, rows.start :]
         below = np.tril(rect[:, : len(rect)])
         for k in range(1, n):
             pairs[k] += np.count_nonzero(rect == k) - np.count_nonzero(below == k)

@@ -44,7 +44,7 @@ from fjgraphs import (
     prefix_mismatch_count,
     prefix_mismatch_matrix,
 )
-from fjgraphs import graphs
+from fjgraphs import blocks, graphs
 from fjgraphs.config import GRAPH_CAP
 from fjgraphs.graphs import _check_edge_budget
 
@@ -530,6 +530,24 @@ def test_insertion_embedding_at_the_matrix_cap():
 def test_insertion_embedding_rejects_a_k_outside_0_to_n_minus_1(k):
     with pytest.raises(ValueError, match="0 <= k < n"):
         insertion_embedding_check(4, k)
+
+
+@pytest.mark.parametrize(
+    "entry, args, message",
+    [
+        (FlagGraphSpec, (3, 3), "need 0 <= k < n, got n=3, k=3"),
+        (graphs._connection_rows, (3, -1), "need 0 <= k < n, got n=3, k=-1"),
+        (degree, (0, 0), "need 0 <= k < n, got n=0, k=0"),
+        (insertion_embedding_check, (4, 7), "need 0 <= k < n, got n=4, k=7"),
+        (blocks.adjacency_matrix, (2, 2), "need 0 <= k < n, got n=2, k=2"),
+        (blocks.verify_recursive_blocks, (3, 3), "need 0 <= k < n, got n=3, k=3"),
+        (blocks.verify_permutahedron_blocks, (1,), "need 0 <= k < n, got n=1, k=1"),
+    ],
+)
+def test_every_entry_point_gives_one_domain_message(entry, args, message):
+    with pytest.raises(ValueError) as raised:
+        entry(*args)
+    assert str(raised.value) == message
 
 
 def test_end_insertion_embeds():

@@ -243,6 +243,12 @@ def test_lift_vector_examples():
         lift_vector([1, 0], 3)
 
 
+def test_lift_vector_refuses_n_over_the_graph_cap():
+    # 9! = 362,880 values here, and 12! float64 values (3.8 GB) at n = 12
+    with pytest.raises(CapExceeded, match="graph cap"):
+        lift_vector([0] * 9, 9)
+
+
 def test_lift_vector_linear():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=4), rng.normal(size=4)
