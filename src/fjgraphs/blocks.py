@@ -55,11 +55,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MATRIX_CAP, CapExceeded
+from .config import MATRIX_CAP, CapExceeded, _check_matrix_cap
 from .graphs import (
     FlagGraphSpec,
     _check_domain,
-    _check_matrix_cap,
     _insertion_images,
     _prefix_mismatch_counts,
     _product_ranks,
@@ -232,8 +231,7 @@ class _StackedBlocks:
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
-        if n + 1 > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
-            m = n + 1
+        if (m := n + 1) > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
             raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
         self.S = _vertex_rows(n, ordering)
         self.base, self.C = _stacked_counts(n, self.S.tobytes())

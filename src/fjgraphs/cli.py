@@ -26,13 +26,12 @@ import sys
 import time
 from collections.abc import Iterable
 
-from .config import EIGEN_CAP, TheoremViolation
+from .config import EIGEN_CAP, TheoremViolation, _check_eigen_cap
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import FlagGraphSpec, _export_pieces
 from .metrics import diameter, diameter_lower_bound
 from .spectra import (
     Spectrum,
-    _check_eigen_cap,
     adjacency_spectrum,
     conjecture_second_largest,
     eig_tridiagonal,

@@ -24,7 +24,7 @@ u o g is an affine function of the inversion bits of u, one bit per
 position pair, so a batch of products is ranked by one float32 matrix
 product of the generators' rank forms with the batch's bits, without ever
 composing u o g.  The batches are cut into vertex chunks of about
-``CHUNK_PRODUCTS`` products, so the peak memory is fixed whatever the
+``CHUNK_CELLS`` products, so the peak memory is fixed whatever the
 degree.  The edges reach the exports and the verification battery as one
 counted stream of those chunks (``_edge_stream``), so nothing but
 ``build_edges`` ever holds a whole edge list, and the DOT, CSV and JSON
@@ -41,7 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .config import EDGE_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded, TheoremViolation
+from .config import EDGE_CAP, CapExceeded, TheoremViolation, _check_graph_cap, _check_matrix_cap
 from .perms import (
     Perm,
     is_permutation,
@@ -49,8 +49,7 @@ from .perms import (
     rank,
 )
 
-CHUNK_PRODUCTS = 1 << 18  # products u o g ranked at once: bounds the working memory of edge lists and BFS
-_MISMATCH_BLOCK = 1 << 18  # cells of a prefix-mismatch matrix filled at once
+CHUNK_CELLS = 1 << 18  # cells computed at once, products u o g or prefix-mismatch counts: bounds the working memory of every chunked pass
 CSV_ROWS = 1 << 14  # edges gathered per text piece (one word buffer) in the exports, and per step of EdgeList iteration
 
 
@@ -58,13 +57,6 @@ def _check_domain(n: int, k: int) -> None:
     # the one check that FJ(n, k) exists, with the message every entry point gives
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got n={n}, k={k}")
-
-
-def _check_graph_cap(n: int) -> None:
-    # the one-digit labels of the exports need n < 10; the ranks (uint16 seen
-    # sets, float32 rank forms) are exact to n = 10, so the cap of 8 is a cost bound
-    if n > GRAPH_CAP:
-        raise CapExceeded(f"n={n} exceeds the graph cap {GRAPH_CAP} ({factorial(n)} permutations)")
 
 
 def check_ordering(ordering: Sequence[Sequence[int]], n: int | None = None) -> np.ndarray:
@@ -145,7 +137,7 @@ class FlagGraphSpec:
     the edge lists and the uint16 BFS distance arrays.  Products are ranked
     lexicographically and, under any other ordering, mapped to ordering
     positions through one int32 array, built on first use, in vertex chunks
-    of about ``CHUNK_PRODUCTS``, so the working memory stays under 64 MB at
+    of about ``CHUNK_CELLS``, so the working memory stays under 64 MB at
     n <= 8.
     """
 
@@ -397,11 +389,15 @@ def _fill_edges(spec: FlagGraphSpec, pairs) -> EdgeList:
     return EdgeList(edges)
 
 
+def _row_slices(count: int, width: int):
+    # the one cut of every chunked pass: consecutive slices of range(count), each of at most CHUNK_CELLS cells of width `width` (one row, if wider)
+    step = max(1, CHUNK_CELLS // width)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def _chunks(rows: np.ndarray, form: np.ndarray):
-    # consecutive slices of `rows` for which neither the products of the
-    # (degree, C(n,2) + 1) rank form nor the bits hold over CHUNK_PRODUCTS cells
-    step = max(1, CHUNK_PRODUCTS // max(form.shape))
-    return (rows[start : start + step] for start in range(0, len(rows), step))
+    # the slices of `rows` whose products with the (degree, C(n,2) + 1) rank form, and whose bits, fit in CHUNK_CELLS
+    return (rows[piece] for piece in _row_slices(len(rows), max(form.shape)))
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +528,7 @@ def build_edges(spec: FlagGraphSpec) -> EdgeList:
     O(n! * degree * n^2) by ranking the product of every vertex with every
     generator through the generators' rank forms, one float32 matrix
     product per chunk, instead of testing all C(n!, 2) pairs.  The products
-    are ranked in vertex chunks of about ``CHUNK_PRODUCTS`` and each chunk's
+    are ranked in vertex chunks of about ``CHUNK_CELLS`` and each chunk's
     edges are written into one preallocated int32 array, so the peak is a
     fixed working set plus 8 bytes per edge.  FJ(n, 0) yields an empty
     list (loops are excluded by convention).  A graph with more than
@@ -542,11 +538,6 @@ def build_edges(spec: FlagGraphSpec) -> EdgeList:
     materialised form that the oracles and the tests compare.
     """
     return _fill_edges(spec, _edge_chunks(spec))
-
-
-def _check_matrix_cap(n: int) -> None:
-    if n > MATRIX_CAP:
-        raise CapExceeded(f"n={n} exceeds the matrix cap {MATRIX_CAP}")
 
 
 def prefix_mismatch_matrix(ordering: Sequence[Perm]) -> np.ndarray:
@@ -569,12 +560,6 @@ def _prefix_masks(V: np.ndarray) -> np.ndarray:
     return np.bitwise_or.accumulate(np.left_shift(1, values, dtype=np.uint8), axis=0)
 
 
-def _band_rows(N: int):
-    # the row bands, in order, of a count matrix of N <= _MISMATCH_BLOCK columns, each of at most _MISMATCH_BLOCK cells
-    step = _MISMATCH_BLOCK // N
-    return (slice(start, min(start + step, N)) for start in range(0, N, step))
-
-
 def _mismatch_band(masks: np.ndarray, rows: slice, cols: slice, buffer: np.ndarray) -> np.ndarray:
     # the one comparison of prefix masks across vertex pairs: the uint8 band, in the front of the caller's
     # contiguous buffer, whose cell (r, c) counts the prefix lengths at which rows[r] and cols[c] differ
@@ -590,7 +575,7 @@ def _prefix_mismatch_counts(V: np.ndarray) -> np.ndarray:
     # the N x N uint8 counts for the N rows of V (n <= MATRIX_CAP, or its insertion images), a row band at a time
     masks, N = _prefix_masks(V), len(V)
     counts = np.empty((N, N), dtype=np.uint8)
-    for rows in _band_rows(N):
+    for rows in _row_slices(N, N):
         _mismatch_band(masks, rows, slice(None), counts[rows])
     return counts
 
@@ -609,8 +594,8 @@ def pairwise_edges(spec: FlagGraphSpec) -> EdgeList:
 
 def _pairwise_blocks(spec: FlagGraphSpec):
     # the edges (a, b), a < b, of each row band of pairwise_edges, as rank arrays in row-major order
-    masks, buffer = _prefix_masks(spec._vertices), np.empty(_MISMATCH_BLOCK, dtype=np.uint8)
-    for rows in _band_rows(spec.vertex_count):
+    masks, buffer = _prefix_masks(spec._vertices), np.empty(CHUNK_CELLS, dtype=np.uint8)
+    for rows in _row_slices(spec.vertex_count, spec.vertex_count):
         # cell (r, c) of the band, read from its diagonal column on, is the pair (rows.start + r, rows.start + c):
         # keep c > r, clearing the diagonal and below in the square of the first len(hit) columns
         hit = _mismatch_band(masks, rows, slice(rows.start, None), buffer) == spec.k
@@ -645,8 +630,8 @@ def insertion_embedding_check(n: int, k: int, position: int = 1) -> tuple[bool, 
     _check_matrix_cap(n)
     V = _lex_vertices(n)
     masks, images = _prefix_masks(V), _prefix_masks(_insertion_images(V, [position]))
-    buffer = np.empty(_MISMATCH_BLOCK, dtype=np.uint8)  # one band of each count matrix in turn
-    for rows in _band_rows(len(V)):
+    buffer = np.empty(CHUNK_CELLS, dtype=np.uint8)  # one band of each count matrix in turn
+    for rows in _row_slices(len(V), len(V)):
         adjacent = _mismatch_band(masks, rows, slice(None), buffer) == k
         broken = adjacent != (_mismatch_band(images, rows, slice(None), buffer) == k)
         # the full-width bands run in row order, so a band's first broken cell is the first in

@@ -108,7 +108,7 @@ def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
     |frontier| > |unreached|.  Products are ranked through the cached rank form
     of the connection rows (``graphs._connection_form``, read by
     ``graphs._product_ranks``) in vertex chunks of about
-    ``graphs.CHUNK_PRODUCTS``, so the peak memory is fixed whatever the
+    ``graphs.CHUNK_CELLS``, so the peak memory is fixed whatever the
     degree.
     """
     spec = FlagGraphSpec(n, k)

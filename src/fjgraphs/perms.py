@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from .config import GRAPH_CAP, PERM_STR_DIGITS, CapExceeded
+from .config import PERM_STR_DIGITS, _check_graph_cap
 
 Perm = tuple[int, ...]
 
@@ -272,8 +272,7 @@ def enumerate_permutations(n: int) -> tuple[Perm, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > GRAPH_CAP:
-        raise CapExceeded(f"n={n} exceeds the graph cap {GRAPH_CAP} ({factorial(n)} permutations)")
+    _check_graph_cap(n)
     return tuple(itertools.permutations(range(1, n + 1)))
 
 

@@ -25,9 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, CapExceeded, TheoremViolation
+from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, TheoremViolation, _check_eigen_order, _check_graph_cap
 from .blocks import _regularity, _StackedBlocks, adjacency_matrix
-from .graphs import _check_graph_cap
 from .perms import Perm
 
 
@@ -58,6 +57,11 @@ class Spectrum:
         return cls(tuple(out_v), tuple(out_m))
 
 
+def _check_block_count(n: int) -> None:
+    if n < 2:
+        raise ValueError("need n >= 2")
+
+
 def regularity_matrix(n: int) -> np.ndarray:
     """
     The n x n symmetric tridiagonal matrix of block regularities of
@@ -69,10 +73,8 @@ def regularity_matrix(n: int) -> np.ndarray:
     >>> regularity_matrix(4).tolist()
     [[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 2]]
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n > EIGEN_CAP:
-        raise CapExceeded(f"order {n} exceeds the eigensolver cap {EIGEN_CAP}")
+    _check_block_count(n)
+    _check_eigen_order(n)
     M = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         M[i, i] = n - 2 if i in (0, n - 1) else n - 3
@@ -92,8 +94,7 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     row or column sums would break the whole construction, so the first
     such block in row-major order raises TheoremViolation.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_block_count(n)
     M = np.zeros((n, n), dtype=np.int64)
     for i, j, B in _StackedBlocks(n - 1, ordering, 1).blocks():
         r = 0 if B is None else _regularity(B, np.uint16)  # sums of at most (n-1)! <= 720
@@ -110,10 +111,10 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
 
     An entry may differ from its mirror by at most ``config.EIG_TOL`` times
     the largest absolute entry (or 1, if larger); the matrix is then
-    symmetrized before the solve.  An order above ``cap`` raises
-    CapExceeded.  The tests check this route against a cyclic Jacobi solver
-    of their own, against the closed forms and against the trace and
-    Frobenius-norm identities.
+    symmetrized before the solve.  A complex matrix raises ValueError, an
+    order above ``cap`` CapExceeded.  The tests check this route against a
+    cyclic Jacobi solver of their own, against the closed forms and against
+    the trace and Frobenius-norm identities.
 
     >>> eig_symmetric([[0, 1], [1, 0]]).values
     (1.0, -1.0)
@@ -121,15 +122,13 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
     A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
-    m = A.shape[0]
-    if m > cap:  # before the float64 copy
-        raise CapExceeded(f"order {m} exceeds the eigensolver cap {cap}")
-    if m == 0:
-        return Spectrum((), ())
+    if A.dtype.kind == "c":  # the float64 copy would drop the imaginary parts
+        raise ValueError(f"a real matrix is required, got {A.dtype}")
+    _check_eigen_order(A.shape[0], cap)  # before the float64 copy
     A = A.astype(np.float64)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    if float(np.abs(A - A.T).max()) > EIG_TOL * max(1.0, float(np.abs(A).max())):
+    if float(np.abs(A - A.T).max(initial=0.0)) > EIG_TOL * float(np.abs(A).max(initial=1.0)):
         raise ValueError("matrix is not symmetric")
     return Spectrum.from_eigenvalues(np.linalg.eigvalsh((A + A.T) / 2.0))
 
@@ -149,12 +148,6 @@ def eig_tridiagonal(matrix) -> Spectrum:
     return eig_symmetric(T)
 
 
-def _check_eigen_cap(cap: int) -> None:
-    # an eigensolver cap below 1 admits no spectrum at all, so it is refused rather than read as "skip"
-    if cap < 1:
-        raise ValueError(f"the eigensolver cap must be at least 1, got {cap}")
-
-
 def adjacency_spectrum(
     n: int,
     k: int = 1,
@@ -162,8 +155,8 @@ def adjacency_spectrum(
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
     """Full spectrum of FJ(n, k): check the order n! against ``eigen_cap``, build the adjacency matrix, solve it densely."""
-    if n >= 1 and factorial(n) > eigen_cap:
-        raise CapExceeded(f"order {factorial(n)} exceeds the eigensolver cap {eigen_cap}")
+    if n >= 1:
+        _check_eigen_order(factorial(n), eigen_cap)
     return eig_symmetric(adjacency_matrix(n, k, ordering), cap=eigen_cap)
 
 
@@ -197,8 +190,7 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     tolerances are involved.  When this holds, every eigenpair of M lifts
     to an eigenpair of A.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_block_count(n)
     walk = _StackedBlocks(n - 1, ordering, 1).blocks()
     M = regularity_matrix(n)
     return all(

@@ -35,23 +35,22 @@ from math import comb, factorial
 
 import numpy as np
 
-from .config import EIGEN_CAP, GRAPH_CAP, MATRIX_CAP, CapExceeded
+from .config import EIGEN_CAP, MATRIX_CAP, _check_eigen_cap, _check_graph_cap
 from .blocks import verify_permutahedron_blocks, verify_recursive_blocks
 from .graphs import (
     FlagGraphSpec,
-    _band_rows,
     _check_edge_budget,
     _connection_rows,
     _edge_stream,
     _lex_vertices,
     _prefix_mismatch_counts,
+    _row_slices,
     degree,
     insertion_embedding_check,
 )
 from .metrics import _inversion_bits, _swap_witness, bfs, diameter_lower_bound
 from .perms import identity
 from .spectra import (
-    _check_eigen_cap,
     adjacency_spectrum,
     conjecture_second_largest,
     eig_tridiagonal,
@@ -90,7 +89,7 @@ def _pair_counts(counts: np.ndarray, n: int) -> list[int]:
     # band is read from its diagonal column on, less its cells on or below the diagonal, so nothing is cast
     # or copied beyond one band
     pairs = [0] * n
-    for rows in _band_rows(len(counts)):
+    for rows in _row_slices(len(counts), len(counts)):
         rect = counts[rows, rows.start :]
         below = np.tril(rect[:, : len(rect)])
         for k in range(1, n):
@@ -157,8 +156,7 @@ def battery(max_n: int, eigen_cap: int = EIGEN_CAP) -> list[dict]:
     """
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    if max_n > GRAPH_CAP:
-        raise CapExceeded(f"n={max_n} exceeds the graph cap {GRAPH_CAP}")
+    _check_graph_cap(max_n)
     _check_edge_budget(max_n, max_n - 1)
     _check_eigen_cap(eigen_cap)
 

@@ -44,7 +44,7 @@ from fjgraphs import (
     prefix_mismatch_count,
     prefix_mismatch_matrix,
 )
-from fjgraphs import blocks, graphs
+from fjgraphs import blocks, graphs, spectra, verify
 from fjgraphs.config import GRAPH_CAP
 from fjgraphs.graphs import _check_edge_budget
 
@@ -546,6 +546,36 @@ def test_insertion_embedding_rejects_a_k_outside_0_to_n_minus_1(k):
 )
 def test_every_entry_point_gives_one_domain_message(entry, args, message):
     with pytest.raises(ValueError) as raised:
+        entry(*args)
+    assert str(raised.value) == message
+
+
+_GRAPH_CAP_9 = "n=9 exceeds the graph cap 8 (362880 permutations)"
+_MATRIX_CAP_8 = "n=8 exceeds the matrix cap 7"
+
+
+@pytest.mark.parametrize(
+    "entry, args, message",
+    [
+        (FlagGraphSpec, (9, 1), _GRAPH_CAP_9),
+        (enumerate_permutations, (9,), _GRAPH_CAP_9),
+        (check_ordering, ([list(range(1, 10))],), _GRAPH_CAP_9),
+        (spectra.lift_vector, ([0] * 9, 9), _GRAPH_CAP_9),
+        (verify.battery, (9,), _GRAPH_CAP_9),
+        # n! is not spelled out past 1000!, which already has 2568 digits
+        (verify.battery, (10**7,), "n=10000000 exceeds the graph cap 8 (more than 10^2567 permutations)"),
+        (blocks.adjacency_matrix, (8, 1), _MATRIX_CAP_8),
+        (blocks.excluded_transposition_matrix, (8, 1), _MATRIX_CAP_8),
+        (lambda: pairwise_edges(FlagGraphSpec(8, 1)), (), _MATRIX_CAP_8),
+        (prefix_mismatch_matrix, ([list(range(1, 9))],), _MATRIX_CAP_8),
+        (insertion_embedding_check, (8, 1), _MATRIX_CAP_8),
+        (spectra.regularity_matrix, (721,), "order 721 exceeds the eigensolver cap 720"),
+        (spectra.eig_symmetric, (np.eye(5), 4), "order 5 exceeds the eigensolver cap 4"),
+        (spectra.adjacency_spectrum, (6, 1, None, 100), "order 720 exceeds the eigensolver cap 100"),
+    ],
+)
+def test_every_entry_point_gives_one_cap_message(entry, args, message):
+    with pytest.raises(CapExceeded) as raised:
         entry(*args)
     assert str(raised.value) == message
 

@@ -79,7 +79,7 @@ def test_chunks_bound_both_the_product_and_the_bit_blocks():
         form = graphs._rank_form(np.array(generators(n, k), dtype=np.intp) - 1)
         chunks = list(graphs._chunks(np.arange(factorial(n)), form))
         assert sum(map(len, chunks)) == factorial(n)
-        assert max(len(c) for c in chunks) * max(form.shape) <= graphs.CHUNK_PRODUCTS
+        assert max(len(c) for c in chunks) * max(form.shape) <= graphs.CHUNK_CELLS
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 1), (5, 3), (6, 2), (6, 5)])

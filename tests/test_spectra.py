@@ -95,6 +95,23 @@ def test_eig_symmetric_rejects():
         eig_symmetric(np.zeros((2, 3)))
     with pytest.raises(CapExceeded):
         eig_symmetric(np.eye(5), cap=4)
+    # its float64 copy would drop the imaginary parts: this Hermitian matrix has
+    # eigenvalues -1 and 1, and read as real it is the zero matrix
+    with pytest.raises(ValueError, match="a real matrix is required, got complex128"):
+        eig_symmetric([[0, 1j], [-1j, 0]])
+
+
+def test_eig_symmetric_of_the_empty_matrix():
+    assert eig_symmetric(np.zeros((0, 0), dtype=np.int64)) == Spectrum((), ())
+    assert eig_symmetric(np.zeros((0, 0)), cap=1).order == 0
+
+
+@pytest.mark.parametrize("entry", [regularity_matrix, regularity_matrix_from_blocks, verify_intertwining])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_regularity_routes_refuse_fewer_than_two_blocks_alike(entry, n):
+    with pytest.raises(ValueError) as raised:
+        entry(n)
+    assert str(raised.value) == "need n >= 2"
 
 
 @pytest.mark.parametrize("solve, most", [(eig_symmetric, 1 << 20), (eig_tridiagonal, 10 << 20)])

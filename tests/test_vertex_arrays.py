@@ -502,8 +502,9 @@ def test_edge_oracle_fails_on_each_corrupted_edge_list(fault, monkeypatch):
 def test_edge_oracle_carries_the_last_key_across_chunks(monkeypatch):
     # 10 vertices per chunk, so FJ(4,2) streams in three sorted chunks; in
     # reverse order each chunk still holds sorted edges of the graph, and
-    # only the key carried from one chunk to the next tells
-    monkeypatch.setattr(graphs, "CHUNK_PRODUCTS", 70)
+    # only the key carried from one chunk to the next tells.  The same budget
+    # cuts the 24-wide count bands of n = 4 into bands of 2 rows, which fit
+    monkeypatch.setattr(graphs, "CHUNK_CELLS", 70)
     real = graphs._edge_stream
     assert len(list(real(FlagGraphSpec(4, 2)))) == 3
     assert all(entry["passed"] for entry in verify.battery(4))
