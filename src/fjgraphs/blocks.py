@@ -22,15 +22,17 @@ so a discrepancy pinpoints itself.
 
 Every read of the stacked blocks, here and in ``spectra``, goes through one
 reader, ``_StackedBlocks(n, S, k)``.  It validates S once into a uint8
-vertex array and takes two read-only matrices from one slot, built once per
+vertex array and takes two read-only arrays from one slot, built once per
 process for the latest (n, S): the n! x n! prefix-mismatch counts of S (the
 corner and flank counts, ``== k`` and ``== k-1``, so the k = 1 flank is
-``counts == 0``, the identity) and the (n+1)! x (n+1)! counts C of the
-stacked rows (at most 25.4 MB, at ``config.MATRIX_CAP`` 7).  Another base
-ordering replaces both.  A block is read as ``block(C, i, j, n!) == k`` into
-a buffer of the reader, one n! x n! block at a time, so no check holds a
-second (n+1)!-sized plane; block extraction is a numpy view, never a copy.
-Its ``blocks`` walk, the one ``spectra`` loops over, visits every block in
+``counts == 0``, the identity) and the counts C of the (n+1)! stacked rows,
+held block-major with shape (n+1, n+1, n!, n!) (at most 25.4 MB, at
+``config.MATRIX_CAP`` 7): ``C[i-1, j-1]`` is block (i, j), one C-contiguous
+n! x n! array.  Another base ordering replaces both.  A block is read as
+``C[i-1, j-1] == k`` into a buffer of the reader, one block at a time, so no
+check holds a second (n+1)!-sized plane; indexing a block is a numpy view,
+never a copy, and every reduction over it runs on contiguous memory.  Its
+``blocks`` walk, the one ``spectra`` loops over, visits every block in
 row-major order and yields None for a block two or more off the diagonal
 whose every count exceeds k: it has no edge.
 
@@ -57,12 +59,16 @@ import numpy as np
 
 from .config import MATRIX_CAP, CapExceeded, _check_matrix_cap
 from .graphs import (
+    CHUNK_CELLS,
     FlagGraphSpec,
     _check_domain,
     _insertion_images,
+    _mismatch_band,
+    _prefix_masks,
     _prefix_mismatch_counts,
     _product_ranks,
     _rank_form,
+    _row_slices,
     _vertex_rows,
     check_ordering,
 )
@@ -164,10 +170,24 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _stacked_counts(n: int, base: bytes) -> tuple[np.ndarray, np.ndarray]:
     # the read-only prefix-mismatch counts of the base rows packed in ``base``
-    # and of their stacked rows: one slot, so the process keeps the two
-    # matrices of the latest base ordering only
+    # and of their stacked rows, the latter block-major: C[i-1, j-1] is block
+    # (i, j).  One slot, so the process keeps the two arrays of the latest
+    # base ordering only.  The stacked rows are counted in full-width bands,
+    # whole block rows while they fit in one band, else rows of one block row,
+    # each into a scratch buffer and then moved into its blocks: a kernel row
+    # spans all (n+1)! columns, where a compare straight into the blocks would
+    # pay numpy's per-row cost every n! cells, and small bases make as few
+    # calls as the 2-D counts would
     S = np.frombuffer(base, dtype=np.uint8).reshape(-1, n)
-    counts = _prefix_mismatch_counts(S), _prefix_mismatch_counts(_insertion_images(S, range(1, n + 2)))
+    m, b = n + 1, len(S)
+    masks, buffer = _prefix_masks(_insertion_images(S, range(1, m + 1))), np.empty(CHUNK_CELLS, dtype=np.uint8)
+    C = np.empty((m, m, b, b), dtype=np.uint8)
+    for rows in _row_slices(m, m * b * b):  # whole block rows while they fit in one band, else one
+        count = rows.stop - rows.start
+        for cut in _row_slices(b, count * m * b):  # then all b rows of each, else a band of the one
+            band = _mismatch_band(masks, slice(rows.start * b + cut.start, (rows.stop - 1) * b + cut.stop), slice(None), buffer)
+            C[rows, :, cut] = band.reshape(count, -1, m, b).swapaxes(1, 2)
+    counts = _prefix_mismatch_counts(S), C
     for M in counts:
         M.flags.writeable = False
     return counts
@@ -218,16 +238,16 @@ class BlockReport:
 
 class _StackedBlocks:
     """
-    The n! x n! blocks ``block(C, i, j, n!) == k`` of the stacked counts C of
-    a base ordering S of the permutations of [n] (lexicographic if None or
-    empty): ``C == k`` off the diagonal is the adjacency matrix of
-    FJ(n+1, k) under the stacked ordering, and the diagonal of C is 0.  n+1
-    above ``config.MATRIX_CAP`` raises CapExceeded first; then S is
-    validated, once, since the stacked rows are permutations by
-    construction.  The reader holds S, the base counts ``base``, C, the
-    block size ``b`` = n! and k.  Each block is read into the same bool
-    buffer and compared through a second one: a fresh block-sized array per
-    block would have its pages faulted in anew.
+    The n! x n! blocks ``C[i-1, j-1] == k`` of the block-major stacked counts
+    C of a base ordering S of the permutations of [n] (lexicographic if None
+    or empty): they are the blocks (i, j) of the adjacency matrix of
+    FJ(n+1, k) under the stacked ordering, but on the diagonal of the whole
+    matrix, where every count is 0.  n+1 above ``config.MATRIX_CAP`` raises
+    CapExceeded first; then S is validated, once, since the stacked rows are
+    permutations by construction.  The reader holds S, the base counts
+    ``base``, C, the block size ``b`` = n! and k.  Each block is read into
+    the same bool buffer and compared through a second one: a fresh
+    block-sized array per block would have its pages faulted in anew.
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
@@ -251,11 +271,11 @@ class _StackedBlocks:
 
     def read(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), 1-based, valid until the next read."""
-        return np.equal(block(self.C, i, j, self.b), self.k, out=self._got)
+        return np.equal(self.C[i - 1, j - 1], self.k, out=self._got)
 
     def above_k(self, i: int, j: int) -> bool:
         """Whether every count of block (i, j) exceeds k, so that ``== k`` reads all False."""
-        return bool(block(self.C, i, j, self.b).min() > self.k)
+        return bool(self.C[i - 1, j - 1].min() > self.k)
 
     def screen(self, name: str, where: tuple[int, int], raw: np.ndarray | None) -> BlockAssertion:
         """
@@ -270,7 +290,7 @@ class _StackedBlocks:
                 return BlockAssertion(name, where, True)
             expected = np.broadcast_to(False, (self.b, self.b))  # a read-only view of one cell
         else:
-            if np.equal(block(self.C, *where, self.b), raw, out=self._got).all():
+            if np.equal(self.C[where[0] - 1, where[1] - 1], raw, out=self._got).all():
                 return BlockAssertion(name, where, True)
             expected = raw == self.k
         return self.compare(name, where, expected)

@@ -25,7 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EIG_TOL, EIGEN_CAP, MATCH_TOL, MERGE_TOL, TheoremViolation, _check_eigen_order, _check_graph_cap
+from .config import (
+    EIG_TOL,
+    EIGEN_CAP,
+    MATCH_TOL,
+    MERGE_TOL,
+    TheoremViolation,
+    _check_eigen_order,
+    _check_graph_cap,
+    _check_matrix_cap,
+)
 from .blocks import _regularity, _StackedBlocks, adjacency_matrix
 from .perms import Perm
 
@@ -155,6 +164,8 @@ def adjacency_spectrum(
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
     """Full spectrum of FJ(n, k): check the order n! against ``eigen_cap``, build the adjacency matrix, solve it densely."""
+    if n > 1000:  # past 1000!, which has 2568 digits, n! is slow to compute and to print: the matrix cap refuses such an n
+        _check_matrix_cap(n)
     if n >= 1:
         _check_eigen_order(factorial(n), eigen_cap)
     return eig_symmetric(adjacency_matrix(n, k, ordering), cap=eigen_cap)

@@ -46,7 +46,9 @@ def flip_stacked_counts(monkeypatch):
     ``flip(k, *cells)`` patches the cached count builder itself: beside the
     base counts it returns a writable copy of the stacked counts in which
     ``== k`` reads the other way at each cell, so a slot warmed by an
-    earlier call can never bypass the fault.
+    earlier call can never bypass the fault.  A cell (R, c) is 0-based in
+    the whole (n+1)! x (n+1)! matrix; the block-major slot holds it at
+    ``[R // b, c // b, R % b, c % b]``, b = n!.
     """
 
     def flip(k, *cells):
@@ -54,8 +56,9 @@ def flip_stacked_counts(monkeypatch):
 
         def flipped(*args):
             base, C = real(*args)
-            C = C.copy()
-            for cell in cells:
+            C, b = C.copy(), C.shape[2]
+            for R, c in cells:
+                cell = R // b, c // b, R % b, c % b
                 C[cell] = k + 1 if C[cell] == k else k
             return base, C
 

@@ -327,20 +327,28 @@ def _stacked_checks(S):
 
 
 def test_stacked_checks_build_the_counts_once(monkeypatch):
-    # one slot holds the base and the stacked counts that all eight checks read
-    real = blocks_module._prefix_mismatch_counts
-    builds = Counter()
+    # one slot holds the base and the stacked counts that all eight checks read:
+    # one 2-D count of the 720 base rows, and bands of the 5040 stacked rows
+    # that cover each stacked row once
+    real_counts, real_band = blocks_module._prefix_mismatch_counts, blocks_module._mismatch_band
+    builds, band_rows = Counter(), Counter()
 
     def counted(V):
         builds[len(V)] += 1
-        return real(V)
+        return real_counts(V)
+
+    def banded(masks, rows, cols, buffer):
+        band_rows.update(range(masks.shape[1])[rows])
+        return real_band(masks, rows, cols, buffer)
 
     monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
+    monkeypatch.setattr(blocks_module, "_mismatch_band", banded)
     blocks_module._stacked_counts.cache_clear()
     S = list(enumerate_permutations(6))
     random.Random(15).shuffle(S)
     assert all(check() for check in _stacked_checks(S))
-    assert builds == Counter({720: 1, 5040: 1})
+    assert builds == Counter({720: 1})
+    assert band_rows == Counter(range(5040))
     slot = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes())
     assert not any(counts.flags.writeable for counts in slot)
     assert blocks_module._stacked_counts.cache_info().misses == 1
@@ -371,6 +379,21 @@ def test_stacked_counts_are_read_only():
         assert not counts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             counts[0, 1] = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_major_slot_holds_the_blocks_of_the_2d_counts(n):
+    # C[i-1, j-1] is the (i, j) block of the (n+1)! x (n+1)! counts of the
+    # stacked rows, as the 2-D route counts them, one contiguous read-only array
+    for S in _bases(n):
+        _, C = blocks_module._stacked_counts(n, S.tobytes())
+        full, b = blocks_module._prefix_mismatch_counts(graphs_module._insertion_images(S, range(1, n + 2))), len(S)
+        assert C.shape == (n + 1, n + 1, b, b) and C.dtype == np.uint8
+        for i in range(1, n + 2):
+            for j in range(1, n + 2):
+                B = C[i - 1, j - 1]
+                assert np.array_equal(B, block(full, i, j, b)), (i, j)
+                assert B.flags.c_contiguous and not B.flags.writeable, (i, j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -431,7 +454,7 @@ def test_stacked_blocks_obey_the_count_identity(n):
         assert np.array_equal(slot_base, base)
         for i in range(1, n + 2):
             for j in range(1, n + 2):
-                B = block(C, i, j, b)
+                B = C[i - 1, j - 1]
                 if (i, j) in ((1, 1), (n + 1, n + 1)):
                     assert np.array_equal(B, base), (i, j)
                 elif abs(i - j) == 1:
@@ -454,7 +477,7 @@ def test_stacked_count_is_the_gap_plus_the_outer_base_mismatches(n):
             for j in range(1, n + 2):
                 lo, hi = min(i, j), max(i, j)
                 expected = hi - lo + sum(mismatch[1:lo] + mismatch[hi - 1 : n], start=mismatch[0])
-                assert np.array_equal(block(C, i, j, len(S)), expected), (i, j)
+                assert np.array_equal(C[i - 1, j - 1], expected), (i, j)
 
 
 def _count_reads(monkeypatch):
@@ -469,15 +492,14 @@ def _count_reads(monkeypatch):
     return reads
 
 
-def _faulted_counts(C, n, k):
-    # a copy of C in which a corner cell whose count is not k takes another
-    # value that is not k, and a cell of the zero block (1, k+2), farther
-    # than k from the diagonal, falls below k+1 without reaching k
-    b = len(C) // (n + 1)
+def _faulted_counts(C, k):
+    # a copy of the block-major C in which a corner cell whose count is not k
+    # takes another value that is not k, and a cell of the zero block (1, k+2),
+    # farther than k from the diagonal, falls below k+1 without reaching k
     C = C.copy()
-    r, c = np.argwhere(block(C, 1, 1, b) > k)[0]
-    C[r, c] += 1
-    C[0, (k + 1) * b] = k - 1
+    r, c = np.argwhere(C[0, 0] > k)[0]
+    C[0, 0, r, c] += 1
+    C[0, k + 1, 0, 0] = k - 1
     return C
 
 
@@ -497,7 +519,7 @@ def test_a_screen_miss_keeps_every_verdict(monkeypatch, n, k):
 
     def faulted(*args):
         base, C = real(*args)
-        return base, _faulted_counts(C, n, k)
+        return base, _faulted_counts(C, k)
 
     monkeypatch.setattr(blocks_module, "_stacked_counts", faulted)
     for check, (doc, clean_reads) in zip(checks, clean):

@@ -572,6 +572,13 @@ _MATRIX_CAP_8 = "n=8 exceeds the matrix cap 7"
         (spectra.regularity_matrix, (721,), "order 721 exceeds the eigensolver cap 720"),
         (spectra.eig_symmetric, (np.eye(5), 4), "order 5 exceeds the eigensolver cap 4"),
         (spectra.adjacency_spectrum, (6, 1, None, 100), "order 720 exceeds the eigensolver cap 100"),
+        pytest.param(
+            spectra.adjacency_spectrum, (1000, 1), f"order {factorial(1000)} exceeds the eigensolver cap 720", id="adjacency_spectrum-1000"
+        ),
+        # past 1000!, n! is never computed (10**6! alone takes seconds, and cannot be printed): the matrix cap refuses
+        (spectra.adjacency_spectrum, (2000, 1), "n=2000 exceeds the matrix cap 7"),
+        (spectra.adjacency_spectrum, (10**6, 1), "n=1000000 exceeds the matrix cap 7"),
+        (spectra.conjecture_second_largest, (2000,), "n=2000 exceeds the matrix cap 7"),
     ],
 )
 def test_every_entry_point_gives_one_cap_message(entry, args, message):
