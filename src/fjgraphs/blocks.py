@@ -32,9 +32,20 @@ n! x n! array.  Another base ordering replaces both.  A block is read as
 ``C[i-1, j-1] == k`` into a buffer of the reader, one block at a time, so no
 check holds a second (n+1)!-sized plane; indexing a block is a numpy view,
 never a copy, and every reduction over it runs on contiguous memory.  Its
-``blocks`` walk, the one ``spectra`` loops over, visits every block in
-row-major order and yields None for a block two or more off the diagonal
-whose every count exceeds k: it has no edge.
+``walk``, the one ``spectra`` loops over, visits every block in row-major
+order and marks a block two or more off the diagonal whose every count
+exceeds k: it has no edge.
+
+The slot also keeps the facts the checks derive from its blocks, each
+computed the first time a check asks for it: the minimum of a block, whether
+a corner or flank block equals its identity plane (below), and the uint16
+row and column sums of a block under ``== k``.  So the recursive checks of
+every k, the permutahedron check, the regularity matrix and the
+intertwining check reduce each block of a base once between them: a lone
+check on a new slot makes the reductions it always made, and every later
+check reads them.  The facts hold at most about 141 KB at base 6 (the sums;
+the minima and verdicts are a few dozen numbers) and go with the slot: a
+slot of another base ordering, or of substituted counts, starts with none.
 
 The blocks obey an identity on the raw counts.  Put n+1 into base rows u'
 and v' at positions i <= j: their stacked count is j-i plus the number of
@@ -43,15 +54,17 @@ corner block of C equals the base counts, a flank block equals the base
 counts + 1, and every count of a block with |i-j| >= 2 is at least |i-j|.
 The zero, corner and flank checks screen each block against that identity
 first (a zero block by ``min > k``, a corner or flank by equality with its
-raw counts), which settles ``== k`` for the whole block; only a block that
-misses the screen is read under ``== k`` and compared cell by cell, the one
-route that names a witness.
+identity plane, the base counts + |i-j|), which settles ``== k`` for the
+whole block; only a block that misses the screen is read under ``== k`` and
+compared cell by cell, the one route that names a witness.  The interior
+blocks of the permutahedron are compared on every call with a matrix rebuilt
+from their generators, never with a kept verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -126,16 +139,13 @@ def block_regularity(B: np.ndarray) -> int | None:
     M = np.asarray(B)
     if M.ndim != 2 or not M.size:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {M.shape}")
-    return _regularity(M, np.int64)
+    return _common_sum(M.sum(axis=1, dtype=np.int64), M.sum(axis=0, dtype=np.int64))
 
 
-def _regularity(B: np.ndarray, dtype) -> int | None:
-    # block_regularity of a validated matrix, its row and column sums taken in ``dtype``
-    rows = B.sum(axis=1, dtype=dtype)
+def _common_sum(rows: np.ndarray, cols: np.ndarray) -> int | None:
+    # the regularity of a matrix from its row and column sums: their one value, else None
     r = rows[0]
-    if (rows == r).all() and (B.sum(axis=0, dtype=dtype) == r).all():
-        return int(r)
-    return None
+    return int(r) if (rows == r).all() and (cols == r).all() else None
 
 
 def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
@@ -167,12 +177,40 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     return A
 
 
+@dataclass(frozen=True, eq=False)
+class _Slot:
+    """
+    The read-only counts of one base ordering, ``base`` and the block-major
+    stacked counts ``C``, and ``facts``: what the checks derive from the
+    blocks of C, each computed the first time a ``_StackedBlocks`` reader
+    asks for it and kept under its key, never recomputed:
+
+      ("min", i, j)            the least count of block (i, j);
+      ("plane", i, j)          whether block (i, j), a corner or a flank,
+                               equals its identity plane, the base counts
+                               (+ 1 on a flank);
+      ("sums", k, i, j, axis)  the read-only uint16 sums of ``C[i-1, j-1]
+                               == k`` along ``axis``: 1 for the row sums,
+                               0 for the column sums.
+
+    At base 6 they hold at most 49 minima, 14 verdicts and 2 x 49 sums of
+    720 uint16 for each k read, 141 KB; only k = 1 is read.  The facts
+    belong to these counts alone: a new slot, of another base ordering or
+    of substituted counts, starts with none.
+    """
+
+    base: np.ndarray
+    C: np.ndarray
+    facts: dict = field(default_factory=dict)
+
+
 @lru_cache(maxsize=1)
-def _stacked_counts(n: int, base: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # the read-only prefix-mismatch counts of the base rows packed in ``base``
-    # and of their stacked rows, the latter block-major: C[i-1, j-1] is block
-    # (i, j).  One slot, so the process keeps the two arrays of the latest
-    # base ordering only.  The stacked rows are counted in full-width bands,
+def _stacked_counts(n: int, base: bytes) -> _Slot:
+    # the slot of the read-only prefix-mismatch counts of the base rows packed
+    # in ``base`` and of their stacked rows, the latter block-major: C[i-1, j-1]
+    # is block (i, j).  One slot, so the process keeps the two arrays of the
+    # latest base ordering only, and the facts of its blocks with them: they
+    # go when the slot goes.  The stacked rows are counted in full-width bands,
     # whole block rows while they fit in one band, else rows of one block row,
     # each into a scratch buffer and then moved into its blocks: a kernel row
     # spans all (n+1)! columns, where a compare straight into the blocks would
@@ -187,10 +225,10 @@ def _stacked_counts(n: int, base: bytes) -> tuple[np.ndarray, np.ndarray]:
         for cut in _row_slices(b, count * m * b):  # then all b rows of each, else a band of the one
             band = _mismatch_band(masks, slice(rows.start * b + cut.start, (rows.stop - 1) * b + cut.stop), slice(None), buffer)
             C[rows, :, cut] = band.reshape(count, -1, m, b).swapaxes(1, 2)
-    counts = _prefix_mismatch_counts(S), C
-    for M in counts:
+    slot = _Slot(_prefix_mismatch_counts(S), C)
+    for M in (slot.base, slot.C):
         M.flags.writeable = False
-    return counts
+    return slot
 
 
 @dataclass(frozen=True)
@@ -244,30 +282,51 @@ class _StackedBlocks:
     FJ(n+1, k) under the stacked ordering, but on the diagonal of the whole
     matrix, where every count is 0.  n+1 above ``config.MATRIX_CAP`` raises
     CapExceeded first; then S is validated, once, since the stacked rows are
-    permutations by construction.  The reader holds S, the base counts
-    ``base``, C, the block size ``b`` = n! and k.  Each block is read into
-    the same bool buffer and compared through a second one: a fresh
-    block-sized array per block would have its pages faulted in anew.
+    permutations by construction.  The reader holds S, the slot of S with
+    its base counts ``base``, C and the facts of its blocks, the block size
+    ``b`` = n! and k.  Every minimum, screen verdict and sum it derives from
+    a block is a fact of the slot, so a later reader of the same slot, for
+    any check, takes it from there instead of reducing the block again.
+    Each block is read into the same bool buffer and compared through a
+    second one: a fresh block-sized array per block would have its pages
+    faulted in anew.
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
         if (m := n + 1) > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
             raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
         self.S = _vertex_rows(n, ordering)
-        self.base, self.C = _stacked_counts(n, self.S.tobytes())
+        self.slot = _stacked_counts(n, self.S.tobytes())
+        self.base, self.C = self.slot.base, self.slot.C
         self.n, self.k, self.b = n, k, factorial(n)
         self._got = np.empty((self.b, self.b), dtype=bool)
         self._diff = np.empty((self.b, self.b), dtype=bool)
 
-    def blocks(self):
+    def _fact(self, key: tuple, compute):
+        # the fact of the slot under ``key``, computed by ``compute`` the first time it is asked for
+        facts = self.slot.facts
+        if key not in facts:
+            facts[key] = compute()
+        return facts[key]
+
+    @cached_property
+    def _flank(self) -> np.ndarray:
+        # the base counts + 1, built the first time a flank fact is computed or a flank screen misses
+        return self.base + np.uint8(1)
+
+    def _identity(self, i: int, j: int) -> np.ndarray:
+        # the identity plane of the corner or flank block (i, j)
+        return self.base if i == j else self._flank
+
+    def walk(self):
         """
-        Every block (i, j), 1-based, in row-major order, as ``(i, j, block)``
-        with the block as ``read`` gives it, or None for a block two or more
-        off the diagonal whose every count exceeds k, which has no edge.
+        Every block (i, j), 1-based, in row-major order, as ``(i, j,
+        edgeless)``: edgeless is True for a block two or more off the
+        diagonal whose every count exceeds k, which has no edge.
         """
         for i in range(1, self.n + 2):
             for j in range(1, self.n + 2):
-                yield i, j, None if abs(i - j) > 1 and self.above_k(i, j) else self.read(i, j)
+                yield i, j, abs(i - j) > 1 and self.above_k(i, j)
 
     def read(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), 1-based, valid until the next read."""
@@ -275,24 +334,49 @@ class _StackedBlocks:
 
     def above_k(self, i: int, j: int) -> bool:
         """Whether every count of block (i, j) exceeds k, so that ``== k`` reads all False."""
-        return bool(self.C[i - 1, j - 1].min() > self.k)
+        return self._fact(("min", i, j), lambda: int(self.C[i - 1, j - 1].min())) > self.k
 
-    def screen(self, name: str, where: tuple[int, int], raw: np.ndarray | None) -> BlockAssertion:
+    def sums(self, i: int, j: int, axes: tuple[int, ...] = (1, 0)) -> list[np.ndarray]:
         """
-        Check block ``where`` against its expected 0/1 plane ``raw == k``,
-        all False when ``raw`` is None.  The block passes at once when its
-        counts equal ``raw`` (every count above k when ``raw`` is None), which
-        is sufficient; otherwise ``compare`` reads it cell by cell, against
-        the plane built only then.
+        The uint16 sums of block (i, j) as ``read`` gives it along each of
+        ``axes``: its row sums along 1, its column sums along 0 (sums of at
+        most b = n! <= 720).  The block is read once for the sums of it that
+        the slot lacks; the arrays are the slot's, read-only.
         """
-        if raw is None:
-            if self.above_k(*where):
+        facts, keys = self.slot.facts, [("sums", self.k, i, j, axis) for axis in axes]
+        if any(key not in facts for key in keys):
+            B = self.read(i, j)
+            for key in keys:
+                if key not in facts:
+                    sums = B.sum(axis=key[-1], dtype=np.uint16)
+                    sums.flags.writeable = False
+                    facts[key] = sums
+        return [facts[key] for key in keys]
+
+    def regularity(self, i: int, j: int) -> int | None:
+        """The common row and column sum of block (i, j) as ``read`` gives it, or None if they differ."""
+        return _common_sum(*self.sums(i, j))
+
+    def screen(self, name: str, where: tuple[int, int]) -> BlockAssertion:
+        """
+        Check block ``where`` against its expected 0/1 plane: all False for
+        a block two or more off the diagonal, else its identity plane
+        ``== k``, the base counts for a corner block and the base counts +
+        1 for a flank.  The block passes at once when every count is above
+        k, or when its counts equal the identity plane, which is
+        sufficient; otherwise ``compare`` reads it cell by cell, against
+        the plane built only then.  Interior diagonal blocks have no
+        identity plane and are not screened.
+        """
+        i, j = where
+        if abs(i - j) > 1:
+            if self.above_k(i, j):
                 return BlockAssertion(name, where, True)
             expected = np.broadcast_to(False, (self.b, self.b))  # a read-only view of one cell
         else:
-            if np.equal(self.C[where[0] - 1, where[1] - 1], raw, out=self._got).all():
+            if self._fact(("plane", i, j), lambda: bool(np.equal(self.C[i - 1, j - 1], self._identity(i, j), out=self._got).all())):
                 return BlockAssertion(name, where, True)
-            expected = raw == self.k
+            expected = self._identity(i, j) == self.k
         return self.compare(name, where, expected)
 
     def compare(self, name: str, where: tuple[int, int], expected: np.ndarray, detail: str = "") -> BlockAssertion:
@@ -327,20 +411,18 @@ def verify_recursive_blocks(n: int, k: int, ordering: Sequence[Perm] | None = No
     if k < 1:
         raise ValueError("the block identities concern k >= 1")
     _check_domain(n, k)  # FJ(n, k) of the corner must exist
-    stacked = _StackedBlocks(n, ordering, k)
-    corner = stacked.base  # == k is A(FJ(n, k)), and flank == k is A(FJ(n, k-1))
-    flank = corner + np.uint8(1)
+    stacked = _StackedBlocks(n, ordering, k)  # a corner's identity plane == k is A(FJ(n, k)), a flank's A(FJ(n, k-1))
 
     checks = []
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if abs(i - j) > k:
-                checks.append(stacked.screen("zero-block", (i, j), None))
+                checks.append(stacked.screen("zero-block", (i, j)))
     for where in ((1, 1), (n + 1, n + 1)):
-        checks.append(stacked.screen("corner-block", where, corner))
+        checks.append(stacked.screen("corner-block", where))
     for i in range(1, n + 1):
-        checks.append(stacked.screen("flank-block", (i, i + 1), flank))
-        checks.append(stacked.screen("flank-block", (i + 1, i), flank))
+        checks.append(stacked.screen("flank-block", (i, i + 1)))
+        checks.append(stacked.screen("flank-block", (i + 1, i)))
     return BlockReport(n=n, k=k, assertions=tuple(checks))
 
 
@@ -361,20 +443,18 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     _check_domain(n, 1)  # FJ(n, 1) of the corner must exist
     stacked = _StackedBlocks(n, ordering, 1)
     spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for every interior rebuild
-    corner = stacked.base  # == 1 is A(FJ(n, 1)), and flank == 1 the identity
-    flank = corner + np.uint8(1)
 
-    checks = []
+    checks = []  # a corner's identity plane == 1 is A(FJ(n, 1)), a flank's the identity
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if abs(i - j) > 1:
-                checks.append(stacked.screen("zero-block", (i, j), None))
+                checks.append(stacked.screen("zero-block", (i, j)))
             elif abs(i - j) == 1:
-                checks.append(stacked.screen("identity-flank", (i, j), flank))
+                checks.append(stacked.screen("identity-flank", (i, j)))
     for i in range(1, n + 2):
-        got_reg = _regularity(stacked.read(i, i), np.uint16)  # sums of at most b = n! <= 720
+        got_reg = stacked.regularity(i, i)
         if i in (1, n + 1):
-            checks.append(stacked.screen("corner-subgraph", (i, i), corner))
+            checks.append(stacked.screen("corner-subgraph", (i, i)))
             expected_reg = n - 1
         else:
             rebuilt = _excluded_transpositions(spec, i - 1)

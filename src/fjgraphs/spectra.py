@@ -35,7 +35,7 @@ from .config import (
     _check_graph_cap,
     _check_matrix_cap,
 )
-from .blocks import _regularity, _StackedBlocks, adjacency_matrix
+from .blocks import _StackedBlocks, adjacency_matrix
 from .perms import Perm
 
 
@@ -98,15 +98,18 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     matrix of FJ(n, 1) under the ordering stacked from an ordering of the
     permutations of [n-1] (lexicographic by default), in row-major order,
     and record each block's regularity.  Each block's row and column sums
-    are uint16 reductions of that (n-1)! x (n-1)! block alone; a block the
-    walk skips has no edge, so its regularity is 0.  A block with unequal
-    row or column sums would break the whole construction, so the first
-    such block in row-major order raises TheoremViolation.
+    are uint16 reductions of that (n-1)! x (n-1)! block alone, kept by the
+    slot of the counts, so a later check of the same base ordering reads
+    them; a block the walk skips has no edge, so its regularity is 0.  A
+    block with unequal row or column sums would break the whole
+    construction, so the first such block in row-major order raises
+    TheoremViolation.
     """
     _check_block_count(n)
     M = np.zeros((n, n), dtype=np.int64)
-    for i, j, B in _StackedBlocks(n - 1, ordering, 1).blocks():
-        r = 0 if B is None else _regularity(B, np.uint16)  # sums of at most (n-1)! <= 720
+    stacked = _StackedBlocks(n - 1, ordering, 1)
+    for i, j, edgeless in stacked.walk():
+        r = 0 if edgeless else stacked.regularity(i, j)
         if r is None:
             raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
         M[i - 1, j - 1] = r
@@ -196,17 +199,17 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     where A is the FJ(n, 1) adjacency matrix under the stacked ordering and
     M is the regularity matrix.  Column j of the left side is the row sums
     of A over the columns of block j, so the check walks the blocks (i, j)
-    of A in row-major order: every row sum of a block, a uint16 reduction,
-    must equal M[i, j], and a block the walk skips has all row sums 0.  No
-    tolerances are involved.  When this holds, every eigenpair of M lifts
-    to an eigenpair of A.
+    of A in row-major order: every row sum of a block, a uint16 reduction
+    that the slot of the counts keeps, must equal M[i, j], and a block the
+    walk skips has all row sums 0.  No tolerances are involved.  When this
+    holds, every eigenpair of M lifts to an eigenpair of A.
     """
     _check_block_count(n)
-    walk = _StackedBlocks(n - 1, ordering, 1).blocks()
+    stacked = _StackedBlocks(n - 1, ordering, 1)
     M = regularity_matrix(n)
     return all(
-        M[i - 1, j - 1] == 0 if B is None else (B.sum(axis=1, dtype=np.uint16) == M[i - 1, j - 1]).all()
-        for i, j, B in walk
+        M[i - 1, j - 1] == 0 if edgeless else (stacked.sums(i, j, (1,))[0] == M[i - 1, j - 1]).all()
+        for i, j, edgeless in stacked.walk()
     )
 
 

@@ -43,24 +43,29 @@ def fj61_spectrum_timed():
 def flip_stacked_counts(monkeypatch):
     """Inject one fault into the stacked counts that every stacked block check reads.
 
-    ``flip(k, *cells)`` patches the cached count builder itself: beside the
-    base counts it returns a writable copy of the stacked counts in which
-    ``== k`` reads the other way at each cell, so a slot warmed by an
-    earlier call can never bypass the fault.  A cell (R, c) is 0-based in
-    the whole (n+1)! x (n+1)! matrix; the block-major slot holds it at
+    ``flip(k, *cells)`` patches the cached count builder itself: for each
+    real slot it returns one faulted slot, of the base counts and a
+    writable copy of the stacked counts in which ``== k`` reads the other
+    way at each cell, with fresh, empty facts.  So neither the counts nor
+    the facts of a real slot warmed by an earlier call can bypass the
+    fault, and the checks after the flip share the facts of the faulted
+    slot as they would share those of a real one.  A cell (R, c) is 0-based
+    in the whole (n+1)! x (n+1)! matrix; the block-major slot holds it at
     ``[R // b, c // b, R % b, c % b]``, b = n!.
     """
 
     def flip(k, *cells):
-        real = blocks._stacked_counts
+        real, faulted = blocks._stacked_counts, {}
 
         def flipped(*args):
-            base, C = real(*args)
-            C, b = C.copy(), C.shape[2]
-            for R, c in cells:
-                cell = R // b, c // b, R % b, c % b
-                C[cell] = k + 1 if C[cell] == k else k
-            return base, C
+            if args not in faulted:
+                slot = real(*args)
+                C, b = slot.C.copy(), slot.C.shape[2]
+                for R, c in cells:
+                    cell = R // b, c // b, R % b, c % b
+                    C[cell] = k + 1 if C[cell] == k else k
+                faulted[args] = blocks._Slot(slot.base, C)
+            return faulted[args]
 
         monkeypatch.setattr(blocks, "_stacked_counts", flipped)
 

@@ -15,6 +15,7 @@ from fjgraphs import (
     BlockAssertion,
     BlockReport,
     CapExceeded,
+    TheoremViolation,
     adjacency_matrix,
     block,
     block_regularity,
@@ -350,7 +351,7 @@ def test_stacked_checks_build_the_counts_once(monkeypatch):
     assert builds == Counter({720: 1})
     assert band_rows == Counter(range(5040))
     slot = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes())
-    assert not any(counts.flags.writeable for counts in slot)
+    assert not any(counts.flags.writeable for counts in (slot.base, slot.C))
     assert blocks_module._stacked_counts.cache_info().misses == 1
 
 
@@ -369,7 +370,7 @@ def test_block_checks_build_the_base_counts_once(monkeypatch):
     random.Random(20).shuffle(S)
     assert all(check() for check in _stacked_checks(S)[:6])  # the recursive and permutahedron checks
     assert len(base_builds) == 1
-    base, _ = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes())
+    base = blocks_module._stacked_counts(6, (np.array(S, dtype=np.uint8) - 1).tobytes()).base
     assert not base.flags.writeable
 
 
@@ -386,7 +387,7 @@ def test_block_major_slot_holds_the_blocks_of_the_2d_counts(n):
     # C[i-1, j-1] is the (i, j) block of the (n+1)! x (n+1)! counts of the
     # stacked rows, as the 2-D route counts them, one contiguous read-only array
     for S in _bases(n):
-        _, C = blocks_module._stacked_counts(n, S.tobytes())
+        C = blocks_module._stacked_counts(n, S.tobytes()).C
         full, b = blocks_module._prefix_mismatch_counts(graphs_module._insertion_images(S, range(1, n + 2))), len(S)
         assert C.shape == (n + 1, n + 1, b, b) and C.dtype == np.uint8
         for i in range(1, n + 2):
@@ -409,13 +410,13 @@ def test_alternating_base_orderings_read_their_own_counts(n):
             assert stacked.b == b
             oracle = adjacency_matrix(n + 1, k, concatenated_ordering(base))
             walked = []
-            for i, j, B in stacked.blocks():  # a block the walk skips must have no edge
+            for i, j, edgeless in stacked.walk():  # a block the walk skips must have no edge
                 walked.append((i, j))
                 expected = block(oracle, i, j, b)
-                if B is None:
-                    assert abs(i - j) > 1 and not expected.any(), (base, k, i, j)
-                else:
-                    assert np.array_equal(B, expected), (base, k, i, j)
+                assert not edgeless or (abs(i - j) > 1 and not expected.any()), (base, k, i, j)
+                assert np.array_equal(stacked.read(i, j), expected), (base, k, i, j)
+                rows, cols = stacked.sums(i, j)
+                assert np.array_equal(rows, expected.sum(axis=1)) and np.array_equal(cols, expected.sum(axis=0)), (base, k, i, j)
             assert walked == [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
 
 
@@ -449,7 +450,8 @@ def test_stacked_blocks_obey_the_count_identity(n):
     # corners equal the base counts, flanks the base counts + 1, and a block
     # |i-j| >= 2 off the diagonal has no count below |i-j|
     for S in _bases(n):
-        slot_base, C = blocks_module._stacked_counts(n, S.tobytes())
+        slot = blocks_module._stacked_counts(n, S.tobytes())
+        slot_base, C = slot.base, slot.C
         base, b = blocks_module._prefix_mismatch_counts(S), len(S)
         assert np.array_equal(slot_base, base)
         for i in range(1, n + 2):
@@ -469,7 +471,7 @@ def test_stacked_count_is_the_gap_plus_the_outer_base_mismatches(n):
     # at prefix lengths 1..i-1 and j-1..n-1 (length i-1 twice when i = j), by
     # prefix sets summed from the rows, independent of the count routines
     for S in _bases(n):
-        _, C = blocks_module._stacked_counts(n, S.tobytes())
+        C = blocks_module._stacked_counts(n, S.tobytes()).C
         sets = np.cumsum(np.left_shift(1, S.astype(np.int64)), axis=1)
         mismatch = [np.zeros((len(S), len(S)), dtype=np.int64)]  # length 0: both prefixes empty
         mismatch += [(sets[:, L - 1, None] != sets[:, L - 1]).astype(np.int64) for L in range(1, n + 1)]
@@ -506,27 +508,27 @@ def _faulted_counts(C, k):
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 2), (5, 3)])
 def test_a_screen_miss_keeps_every_verdict(monkeypatch, n, k):
     # both faults leave ``== k`` unchanged, so the screens miss and the cell
-    # by cell comparison they fall back on must give the unpatched reports
+    # by cell comparison they fall back on must give the unpatched reports.
+    # Every check reads a new slot with empty facts, clean or faulted, so the
+    # reads of the two runs differ by the two screen misses alone
     checks = [lambda: verify_recursive_blocks(n, k)]
     if k == 1:
         checks.append(lambda: verify_permutahedron_blocks(n))
-    reads = _count_reads(monkeypatch)
-    clean = []
-    for check in checks:
-        reads.clear()
-        clean.append((check().to_dict(), Counter(reads)))
-    real = blocks_module._stacked_counts
+    reads, real = _count_reads(monkeypatch), blocks_module._stacked_counts
 
-    def faulted(*args):
-        base, C = real(*args)
-        return base, _faulted_counts(C, k)
+    def run(fault):
+        # the reports of the checks, and the blocks each reads, on the counts ``fault`` makes of the real ones
+        monkeypatch.setattr(blocks_module, "_stacked_counts", lambda *args: blocks_module._Slot(real(*args).base, fault(real(*args).C)))
+        out = []
+        for check in checks:
+            reads.clear()
+            out.append((check(), Counter(reads)))
+        return out
 
-    monkeypatch.setattr(blocks_module, "_stacked_counts", faulted)
-    for check, (doc, clean_reads) in zip(checks, clean):
-        reads.clear()
-        report = check()
-        assert report.passed and report.to_dict() == doc
-        assert Counter(reads) - clean_reads == Counter([(1, 1), (1, k + 2)])  # both screens missed
+    clean = run(lambda C: C)
+    for (report, faulted_reads), (doc, clean_reads) in zip(run(lambda C: _faulted_counts(C, k)), clean):
+        assert report.passed and report.to_dict() == doc.to_dict()
+        assert faulted_reads - clean_reads == Counter([(1, 1), (1, k + 2)])  # both screens missed
 
 
 def test_passing_recursive_checks_read_no_block(monkeypatch):
@@ -539,15 +541,128 @@ def test_passing_recursive_checks_read_no_block(monkeypatch):
 
 
 def test_regularity_checks_read_only_the_tridiagonal_blocks(monkeypatch):
+    # the regularity matrix reads each of the 19 tridiagonal blocks once, and
+    # the intertwining check after it takes their row sums from the slot
     S = list(enumerate_permutations(6))
     random.Random(19).shuffle(S)
+    blocks_module._stacked_counts.cache_clear()
     reads = _count_reads(monkeypatch)
     tridiagonal = [(i, j) for i in range(1, 8) for j in range(1, 8) if abs(i - j) <= 1]
     assert np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7))
     assert reads == tridiagonal and len(reads) == 19
     reads.clear()
     assert verify_intertwining(7, S)
-    assert reads == tridiagonal
+    assert reads == []
+
+
+def test_permutahedron_blocks_on_a_warm_slot_read_only_the_diagonal(monkeypatch):
+    # after the recursive check of k = 1 has screened every zero, corner and
+    # flank block, the permutahedron check reads each diagonal block once for
+    # its sums and each interior one again for its comparison with the rebuild
+    S = list(enumerate_permutations(6))
+    random.Random(21).shuffle(S)
+    blocks_module._stacked_counts.cache_clear()
+    reads = _count_reads(monkeypatch)
+    assert verify_recursive_blocks(6, 1, S).passed
+    assert reads == []
+    assert verify_permutahedron_blocks(6, S).passed
+    assert reads == [(1, 1)] + [(i, i) for i in range(2, 7) for _ in range(2)] + [(7, 7)]
+
+
+# ---------------------------------------------------------------- the facts a slot keeps of its blocks
+
+def _stacked_calls(n, S=None):
+    # every stacked check of the base ordering S of [n], returning what the check returns
+    return [
+        *(lambda k=k: verify_recursive_blocks(n, k, S) for k in range(1, n)),
+        lambda: verify_permutahedron_blocks(n, S),
+        lambda: regularity_matrix_from_blocks(n + 1, S),
+        lambda: verify_intertwining(n + 1, S),
+    ]
+
+
+def _outcome(call):
+    # a report as its dict, a matrix as its list, a bool as is, a raised TheoremViolation as its message
+    try:
+        out = call()
+    except TheoremViolation as violation:
+        return f"TheoremViolation: {violation}"
+    return out.to_dict() if isinstance(out, BlockReport) else out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def _all_pass(outcomes, n):
+    # whether the outcomes of _stacked_calls(n) are those of checks that hold
+    return all(report["passed"] for report in outcomes[:n]) and outcomes[n] == regularity_matrix(n + 1).tolist() and outcomes[n + 1] is True
+
+
+def _recomputed(slot, key):
+    # the fact of ``slot`` under ``key`` reduced afresh from its counts
+    kind, *where = key
+    if kind == "min":
+        i, j = where
+        return slot.C[i - 1, j - 1].min()
+    if kind == "plane":
+        i, j = where
+        return np.array_equal(slot.C[i - 1, j - 1], slot.base + abs(i - j))
+    k, i, j, axis = where
+    return (slot.C[i - 1, j - 1] == k).sum(axis=axis)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kept_facts_equal_fresh_reductions(n):
+    lex = np.array(enumerate_permutations(n), dtype=np.uint8) - 1
+    rng = np.random.default_rng(30 + n)
+    shuffled = [lex[rng.permutation(len(lex))] for _ in range(2)]
+    for S in [lex, *shuffled] if n < 6 else shuffled[:1]:
+        assert _all_pass([_outcome(call) for call in _stacked_calls(n, S + 1)], n)
+        slot = blocks_module._stacked_counts(n, S.tobytes())
+        assert {key[0] for key in slot.facts} == {"min", "plane", "sums"}
+        for key, fact in slot.facts.items():
+            assert np.array_equal(fact, _recomputed(slot, key)), key
+            if key[0] == "sums":
+                assert fact.dtype == np.uint16 and not fact.flags.writeable, key
+
+
+def test_any_call_order_gives_the_cold_reports():
+    S = list(enumerate_permutations(6))
+    random.Random(22).shuffle(S)
+    calls = _stacked_calls(6, S)
+    cold = []
+    for call in calls:
+        blocks_module._stacked_counts.cache_clear()
+        cold.append(_outcome(call))
+    assert _all_pass(cold, 6)
+    for seed in range(3):
+        order = list(range(len(calls)))
+        random.Random(seed).shuffle(order)
+        blocks_module._stacked_counts.cache_clear()
+        assert {index: _outcome(calls[index]) for index in order} == dict(enumerate(cold)), order
+
+
+@pytest.mark.parametrize(
+    "n, cell",
+    [(3, (1, 16)), (3, (18, 19)), (3, (7, 13)), (3, (6, 13)), (3, (0, 1)), (6, (0, 1)), (6, (0, 1440)), (6, (2165, 2885))],
+    ids=["zero", "corner", "flank", "off-flank", "in-corner", "corner-6", "zero-6", "flank-6"],
+)
+def test_a_flipped_cell_fails_alike_on_warm_and_cold_facts(flip_stacked_counts, n, cell):
+    # warm the facts of the real lexicographic slot of base n with every
+    # stacked check, then flip a cell: each check on the faulted slot, cold or
+    # after all the others, gives the same outcome, and the block checks name
+    # the flipped cell as their one failure
+    calls = _stacked_calls(n)
+    assert _all_pass([_outcome(call) for call in calls], n)
+    flip_stacked_counts(1, cell)
+    slot = blocks_module._stacked_counts(n, (np.array(enumerate_permutations(n), dtype=np.uint8) - 1).tobytes())
+    cold = []
+    for call in calls:
+        slot.facts.clear()
+        cold.append(_outcome(call))
+    b = len(slot.base)
+    for report in (cold[0], cold[n - 1]):  # the recursive check of k = 1 and the permutahedron check
+        (bad,) = [a for a in report["assertions"] if not a["passed"] and a["name"] != "block-regularity"]
+        assert bad["block"] == [cell[0] // b + 1, cell[1] // b + 1] and bad["witness"] == [cell[0] % b + 1, cell[1] % b + 1]
+    for _ in range(2):
+        assert [_outcome(call) for call in calls] == cold
 
 
 def test_permutahedron_blocks_validate_the_base_ordering_once(monkeypatch):

@@ -383,6 +383,21 @@ def test_regularity_matrix_from_blocks_reports_nonregular_loudly(flip_stacked_co
         regularity_matrix_from_blocks(4)
 
 
+@pytest.mark.parametrize("intertwining_first", [True, False])
+def test_equal_row_sums_with_unequal_column_sums_are_not_regular(flip_stacked_counts, intertwining_first):
+    # the edge 4123 -- 4132 of corner block (1,1) of FJ(4,1) moved to 4123 --
+    # 4231 keeps every row sum of the block, so the intertwining, which reads
+    # row sums alone, still holds; two column sums change, so the block is
+    # not regular, whichever of the two checks reads the block first
+    flip_stacked_counts(1, (0, 1), (0, 3))
+    for _ in range(2):
+        if intertwining_first:
+            assert verify_intertwining(4) is True
+        with pytest.raises(TheoremViolation, match=r"block \(1,1\) of the FJ\(4,1\)"):
+            regularity_matrix_from_blocks(4)
+        intertwining_first = True
+
+
 def test_a_lone_edge_far_off_the_diagonal_is_found(flip_stacked_counts):
     # a block two off the diagonal is skipped only while every count in it
     # exceeds 1, so one count lowered to 1 in block (1,3) of FJ(4,1) is read
