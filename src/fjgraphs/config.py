@@ -4,10 +4,10 @@ The guards are fixed, and each is checked once, where its cost is paid, by
 one function: GRAPH_CAP by ``_check_graph_cap`` when the n! vertex
 orderings are enumerated; EDGE_CAP by ``graphs._check_edge_budget``, which
 needs the degree, before an edge list or an edge stream is built or a BFS
-composes at most 2 * n! * degree products (a stream and a BFS go in fixed
-chunks, so there it bounds the time, not the memory); MATRIX_CAP by
-``_check_matrix_cap`` before anything allocates or loops over all
-n! x n! vertex pairs; EIGEN_CAP by ``_check_eigen_order`` before a
+composes about n! * degree products, at most twice that (a stream and a
+BFS go in fixed chunks, so there it bounds the time, not the memory);
+MATRIX_CAP by ``_check_matrix_cap`` before anything allocates or loops
+over all n! x n! vertex pairs; EIGEN_CAP by ``_check_eigen_order`` before a
 regularity matrix, an adjacency matrix for a spectrum or an eigensolver's
 float64 copy.  Only that order can be set per call (``eigen_cap``,
 ``fjgraph --eigen-cap``), and ``_check_eigen_cap`` refuses a cap below 1.

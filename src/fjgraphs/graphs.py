@@ -29,6 +29,20 @@ degree.  The edges reach the exports and the verification battery as one
 counted stream of those chunks (``_edge_stream``), so nothing but
 ``build_edges`` ever holds a whole edge list, and the DOT, CSV and JSON
 writers turn each chunk into text as it comes.
+
+The reversal w0 halves two of these passes.  Left multiplication
+u -> w0 o u is an automorphism of every Cayley graph on S_n, and it
+reverses the lexicographic order (rank r -> n! - 1 - r), so
+``build_edges`` ranks the products of the first half of the vertices only
+and mirrors their backward edges onto the second half; the edge stream
+keeps to every vertex in order, which holds no edge aside.  Conjugation
+v -> w0 o v o w0 reverses the order of the blocks of a permutation and
+keeps each block irreducible, so it preserves every connection set and
+fixes the identity; a search from the identity expands one vertex of each
+conjugate pair, and so composes about n! * degree products.  That search
+checks the invariance on the connection rows themselves
+(``_w0_conjugation``), so a connection set patched in that conjugation
+does not preserve is searched vertex by vertex.
 """
 
 from __future__ import annotations
@@ -266,6 +280,42 @@ def _connection_rows(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _conjugate_ranks(n: int) -> np.ndarray:
+    """
+    The lexicographic rank of w0 o v o w0, with w0 the reversal, for each
+    permutation v of [n] at its own rank, as a read-only int32 array: an
+    involution that fixes the identity, rank 0.  The conjugate reverses the
+    row of v and complements its values, and complementing the values
+    reverses the lexicographic order, so its rank is n! - 1 - lexrank(v o w0).
+    """
+    V = _lex_vertices(n)
+    conjugates = (len(V) - 1) - _lex_ranks(V[:, ::-1].T, n)
+    conjugates.flags.writeable = False
+    return conjugates
+
+
+@lru_cache(maxsize=None)
+def _w0_conjugation(n: int, k: int) -> np.ndarray:
+    """
+    ``_conjugate_ranks(n)`` when conjugation by w0 maps the connection rows
+    of FJ(n, k) onto themselves, else the identity map on the n! ranks;
+    cached per (n, k), like the rows it reads.  The conjugation reverses
+    the order of the blocks of a row and keeps each one irreducible, so it
+    preserves every connection set G(n, k), and with it the distances from
+    the identity; the check reads the rows themselves, so a connection set
+    patched in over them that the conjugation does not preserve gets the
+    identity map.
+    """
+    conjugates = _conjugate_ranks(n)
+    ranks = np.sort(_lex_ranks(_connection_rows(n, k).T, n))
+    if np.array_equal(np.sort(conjugates[ranks]), ranks):
+        return conjugates
+    fixed = np.arange(len(conjugates), dtype=np.int32)
+    fixed.flags.writeable = False
+    return fixed
+
+
+@lru_cache(maxsize=None)
 def _connection_form(n: int, k: int) -> np.ndarray:
     # the read-only float32 ``_rank_form`` of the connection rows of FJ(n, k)
     form = _rank_form(_connection_rows(n, k))
@@ -334,8 +384,8 @@ def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:
 
 def _check_edge_budget(n: int, k: int) -> int:
     # the edge count n! * degree / 2, known before a single product is
-    # composed; a BFS composes at most four times that many products, so
-    # this bounds its time too
+    # composed; a BFS composes about twice that many products (at most four
+    # times), so this bounds its time too
     edges = factorial(n) * degree(n, k) // 2
     if edges > EDGE_CAP:
         raise CapExceeded(f"FJ({n},{k}) has {edges} edges, over the edge budget {EDGE_CAP}")
@@ -453,6 +503,18 @@ def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> n
     return ranks if spec._lexicographic else spec._positions[ranks]
 
 
+def _sorted_products(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The chunk kernel of the edge stream and of ``build_edges``: the ranks
+    of the products u o g of the vertices at ranks ``rows``, each row
+    sorted, and the mask that splits each row at its own rank, True where
+    the product lies after its vertex (b > a).
+    """
+    b = _product_ranks(spec, rows, form)
+    b.sort(axis=1)
+    return b, b > rows[:, None]
+
+
 def _edge_chunks(spec: FlagGraphSpec):
     """
     The edges (a, b) with a < b as pairs of equal-length int32 rank arrays,
@@ -465,12 +527,57 @@ def _edge_chunks(spec: FlagGraphSpec):
         return
     form = _connection_form(spec.n, spec.k)
     for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), form):
-        b = _product_ranks(spec, rows, form)
-        b.sort(axis=1)
-        keep = b > rows[:, None]
-        a, b = np.broadcast_to(rows[:, None], b.shape)[keep], b[keep]
-        del keep
+        b, forward = _sorted_products(spec, rows, form)
+        a, b = np.broadcast_to(rows[:, None], b.shape)[forward], b[forward]
+        del forward
         yield a, b
+
+
+def _mirrored_edges(spec: FlagGraphSpec) -> np.ndarray:
+    """
+    The (n! * degree / 2, 2) int32 edge array of a lexicographic spec, from
+    the products of the first half of the vertices, ranks below n!/2.  Left
+    multiplication by the reversal w0 is an automorphism of every Cayley
+    graph on S_n, and it maps lexicographic rank r to n! - 1 - r.  So the
+    backward edges (b < a) of a chunk of the first half, mirrored to
+    (n! - 1 - a, n! - 1 - b) and reversed, are the sorted forward edges of a
+    chunk of the second half, and the chunks of the first half mirror those
+    of the second in reverse order.  Each chunk writes its forward edges at
+    the front of the array and its mirrored ones at the back, and the two
+    ends meet where the edges of the first half end, with no edge held
+    aside.  A write that would cross the meeting point raises
+    TheoremViolation before it is made, and so does a gap left between the
+    two ends after the last chunk.
+    """
+    edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int32)
+    last, front, back = spec.vertex_count - 1, 0, len(edges)
+    form = _connection_form(spec.n, spec.k)
+    for rows in _chunks(np.arange(spec.vertex_count // 2, dtype=np.int32), form):
+        b, split = _sorted_products(spec, rows, form)
+        a = np.broadcast_to(rows[:, None], b.shape)
+        count = np.count_nonzero(split)
+        _check_room(spec, front + count, back, len(edges))
+        edges[front : front + count, 0] = a[split]
+        edges[front : front + count, 1] = b[split]
+        front += count
+        np.less(b, rows[:, None], out=split)  # now the backward products, b < a
+        count = np.count_nonzero(split)
+        _check_room(spec, front, back - count, len(edges))
+        back -= count
+        np.subtract(last, a[split][::-1], out=edges[back : back + count, 0])
+        np.subtract(last, b[split][::-1], out=edges[back : back + count, 1])
+        del a, b, split  # before the next chunk is ranked
+    if front != back:
+        raise TheoremViolation(
+            f"FJ({spec.n},{spec.k}) has {len(edges) - (back - front)} edges, not n! * degree / 2 = {len(edges)}"
+        )
+    return edges
+
+
+def _check_room(spec: FlagGraphSpec, front: int, back: int, expected: int) -> None:
+    # the guard of the two-ended fill: a front end past the back end means more edges than n! * degree / 2
+    if front > back:
+        raise TheoremViolation(f"FJ({spec.n},{spec.k}) has more than n! * degree / 2 = {expected} edges")
 
 
 class EdgeList(Sequence):
@@ -525,18 +632,26 @@ class EdgeList(Sequence):
 def build_edges(spec: FlagGraphSpec) -> EdgeList:
     """
     Edge list of rank pairs (a, b), a < b, sorted.  Runs in
-    O(n! * degree * n^2) by ranking the product of every vertex with every
+    O(n! * degree * n^2) by ranking the products of the vertices with every
     generator through the generators' rank forms, one float32 matrix
-    product per chunk, instead of testing all C(n!, 2) pairs.  The products
-    are ranked in vertex chunks of about ``CHUNK_CELLS`` and each chunk's
-    edges are written into one preallocated int32 array, so the peak is a
-    fixed working set plus 8 bytes per edge.  FJ(n, 0) yields an empty
-    list (loops are excluded by convention).  A graph with more than
-    ``config.EDGE_CAP`` edges raises CapExceeded before anything is built.
-    The exports and the battery never hold this list: they read the same
-    chunks from ``_edge_stream``, one at a time.  It stays as the
-    materialised form that the oracles and the tests compare.
+    product per chunk, instead of testing all C(n!, 2) pairs.  Under the
+    lexicographic ordering only the first half of the vertices is ranked,
+    and the reversal w0 mirrors its backward edges onto the second half
+    (``_mirrored_edges``); w0 does not reverse any other ordering, whose
+    edges come from every vertex in turn.  The products are ranked in
+    vertex chunks of about ``CHUNK_CELLS`` and each chunk's edges are
+    written into one preallocated int32 array, so the peak is a fixed
+    working set plus 8 bytes per edge.  FJ(n, 0) yields an empty list
+    (loops are excluded by convention).  A graph with more than
+    ``config.EDGE_CAP`` edges raises CapExceeded before anything is built,
+    and an edge count off n! * degree / 2 raises TheoremViolation.  The
+    exports and the battery never hold this list: they read the chunks of
+    every vertex, in the same order, from ``_edge_stream``, one at a time.
+    It stays as the materialised form that the oracles and the tests
+    compare.
     """
+    if spec.k and spec._lexicographic:
+        return EdgeList(_mirrored_edges(spec))
     return _fill_edges(spec, _edge_chunks(spec))
 
 

@@ -21,6 +21,7 @@ from .graphs import (
     _connection_form,
     _lex_ranks,
     _product_ranks,
+    _w0_conjugation,
     build_edges,
     generators,  # not called here; fjbench's tracer wraps it in this namespace
 )
@@ -100,19 +101,30 @@ def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
       closed under inverses, so the neighbours of v are the products v o g.
 
     A level goes bottom-up when 2 * |frontier| > |unreached|, else
-    top-down.  A top-down level composes |frontier| * degree products and a
-    bottom-up one at most |unreached| * degree < 2 * |frontier| * degree, so
-    a whole search composes at most 2 * n! * degree.  A connection set of
-    at most 16 generators is one batch: its bottom-up levels compose all
-    |unreached| * degree products, so they go bottom-up only when
-    |frontier| > |unreached|.  Products are ranked through the cached rank form
-    of the connection rows (``graphs._connection_form``, read by
-    ``graphs._product_ranks``) in vertex chunks of about
-    ``graphs.CHUNK_CELLS``, so the peak memory is fixed whatever the
-    degree.
+    top-down.  A connection set of at most 16 generators is one batch: its
+    bottom-up levels compose all |unreached| * degree products, so they go
+    bottom-up only when |frontier| > |unreached|.
+
+    Both directions expand one vertex of each pair {v, w0 o v o w0}, w0 the
+    reversal.  Conjugation by w0 preserves the connection set and fixes the
+    identity, so it is an automorphism that preserves the distances from the
+    identity, and every vertex the search reaches gets its conjugate at the
+    same level.  Top-down expands the frontier vertices whose rank is at
+    most their conjugate's, and bottom-up probes only those unreached
+    vertices.  The map is ``graphs._w0_conjugation``, the identity map for a
+    connection set that conjugation does not preserve.  Both costs halve, so
+    the direction rule weighs them as before, and a search composes about
+    n! * degree products: a top-down level about |frontier| * degree / 2,
+    a bottom-up one fewer than |frontier| * degree.  Products are ranked
+    through the cached rank form of the connection rows
+    (``graphs._connection_form``, read by ``graphs._product_ranks``) in
+    vertex chunks of about ``graphs.CHUNK_CELLS``, so the peak memory is
+    fixed whatever the degree.
     """
     spec = FlagGraphSpec(n, k)
     form = _connection_form(n, k)
+    twin = _w0_conjugation(n, k)
+    lead = np.arange(spec.vertex_count) <= twin  # the vertex of each pair that the search expands
 
     dist = np.full(spec.vertex_count, UNREACHED, dtype=np.uint16)
     dist[0] = 0  # the identity is lexicographic rank 0
@@ -123,20 +135,23 @@ def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
     while frontier.size and unreached:
         level += 1
         if alpha * frontier.size > unreached:
-            todo = np.flatnonzero(dist == UNREACHED)
+            todo = np.flatnonzero((dist == UNREACHED) & lead)
             for start in range(0, len(form), _BOTTOM_UP_BATCH):
                 batch = form[start : start + _BOTTOM_UP_BATCH]
                 for rows in _chunks(todo, batch):
-                    hit = (dist[_product_ranks(spec, rows, batch)] == level - 1).any(axis=1)
-                    dist[rows[hit]] = level
+                    found = rows[(dist[_product_ranks(spec, rows, batch)] == level - 1).any(axis=1)]
+                    dist[found] = level
+                    dist[twin[found]] = level
                 todo = todo[dist[todo] == UNREACHED]
                 if not todo.size:
                     break
-            unreached = todo.size
+            unreached = np.count_nonzero(dist == UNREACHED)
         else:
-            for rows in _chunks(frontier, form):
+            for rows in _chunks(frontier[lead[frontier]], form):
                 b = _product_ranks(spec, rows, form).ravel()
-                dist[b[dist[b] == UNREACHED]] = level
+                b = b[dist[b] == UNREACHED]
+                dist[b] = level
+                dist[twin[b]] = level
                 unreached = np.count_nonzero(dist == UNREACHED)
                 if not unreached:
                     break

@@ -4,10 +4,10 @@ import pytest
 
 import fjgraphs as fj
 from fjgraphs import blocks
-from fjgraphs.graphs import _connection_form, _connection_rows
+from fjgraphs.graphs import _connection_form, _connection_rows, _w0_conjugation
 from fjgraphs.metrics import _identity_search
 
-_COLD = (_identity_search, _connection_rows, _connection_form)
+_COLD = (_identity_search, _connection_rows, _connection_form, _w0_conjugation)
 
 
 @pytest.fixture(autouse=True)

@@ -488,6 +488,44 @@ def test_edge_count_off_the_degree_formula_raises(route, off, monkeypatch):
         route(FlagGraphSpec(4, 2))
 
 
+def test_two_ended_fill_raises_before_its_ends_cross(monkeypatch):
+    # one vertex per chunk: FJ(4,2) has 84 edges, 42 from each half of the
+    # vertices; a degree of 2 admits 24, which the front and back writes
+    # pass long before the 12 chunks of the first half are ranked
+    real, chunks = graphs._sorted_products, []
+
+    def counting(spec, rows, form):
+        chunks.append(len(rows))
+        return real(spec, rows, form)
+
+    monkeypatch.setattr(graphs, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(graphs, "_sorted_products", counting)
+    monkeypatch.setattr(graphs, "degree", lambda n, k: 2)
+    with pytest.raises(TheoremViolation, match="more than n! \\* degree / 2 = 24 edges"):
+        build_edges(FlagGraphSpec(4, 2))
+    assert chunks and set(chunks) == {1} and len(chunks) < 12
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(n)] + [(8, 1), (8, 2), (8, 3)])
+def test_mirrored_edges_equal_the_edge_stream_chunk_by_chunk(n, k):
+    # build_edges ranks half of the vertices and mirrors the rest; the stream ranks every vertex in order
+    spec = FlagGraphSpec(n, k)
+    edges = np.asarray(build_edges(spec))
+    filled = 0
+    for a, b in graphs._edge_stream(spec):
+        assert np.array_equal(edges[filled : filled + len(a), 0], a)
+        assert np.array_equal(edges[filled : filled + len(a), 1], b)
+        filled += len(a)
+    assert filled == len(edges) == factorial(n) * degree(n, k) // 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mirrored_edges_equal_the_pairwise_route(n):
+    for k in range(n):
+        spec = FlagGraphSpec(n, k)
+        assert build_edges(spec) == pairwise_edges(spec)
+
+
 def test_regularity_observed():
     # every vertex of the Cayley graph has the same degree
     spec = FlagGraphSpec(4, 2)

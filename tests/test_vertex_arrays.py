@@ -232,6 +232,42 @@ def test_bottom_up_levels_cut_the_products_of_dense_searches(k, monkeypatch):
     assert count[0] < 300_000
 
 
+@pytest.mark.parametrize("n, k, bound", [(8, 2, 40320 * 33 // 2 + 1), (7, 6, 80_000)])
+def test_the_orbit_search_expands_one_vertex_of_each_conjugate_pair(n, k, bound, monkeypatch):
+    # FJ(8,2) composed 962,636 products and FJ(7,6) 148,087 when the search expanded every vertex
+    count = count_products(monkeypatch)
+    assert bfs(FlagGraphSpec(n, k), identity(n)).connected
+    assert 0 < count[0] < bound
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 10**9])  # all top-down, the narrow and wide switch rules, all bottom-up
+def test_bfs_of_a_connection_set_that_w0_conjugation_moves(alpha, monkeypatch):
+    # the adjacent transpositions (1 2), (2 3), (3 4) of [5] and (1 5): inverse-closed and
+    # connected, but conjugation by w0 maps (1 2) to (4 5), which is not among them
+    gens = ((2, 1, 3, 4, 5), (1, 3, 2, 4, 5), (1, 2, 4, 3, 5), (5, 2, 3, 4, 1))
+    monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: np.array(gens, dtype=np.uint8) - 1)
+    assert np.array_equal(graphs._w0_conjugation(5, 1), np.arange(120))
+    force_alpha(monkeypatch, alpha)
+    spec = FlagGraphSpec(5, 1)
+    for source in (identity(5), (3, 1, 5, 2, 4)):
+        expected = generator_bfs(gens, source)
+        profile = bfs(spec, source)
+        assert len(expected) == 120 and profile.connected
+        assert profile.distances.tolist() == [expected[p] for p in spec.ordering]
+        assert profile.eccentricity == max(expected.values())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjugate_ranks_are_the_w0_conjugation(n):
+    w0 = reversal(n)
+    conjugates = graphs._conjugate_ranks(n)
+    assert conjugates.dtype == np.int32 and not conjugates.flags.writeable
+    assert conjugates.tolist() == [rank(compose(w0, compose(v, w0))) for v in enumerate_permutations(n)]
+    assert np.array_equal(conjugates[conjugates], np.arange(len(conjugates)))
+    for k in range(1, n):
+        assert graphs._w0_conjugation(n, k) is conjugates
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_narrow_searches_compose_no_more_products_than_top_down(n, monkeypatch):
     # degree n-1 <= 16 is one bottom-up batch, which cannot stop early
