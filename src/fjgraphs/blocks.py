@@ -20,32 +20,32 @@ submatrices of size n! x n! with rigid contents:
 identities bit for bit and report every assertion with 1-based coordinates,
 so a discrepancy pinpoints itself.
 
-Every read of the stacked blocks, here and in ``spectra``, goes through one
-reader, ``_StackedBlocks(n, S, k)``.  It validates S once into a uint8
-vertex array and takes two read-only arrays from one slot, built once per
-process for the latest (n, S): the n! x n! prefix-mismatch counts of S (the
-corner and flank counts, ``== k`` and ``== k-1``, so the k = 1 flank is
-``counts == 0``, the identity) and the counts C of the (n+1)! stacked rows,
-held block-major with shape (n+1, n+1, n!, n!) (at most 25.4 MB, at
-``config.MATRIX_CAP`` 7): ``C[i-1, j-1]`` is block (i, j), one C-contiguous
-n! x n! array.  Another base ordering replaces both.  A block is read as
-``C[i-1, j-1] == k`` into a buffer of the reader, one block at a time, so no
-check holds a second (n+1)!-sized plane; indexing a block is a numpy view,
-never a copy, and every reduction over it runs on contiguous memory.  Its
-``walk``, the one ``spectra`` loops over, visits every block in row-major
-order and marks a block two or more off the diagonal whose every count
-exceeds k: it has no edge.
+Every stacked check, here and in ``spectra``, takes its counts from one
+function, ``_stacked_slot(n, S)``.  It refuses n+1 above
+``config.MATRIX_CAP``, validates S once into a uint8 vertex array and looks
+up one slot, built once per process for the latest (n, S): the read-only
+n! x n! prefix-mismatch counts of S (the corner and flank counts, ``== k``
+and ``== k-1``, so the k = 1 flank is ``counts == 0``, the identity) and the
+read-only counts C of the (n+1)! stacked rows, held block-major with shape
+(n+1, n+1, n!, n!) (at most 25.4 MB, at ``config.MATRIX_CAP`` 7):
+``C[i-1, j-1]`` is block (i, j), one C-contiguous n! x n! array.  Another
+base ordering replaces both.  The block checks read a block through
+``_StackedBlocks(n, S, k)``, as ``C[i-1, j-1] == k`` into a buffer of the
+reader, one block at a time, so no check holds a second (n+1)!-sized plane;
+indexing a block is a numpy view, never a copy, and every reduction over it
+runs on contiguous memory.
 
-The slot also keeps the facts the checks derive from its blocks, each
-computed the first time a check asks for it: the minimum of a block, whether
-a corner or flank block equals its identity plane (below), and the uint16
-row and column sums of a block under ``== k``.  So the recursive checks of
-every k, the permutahedron check, the regularity matrix and the
-intertwining check reduce each block of a base once between them: a lone
-check on a new slot makes the reductions it always made, and every later
-check reads them.  The facts hold at most about 141 KB at base 6 (the sums;
-the minima and verdicts are a few dozen numbers) and go with the slot: a
-slot of another base ordering, or of substituted counts, starts with none.
+The slot also holds three read-only arrays over all (n+1)^2 blocks, each
+computed from the counts the first time a check asks for it: the minimum of
+every block, whether each corner and flank block equals its identity plane
+(below), and the uint16 row and column sums of every block under ``== 1``,
+0 for a block whose every count exceeds 1, which has no edge.  So the
+recursive checks of every k, the permutahedron check, the regularity matrix
+and the intertwining check reduce each block of a base at most once between
+them, and the last two compare whole arrays.  The arrays hold about 141 KB
+at base 6 (the sums; the minima and verdicts are 49 numbers each) and go
+with the slot: a slot of another base ordering, or of substituted counts,
+starts with none.
 
 The blocks obey an identity on the raw counts.  Put n+1 into base rows u'
 and v' at positions i <= j: their stacked count is j-i plus the number of
@@ -63,7 +63,7 @@ from their generators, never with a kept verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from typing import Sequence
@@ -177,31 +177,57 @@ def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     return A
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class _Slot:
     """
-    The read-only counts of one base ordering, ``base`` and the block-major
-    stacked counts ``C``, and ``facts``: what the checks derive from the
-    blocks of C, each computed the first time a ``_StackedBlocks`` reader
-    asks for it and kept under its key, never recomputed:
+    The read-only counts of one base ordering of [n], ``base`` and the
+    block-major stacked counts ``C``, and three read-only arrays over all
+    m^2 blocks (m = n+1), each computed from them the first time a check
+    asks for it:
 
-      ("min", i, j)            the least count of block (i, j);
-      ("plane", i, j)          whether block (i, j), a corner or a flank,
-                               equals its identity plane, the base counts
-                               (+ 1 on a flank);
-      ("sums", k, i, j, axis)  the read-only uint16 sums of ``C[i-1, j-1]
-                               == k`` along ``axis``: 1 for the row sums,
-                               0 for the column sums.
+      minima  (m, m) uint8: the least count of each block;
+      plane   (m, m) bool: whether each corner and flank block equals its
+              identity plane, the base counts + |i-j|; False for every
+              other block;
+      sums    (2, m, m, n!) uint16: the row sums (``sums[0]``) and the
+              column sums (``sums[1]``) of ``C[i-1, j-1] == 1`` for each
+              block whose minimum is at most 1, and 0 for the rest.
 
-    At base 6 they hold at most 49 minima, 14 verdicts and 2 x 49 sums of
-    720 uint16 for each k read, 141 KB; only k = 1 is read.  The facts
-    belong to these counts alone: a new slot, of another base ordering or
-    of substituted counts, starts with none.
+    At base 6 the sums take 141 KB.  The arrays belong to these counts
+    alone: a new slot, of another base ordering or of substituted counts,
+    starts with none.
     """
 
     base: np.ndarray
     C: np.ndarray
-    facts: dict = field(default_factory=dict)
+
+    @cached_property
+    def minima(self) -> np.ndarray:
+        return _read_only(self.C.min(axis=(2, 3)))
+
+    @cached_property
+    def plane(self) -> np.ndarray:
+        m = len(self.C)
+        plane, got = np.zeros((m, m), dtype=bool), np.empty(self.base.shape, dtype=bool)
+        identity = self.base, self.base + np.uint8(1)  # of a corner, of a flank
+        for i, j in [(0, 0), (m - 1, m - 1), *((i, i + 1) for i in range(m - 1)), *((i + 1, i) for i in range(m - 1))]:
+            plane[i, j] = np.equal(self.C[i, j], identity[abs(i - j)], out=got).all()
+        return _read_only(plane)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        b = len(self.base)  # sums of at most b = n! <= 720
+        sums, got = np.zeros((2, *self.minima.shape, b), dtype=np.uint16), np.empty((b, b), dtype=bool)
+        for i, j in np.argwhere(self.minima <= 1):
+            np.equal(self.C[i, j], 1, out=got)
+            got.sum(axis=1, dtype=np.uint16, out=sums[0, i, j])
+            got.sum(axis=0, dtype=np.uint16, out=sums[1, i, j])
+        return _read_only(sums)
 
 
 @lru_cache(maxsize=1)
@@ -209,13 +235,13 @@ def _stacked_counts(n: int, base: bytes) -> _Slot:
     # the slot of the read-only prefix-mismatch counts of the base rows packed
     # in ``base`` and of their stacked rows, the latter block-major: C[i-1, j-1]
     # is block (i, j).  One slot, so the process keeps the two arrays of the
-    # latest base ordering only, and the facts of its blocks with them: they
-    # go when the slot goes.  The stacked rows are counted in full-width bands,
-    # whole block rows while they fit in one band, else rows of one block row,
-    # each into a scratch buffer and then moved into its blocks: a kernel row
-    # spans all (n+1)! columns, where a compare straight into the blocks would
-    # pay numpy's per-row cost every n! cells, and small bases make as few
-    # calls as the 2-D counts would
+    # latest base ordering only, and the arrays derived from its blocks with
+    # them: they go when the slot goes.  The stacked rows are counted in
+    # full-width bands, whole block rows while they fit in one band, else rows
+    # of one block row, each into a scratch buffer and then moved into its
+    # blocks: a kernel row spans all (n+1)! columns, where a compare straight
+    # into the blocks would pay numpy's per-row cost every n! cells, and small
+    # bases make as few calls as the 2-D counts would
     S = np.frombuffer(base, dtype=np.uint8).reshape(-1, n)
     m, b = n + 1, len(S)
     masks, buffer = _prefix_masks(_insertion_images(S, range(1, m + 1))), np.empty(CHUNK_CELLS, dtype=np.uint8)
@@ -225,10 +251,20 @@ def _stacked_counts(n: int, base: bytes) -> _Slot:
         for cut in _row_slices(b, count * m * b):  # then all b rows of each, else a band of the one
             band = _mismatch_band(masks, slice(rows.start * b + cut.start, (rows.stop - 1) * b + cut.stop), slice(None), buffer)
             C[rows, :, cut] = band.reshape(count, -1, m, b).swapaxes(1, 2)
-    slot = _Slot(_prefix_mismatch_counts(S), C)
-    for M in (slot.base, slot.C):
-        M.flags.writeable = False
-    return slot
+    return _Slot(_read_only(_prefix_mismatch_counts(S)), _read_only(C))
+
+
+def _stacked_slot(n: int, ordering: Sequence[Perm] | None) -> tuple[np.ndarray, _Slot]:
+    """
+    The base rows S of ``ordering`` (lexicographic if None or empty) and the
+    slot of their counts.  n+1 above ``config.MATRIX_CAP`` raises
+    CapExceeded first; then S is validated, once, since the stacked rows are
+    permutations by construction.
+    """
+    if (m := n + 1) > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
+        raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
+    S = _vertex_rows(n, ordering)
+    return S, _stacked_counts(n, S.tobytes())
 
 
 @dataclass(frozen=True)
@@ -256,7 +292,7 @@ class BlockReport:
 
     n: int
     k: int
-    assertions: tuple[BlockAssertion, ...] = field(default_factory=tuple)
+    assertions: tuple[BlockAssertion, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -277,106 +313,47 @@ class BlockReport:
 class _StackedBlocks:
     """
     The n! x n! blocks ``C[i-1, j-1] == k`` of the block-major stacked counts
-    C of a base ordering S of the permutations of [n] (lexicographic if None
-    or empty): they are the blocks (i, j) of the adjacency matrix of
+    C of a base ordering S of the permutations of [n], as ``_stacked_slot``
+    gives them: they are the blocks (i, j) of the adjacency matrix of
     FJ(n+1, k) under the stacked ordering, but on the diagonal of the whole
-    matrix, where every count is 0.  n+1 above ``config.MATRIX_CAP`` raises
-    CapExceeded first; then S is validated, once, since the stacked rows are
-    permutations by construction.  The reader holds S, the slot of S with
-    its base counts ``base``, C and the facts of its blocks, the block size
-    ``b`` = n! and k.  Every minimum, screen verdict and sum it derives from
-    a block is a fact of the slot, so a later reader of the same slot, for
-    any check, takes it from there instead of reducing the block again.
-    Each block is read into the same bool buffer and compared through a
-    second one: a fresh block-sized array per block would have its pages
-    faulted in anew.
+    matrix, where every count is 0.  The reader holds S, the slot of S with
+    its base counts ``base`` and C, the block size ``b`` = n! and k.  Each
+    block is read into the same bool buffer and compared through a second
+    one: a fresh block-sized array per block would have its pages faulted in
+    anew.
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
-        if (m := n + 1) > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
-            raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
-        self.S = _vertex_rows(n, ordering)
-        self.slot = _stacked_counts(n, self.S.tobytes())
+        self.S, self.slot = _stacked_slot(n, ordering)
         self.base, self.C = self.slot.base, self.slot.C
-        self.n, self.k, self.b = n, k, factorial(n)
+        self.k, self.b = k, factorial(n)
         self._got = np.empty((self.b, self.b), dtype=bool)
         self._diff = np.empty((self.b, self.b), dtype=bool)
-
-    def _fact(self, key: tuple, compute):
-        # the fact of the slot under ``key``, computed by ``compute`` the first time it is asked for
-        facts = self.slot.facts
-        if key not in facts:
-            facts[key] = compute()
-        return facts[key]
-
-    @cached_property
-    def _flank(self) -> np.ndarray:
-        # the base counts + 1, built the first time a flank fact is computed or a flank screen misses
-        return self.base + np.uint8(1)
-
-    def _identity(self, i: int, j: int) -> np.ndarray:
-        # the identity plane of the corner or flank block (i, j)
-        return self.base if i == j else self._flank
-
-    def walk(self):
-        """
-        Every block (i, j), 1-based, in row-major order, as ``(i, j,
-        edgeless)``: edgeless is True for a block two or more off the
-        diagonal whose every count exceeds k, which has no edge.
-        """
-        for i in range(1, self.n + 2):
-            for j in range(1, self.n + 2):
-                yield i, j, abs(i - j) > 1 and self.above_k(i, j)
 
     def read(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), 1-based, valid until the next read."""
         return np.equal(self.C[i - 1, j - 1], self.k, out=self._got)
-
-    def above_k(self, i: int, j: int) -> bool:
-        """Whether every count of block (i, j) exceeds k, so that ``== k`` reads all False."""
-        return self._fact(("min", i, j), lambda: int(self.C[i - 1, j - 1].min())) > self.k
-
-    def sums(self, i: int, j: int, axes: tuple[int, ...] = (1, 0)) -> list[np.ndarray]:
-        """
-        The uint16 sums of block (i, j) as ``read`` gives it along each of
-        ``axes``: its row sums along 1, its column sums along 0 (sums of at
-        most b = n! <= 720).  The block is read once for the sums of it that
-        the slot lacks; the arrays are the slot's, read-only.
-        """
-        facts, keys = self.slot.facts, [("sums", self.k, i, j, axis) for axis in axes]
-        if any(key not in facts for key in keys):
-            B = self.read(i, j)
-            for key in keys:
-                if key not in facts:
-                    sums = B.sum(axis=key[-1], dtype=np.uint16)
-                    sums.flags.writeable = False
-                    facts[key] = sums
-        return [facts[key] for key in keys]
-
-    def regularity(self, i: int, j: int) -> int | None:
-        """The common row and column sum of block (i, j) as ``read`` gives it, or None if they differ."""
-        return _common_sum(*self.sums(i, j))
 
     def screen(self, name: str, where: tuple[int, int]) -> BlockAssertion:
         """
         Check block ``where`` against its expected 0/1 plane: all False for
         a block two or more off the diagonal, else its identity plane
         ``== k``, the base counts for a corner block and the base counts +
-        1 for a flank.  The block passes at once when every count is above
-        k, or when its counts equal the identity plane, which is
-        sufficient; otherwise ``compare`` reads it cell by cell, against
-        the plane built only then.  Interior diagonal blocks have no
-        identity plane and are not screened.
+        1 for a flank.  The block passes at once when its minimum in the
+        slot exceeds k, or when the slot's ``plane`` says its counts equal
+        the identity plane, which is sufficient; otherwise ``compare`` reads
+        it cell by cell, against the plane built only then.  Interior
+        diagonal blocks have no identity plane and are not screened.
         """
         i, j = where
         if abs(i - j) > 1:
-            if self.above_k(i, j):
+            if self.slot.minima[i - 1, j - 1] > self.k:
                 return BlockAssertion(name, where, True)
             expected = np.broadcast_to(False, (self.b, self.b))  # a read-only view of one cell
         else:
-            if self._fact(("plane", i, j), lambda: bool(np.equal(self.C[i - 1, j - 1], self._identity(i, j), out=self._got).all())):
+            if self.slot.plane[i - 1, j - 1]:
                 return BlockAssertion(name, where, True)
-            expected = self._identity(i, j) == self.k
+            expected = self.base + np.uint8(abs(i - j)) == self.k
         return self.compare(name, where, expected)
 
     def compare(self, name: str, where: tuple[int, int], expected: np.ndarray, detail: str = "") -> BlockAssertion:
@@ -452,7 +429,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
             elif abs(i - j) == 1:
                 checks.append(stacked.screen("identity-flank", (i, j)))
     for i in range(1, n + 2):
-        got_reg = stacked.regularity(i, i)
+        got_reg = _common_sum(*stacked.slot.sums[:, i - 1, i - 1])
         if i in (1, n + 1):
             checks.append(stacked.screen("corner-subgraph", (i, i)))
             expected_reg = n - 1

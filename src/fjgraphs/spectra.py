@@ -35,7 +35,7 @@ from .config import (
     _check_graph_cap,
     _check_matrix_cap,
 )
-from .blocks import _StackedBlocks, adjacency_matrix
+from .blocks import _stacked_slot, adjacency_matrix
 from .perms import Perm
 
 
@@ -94,26 +94,25 @@ def regularity_matrix(n: int) -> np.ndarray:
 
 def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None) -> np.ndarray:
     """
-    The same matrix read off empirically: walk the blocks of the adjacency
-    matrix of FJ(n, 1) under the ordering stacked from an ordering of the
-    permutations of [n-1] (lexicographic by default), in row-major order,
-    and record each block's regularity.  Each block's row and column sums
-    are uint16 reductions of that (n-1)! x (n-1)! block alone, kept by the
-    slot of the counts, so a later check of the same base ordering reads
-    them; a block the walk skips has no edge, so its regularity is 0.  A
+    The same matrix read off empirically: the regularity of every block of
+    the adjacency matrix of FJ(n, 1) under the ordering stacked from an
+    ordering of the permutations of [n-1] (lexicographic by default).  It
+    compares the uint16 row and column sums of all the (n-1)! x (n-1)!
+    blocks at once, as the slot of the counts holds them, so a later check
+    of the same base ordering reads the same arrays; a block whose every
+    count exceeds 1 has no edge, so its sums and its regularity are 0.  A
     block with unequal row or column sums would break the whole
     construction, so the first such block in row-major order raises
     TheoremViolation.
     """
     _check_block_count(n)
-    M = np.zeros((n, n), dtype=np.int64)
-    stacked = _StackedBlocks(n - 1, ordering, 1)
-    for i, j, edgeless in stacked.walk():
-        r = 0 if edgeless else stacked.regularity(i, j)
-        if r is None:
-            raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
-        M[i - 1, j - 1] = r
-    return M
+    rows, cols = _stacked_slot(n - 1, ordering)[1].sums
+    first = rows[..., :1]
+    irregular = ~((rows == first).all(axis=2) & (cols == first).all(axis=2))
+    if irregular.any():
+        i, j = np.argwhere(irregular)[0] + 1
+        raise TheoremViolation(f"block ({i},{j}) of the FJ({n},1) decomposition is not regular")
+    return rows[..., 0].astype(np.int64)
 
 
 def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
@@ -179,12 +178,15 @@ def lift_vector(vec, n: int) -> np.ndarray:
     Expand a length-n vector to length n! by giving every one of the
     (n-1)! coordinates of block i the value vec[i]: the linear map that
     sends basis vector i to the indicator of ordering block i.  The dtype
-    of the input is preserved, so integer vectors lift exactly.  n above
-    ``config.GRAPH_CAP`` raises CapExceeded before anything is allocated.
+    of the input is preserved, so integer vectors lift exactly.  n below 1
+    raises ValueError, n above ``config.GRAPH_CAP`` CapExceeded before
+    anything is allocated.
 
     >>> lift_vector([1, 0, 0], 3).tolist()
     [1, 1, 0, 0, 0, 0]
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     v = np.asarray(vec)
     if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}")
@@ -198,19 +200,15 @@ def verify_intertwining(n: int, ordering: Sequence[Perm] | None = None) -> bool:
     matrices: A @ lift(e_i) == lift(M @ e_i) for every basis vector e_i,
     where A is the FJ(n, 1) adjacency matrix under the stacked ordering and
     M is the regularity matrix.  Column j of the left side is the row sums
-    of A over the columns of block j, so the check walks the blocks (i, j)
-    of A in row-major order: every row sum of a block, a uint16 reduction
-    that the slot of the counts keeps, must equal M[i, j], and a block the
-    walk skips has all row sums 0.  No tolerances are involved.  When this
+    of A over the columns of block j, so every row sum of every block (i, j),
+    as the slot of the counts holds them, must equal M[i, j]: one compare of
+    the whole (n, n, (n-1)!) array with M.  A block whose every count
+    exceeds 1 has all row sums 0.  No tolerances are involved.  When this
     holds, every eigenpair of M lifts to an eigenpair of A.
     """
     _check_block_count(n)
-    stacked = _StackedBlocks(n - 1, ordering, 1)
-    M = regularity_matrix(n)
-    return all(
-        M[i - 1, j - 1] == 0 if edgeless else (stacked.sums(i, j, (1,))[0] == M[i - 1, j - 1]).all()
-        for i, j, edgeless in stacked.walk()
-    )
+    rows = _stacked_slot(n - 1, ordering)[1].sums[0]
+    return bool((rows == regularity_matrix(n)[..., None]).all())
 
 
 @dataclass(frozen=True)

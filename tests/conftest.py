@@ -7,17 +7,18 @@ from fjgraphs import blocks
 from fjgraphs.graphs import _connection_form, _connection_rows, _w0_conjugation
 from fjgraphs.metrics import _identity_search
 
-_COLD = (_identity_search, _connection_rows, _connection_form, _w0_conjugation)
+_COLD = (_identity_search, _connection_rows, _connection_form, _w0_conjugation, blocks._stacked_counts)
 
 
 @pytest.fixture(autouse=True)
 def cold_search_slot():
-    """Empty the one-graph BFS slot and the connection-set caches around every test.
+    """Empty the one-graph BFS slot, the connection-set caches and the stacked-count slot around every test.
 
     A search or rank form made under one test's patches (a changed
     connection set or product ranking) can then never answer a ``bfs`` or
-    an edge list of another test, and each test can count the cache misses
-    it causes.
+    an edge list of another test, no test reads the counts or the arrays
+    of a slot that another test built, and each test can count the cache
+    misses it causes.
     """
     for cache in _COLD:
         cache.cache_clear()
@@ -46,12 +47,13 @@ def flip_stacked_counts(monkeypatch):
     ``flip(k, *cells)`` patches the cached count builder itself: for each
     real slot it returns one faulted slot, of the base counts and a
     writable copy of the stacked counts in which ``== k`` reads the other
-    way at each cell, with fresh, empty facts.  So neither the counts nor
-    the facts of a real slot warmed by an earlier call can bypass the
-    fault, and the checks after the flip share the facts of the faulted
-    slot as they would share those of a real one.  A cell (R, c) is 0-based
-    in the whole (n+1)! x (n+1)! matrix; the block-major slot holds it at
-    ``[R // b, c // b, R % b, c % b]``, b = n!.
+    way at each cell, a new slot whose minima, planes and sums are not yet
+    computed.  So neither the counts nor the arrays of a real slot warmed
+    by an earlier call can bypass the fault, and the checks after the flip
+    share the arrays of the faulted slot as they would share those of a
+    real one.  A cell (R, c) is 0-based in the whole (n+1)! x (n+1)!
+    matrix; the block-major slot holds it at ``[R // b, c // b, R % b,
+    c % b]``, b = n!.
     """
 
     def flip(k, *cells):

@@ -344,7 +344,6 @@ def test_stacked_checks_build_the_counts_once(monkeypatch):
 
     monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
     monkeypatch.setattr(blocks_module, "_mismatch_band", banded)
-    blocks_module._stacked_counts.cache_clear()
     S = list(enumerate_permutations(6))
     random.Random(15).shuffle(S)
     assert all(check() for check in _stacked_checks(S))
@@ -365,7 +364,6 @@ def test_block_checks_build_the_base_counts_once(monkeypatch):
         return real(V)
 
     monkeypatch.setattr(blocks_module, "_prefix_mismatch_counts", counted)
-    blocks_module._stacked_counts.cache_clear()
     S = list(enumerate_permutations(6))
     random.Random(20).shuffle(S)
     assert all(check() for check in _stacked_checks(S)[:6])  # the recursive and permutahedron checks
@@ -399,25 +397,27 @@ def test_block_major_slot_holds_the_blocks_of_the_2d_counts(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_alternating_base_orderings_read_their_own_counts(n):
+    # each reader of a base ordering reads the blocks of that ordering at
+    # every k, and its slot's minima and k = 1 sums are those of its counts
     rng = random.Random(n)
     S, T = list(enumerate_permutations(n)), list(enumerate_permutations(n))
     rng.shuffle(S)
     rng.shuffle(T)
-    b = len(S)
+    m, b = n + 1, len(S)
     for base in (S, T, S, T):
+        stacked_order = concatenated_ordering(base)
         for k in range(1, n + 1):
             stacked = blocks_module._StackedBlocks(n, base, k)
             assert stacked.b == b
-            oracle = adjacency_matrix(n + 1, k, concatenated_ordering(base))
-            walked = []
-            for i, j, edgeless in stacked.walk():  # a block the walk skips must have no edge
-                walked.append((i, j))
-                expected = block(oracle, i, j, b)
-                assert not edgeless or (abs(i - j) > 1 and not expected.any()), (base, k, i, j)
-                assert np.array_equal(stacked.read(i, j), expected), (base, k, i, j)
-                rows, cols = stacked.sums(i, j)
-                assert np.array_equal(rows, expected.sum(axis=1)) and np.array_equal(cols, expected.sum(axis=0)), (base, k, i, j)
-            assert walked == [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
+            oracle = adjacency_matrix(n + 1, k, stacked_order)
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    assert np.array_equal(stacked.read(i, j), block(oracle, i, j, b)), (base, k, i, j)
+        counts = graphs_module.prefix_mismatch_matrix(stacked_order).reshape(m, b, m, b)
+        edges = adjacency_matrix(n + 1, 1, stacked_order).reshape(m, b, m, b)
+        slot = stacked.slot
+        assert np.array_equal(slot.minima, counts.min(axis=(1, 3))), base
+        assert np.array_equal(slot.sums, np.stack([edges.sum(axis=3).swapaxes(1, 2), edges.sum(axis=1)])), base
 
 
 def test_stacked_checks_hold_no_second_plane():
@@ -540,36 +540,31 @@ def test_passing_recursive_checks_read_no_block(monkeypatch):
     assert reads == []
 
 
-def test_regularity_checks_read_only_the_tridiagonal_blocks(monkeypatch):
-    # the regularity matrix reads each of the 19 tridiagonal blocks once, and
-    # the intertwining check after it takes their row sums from the slot
+def test_regularity_checks_read_no_block(monkeypatch):
+    # the regularity matrix and the intertwining check compare the sums the
+    # slot holds as whole arrays, and read no block through the reader
     S = list(enumerate_permutations(6))
     random.Random(19).shuffle(S)
-    blocks_module._stacked_counts.cache_clear()
     reads = _count_reads(monkeypatch)
-    tridiagonal = [(i, j) for i in range(1, 8) for j in range(1, 8) if abs(i - j) <= 1]
     assert np.array_equal(regularity_matrix_from_blocks(7, S), regularity_matrix(7))
-    assert reads == tridiagonal and len(reads) == 19
-    reads.clear()
     assert verify_intertwining(7, S)
     assert reads == []
 
 
 def test_permutahedron_blocks_on_a_warm_slot_read_only_the_diagonal(monkeypatch):
     # after the recursive check of k = 1 has screened every zero, corner and
-    # flank block, the permutahedron check reads each diagonal block once for
-    # its sums and each interior one again for its comparison with the rebuild
+    # flank block, the permutahedron check takes the diagonal sums from the
+    # slot and reads each interior block once, for its comparison with the rebuild
     S = list(enumerate_permutations(6))
     random.Random(21).shuffle(S)
-    blocks_module._stacked_counts.cache_clear()
     reads = _count_reads(monkeypatch)
     assert verify_recursive_blocks(6, 1, S).passed
     assert reads == []
     assert verify_permutahedron_blocks(6, S).passed
-    assert reads == [(1, 1)] + [(i, i) for i in range(2, 7) for _ in range(2)] + [(7, 7)]
+    assert reads == [(i, i) for i in range(2, 7)]
 
 
-# ---------------------------------------------------------------- the facts a slot keeps of its blocks
+# ---------------------------------------------------------------- the arrays a slot holds of its blocks
 
 def _stacked_calls(n, S=None):
     # every stacked check of the base ordering S of [n], returning what the check returns
@@ -595,17 +590,17 @@ def _all_pass(outcomes, n):
     return all(report["passed"] for report in outcomes[:n]) and outcomes[n] == regularity_matrix(n + 1).tolist() and outcomes[n + 1] is True
 
 
-def _recomputed(slot, key):
-    # the fact of ``slot`` under ``key`` reduced afresh from its counts
-    kind, *where = key
-    if kind == "min":
-        i, j = where
-        return slot.C[i - 1, j - 1].min()
-    if kind == "plane":
-        i, j = where
-        return np.array_equal(slot.C[i - 1, j - 1], slot.base + abs(i - j))
-    k, i, j, axis = where
-    return (slot.C[i - 1, j - 1] == k).sum(axis=axis)
+def _recomputed(slot):
+    # the minima, plane verdicts and k = 1 sums of ``slot``, reduced afresh block by block from its counts
+    m, b = len(slot.C), len(slot.base)
+    minima, plane, sums = np.zeros((m, m), dtype=np.uint8), np.zeros((m, m), dtype=bool), np.zeros((2, m, m, b), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            B = slot.C[i, j]
+            minima[i, j] = B.min()
+            plane[i, j] = (abs(i - j) == 1 or (i, j) in ((0, 0), (m - 1, m - 1))) and np.array_equal(B, slot.base + abs(i - j))
+            sums[:, i, j] = (B == 1).sum(axis=1), (B == 1).sum(axis=0)
+    return {"minima": minima, "plane": plane, "sums": sums}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -616,11 +611,11 @@ def test_kept_facts_equal_fresh_reductions(n):
     for S in [lex, *shuffled] if n < 6 else shuffled[:1]:
         assert _all_pass([_outcome(call) for call in _stacked_calls(n, S + 1)], n)
         slot = blocks_module._stacked_counts(n, S.tobytes())
-        assert {key[0] for key in slot.facts} == {"min", "plane", "sums"}
-        for key, fact in slot.facts.items():
-            assert np.array_equal(fact, _recomputed(slot, key)), key
-            if key[0] == "sums":
-                assert fact.dtype == np.uint16 and not fact.flags.writeable, key
+        assert {"minima", "plane", "sums"} <= vars(slot).keys()  # computed by the checks above
+        for name, fresh in _recomputed(slot).items():
+            kept = getattr(slot, name)
+            assert np.array_equal(kept, fresh) and not kept.flags.writeable, name
+        assert slot.sums.dtype == np.uint16
 
 
 def test_any_call_order_gives_the_cold_reports():
@@ -644,19 +639,22 @@ def test_any_call_order_gives_the_cold_reports():
     [(3, (1, 16)), (3, (18, 19)), (3, (7, 13)), (3, (6, 13)), (3, (0, 1)), (6, (0, 1)), (6, (0, 1440)), (6, (2165, 2885))],
     ids=["zero", "corner", "flank", "off-flank", "in-corner", "corner-6", "zero-6", "flank-6"],
 )
-def test_a_flipped_cell_fails_alike_on_warm_and_cold_facts(flip_stacked_counts, n, cell):
-    # warm the facts of the real lexicographic slot of base n with every
-    # stacked check, then flip a cell: each check on the faulted slot, cold or
-    # after all the others, gives the same outcome, and the block checks name
-    # the flipped cell as their one failure
+def test_a_flipped_cell_fails_alike_on_warm_and_cold_facts(monkeypatch, flip_stacked_counts, n, cell):
+    # warm the arrays of the real lexicographic slot of base n with every
+    # stacked check, then flip a cell: each check on the faulted counts, on a
+    # new slot of its own or after all the others on one slot, gives the same
+    # outcome, and the block checks name the flipped cell as their one failure
     calls = _stacked_calls(n)
     assert _all_pass([_outcome(call) for call in calls], n)
     flip_stacked_counts(1, cell)
-    slot = blocks_module._stacked_counts(n, (np.array(enumerate_permutations(n), dtype=np.uint8) - 1).tobytes())
+    flipped = blocks_module._stacked_counts
+    slot = flipped(n, (np.array(enumerate_permutations(n), dtype=np.uint8) - 1).tobytes())
     cold = []
     for call in calls:
-        slot.facts.clear()
+        fresh = blocks_module._Slot(slot.base, slot.C)
+        monkeypatch.setattr(blocks_module, "_stacked_counts", lambda *args: fresh)
         cold.append(_outcome(call))
+    monkeypatch.setattr(blocks_module, "_stacked_counts", flipped)
     b = len(slot.base)
     for report in (cold[0], cold[n - 1]):  # the recursive check of k = 1 and the permutahedron check
         (bad,) = [a for a in report["assertions"] if not a["passed"] and a["name"] != "block-regularity"]

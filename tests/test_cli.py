@@ -224,8 +224,11 @@ GOLDEN = Path(__file__).parent / "data"
     [
         (("verify-all", "--max-n", "5"), "verify_all_max_n_5.json"),
         (("spectrum", "--n", "5", "--full", "--check-subset", "--conjecture"), "spectrum_n_5_full_check_subset_conjecture.json"),
+        (("blocks", "--n", "5", "--k", "2", "--check", "recursive"), "blocks_n_5_k_2_check_recursive.json"),
+        (("blocks", "--n", "6", "--k", "3", "--check", "recursive"), "blocks_n_6_k_3_check_recursive.json"),
+        (("blocks", "--n", "6", "--k", "1", "--check", "permutahedron"), "blocks_n_6_k_1_check_permutahedron.json"),
     ],
-    ids=["verify-all", "spectrum"],
+    ids=["verify-all", "spectrum", "blocks-recursive-5-2", "blocks-recursive-6-3", "blocks-permutahedron-6"],
 )
 def test_report_matches_golden(capsys, argv, name):
     # reports must stay byte-identical, apart from runtime_ms, across refactors

@@ -258,6 +258,8 @@ def test_lift_vector_examples():
     assert lifted.tolist() == [0] * 6 + [1] * 6 + [0] * 12
     with pytest.raises(ValueError):
         lift_vector([1, 0], 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        lift_vector([], 0)
 
 
 def test_lift_vector_refuses_n_over_the_graph_cap():

@@ -448,7 +448,6 @@ def test_battery_builds_one_edge_list_per_graph_and_no_kendall_call(monkeypatch)
     count_calls(graphs, "pairwise_edges")
     routes = ("kendall_distance", "prefix_mismatch_count", "relative_pattern", "enumerate_permutations", "pairwise_edges", "build_edges")
     assert not any(hasattr(verify, name) for name in routes)
-    blocks._stacked_counts.cache_clear()
     assert all(entry["passed"] for entry in verify.battery(6, eigen_cap=120))
     assert streams == Counter({(n, k): 1 for n in range(2, 7) for k in range(1, n)})
     assert built == Counter()
