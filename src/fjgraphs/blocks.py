@@ -22,12 +22,14 @@ so a discrepancy pinpoints itself.
 
 Every stacked check, here and in ``spectra``, takes its counts from one
 function, ``_stacked_slot(n, S)``.  It refuses n+1 above
-``config.MATRIX_CAP``, validates S once into a uint8 vertex array and looks
-up one slot, built once per process for the latest (n, S): the read-only
-n! x n! prefix-mismatch counts of S (the corner and flank counts, ``== k``
-and ``== k-1``, so the k = 1 flank is ``counts == 0``, the identity) and the
-read-only counts C of the (n+1)! stacked rows, held block-major with shape
-(n+1, n+1, n!, n!) (at most 25.4 MB, at ``config.MATRIX_CAP`` 7):
+``config.MATRIX_CAP``, validates S into a uint8 vertex array (once for
+every check of the same list of int tuples, through the one-entry memo of
+``graphs._vertex_rows``) and looks up one slot, built once per process for
+the latest (n, S): the read-only n! x n! prefix-mismatch counts of S (the
+corner and flank counts, ``== k`` and ``== k-1``, so the k = 1 flank is
+``counts == 0``, the identity) and the read-only counts C of the (n+1)!
+stacked rows, held block-major with shape (n+1, n+1, n!, n!) (at most
+25.4 MB, at ``config.MATRIX_CAP`` 7):
 ``C[i-1, j-1]`` is block (i, j), one C-contiguous n! x n! array.  Another
 base ordering replaces both.  The block checks read a block through
 ``_StackedBlocks(n, S, k)``, as ``C[i-1, j-1] == k`` into a buffer of the
@@ -57,8 +59,12 @@ first (a zero block by ``min > k``, a corner or flank by equality with its
 identity plane, the base counts + |i-j|), which settles ``== k`` for the
 whole block; only a block that misses the screen is read under ``== k`` and
 compared cell by cell, the one route that names a witness.  The interior
-blocks of the permutahedron are compared on every call with a matrix rebuilt
-from their generators, never with a kept verdict.
+blocks of the permutahedron are screened the same way, on every call and
+never by a kept verdict: the products of every base vertex with the n-1
+adjacent transpositions are ranked in one pass, and an interior block whose
+cells at the products of its kept generators are all 1 and whose row sums
+in the slot are all n-2 is that Cayley graph.  Only a block that misses
+this screen is compared with a matrix rebuilt from its generators.
 """
 
 from __future__ import annotations
@@ -164,13 +170,17 @@ def excluded_transposition_matrix(n: int, skip: int, ordering: Sequence[Perm] | 
     return _excluded_transpositions(FlagGraphSpec(n, 1, ordering), skip)
 
 
+def _adjacent_transpositions(n: int) -> np.ndarray:
+    # the n-1 adjacent transpositions of [n] as 0-based position rows: row j-1 is t_j, swapping j and j+1
+    gens = np.tile(np.arange(n), (n - 1, 1))
+    j = np.arange(n - 1)
+    gens[j, j], gens[j, j + 1] = j + 1, j
+    return gens
+
+
 def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     # the matrix of excluded_transposition_matrix under the already validated ordering of spec
-    n = spec.n
-    kept = [j for j in range(1, n) if j != skip]
-    gens = np.tile(np.arange(n), (len(kept), 1))  # t_j as 0-based positions, swapping j and j+1
-    for row, j in enumerate(kept):
-        gens[row, j - 1], gens[row, j] = j, j - 1
+    gens = np.delete(_adjacent_transpositions(spec.n), skip - 1, axis=0)
     rows = np.arange(spec.vertex_count)
     A = np.zeros((len(rows), len(rows)), dtype=np.uint8)
     A[rows[:, None], _product_ranks(spec, rows, _rank_form(gens))] = 1
@@ -258,8 +268,9 @@ def _stacked_slot(n: int, ordering: Sequence[Perm] | None) -> tuple[np.ndarray, 
     """
     The base rows S of ``ordering`` (lexicographic if None or empty) and the
     slot of their counts.  n+1 above ``config.MATRIX_CAP`` raises
-    CapExceeded first; then S is validated, once, since the stacked rows are
-    permutations by construction.
+    CapExceeded first; then S is validated, unless it holds the very rows
+    of the int tuples ``_vertex_rows`` last kept, and the stacked rows are
+    not, since they are permutations by construction.
     """
     if (m := n + 1) > MATRIX_CAP:  # named by the base n that was asked for, not by n+1 alone
         raise CapExceeded(f"the checks of base {n} read the {m}! x {m}! counts of n = {m}, over the matrix cap {MATRIX_CAP}")
@@ -343,7 +354,8 @@ class _StackedBlocks:
         slot exceeds k, or when the slot's ``plane`` says its counts equal
         the identity plane, which is sufficient; otherwise ``compare`` reads
         it cell by cell, against the plane built only then.  Interior
-        diagonal blocks have no identity plane and are not screened.
+        diagonal blocks have no identity plane: the permutahedron check
+        screens them at the products of their generators.
         """
         i, j = where
         if abs(i - j) > 1:
@@ -413,13 +425,23 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
       * corner diagonal blocks equal A(FJ(n, 1)), regularity n-1;
       * interior diagonal block i equals the Cayley graph on the base
         vertices generated by all adjacent transpositions except the
-        (i-1, i) swap, rebuilt here from that generator description and
-        compared bit for bit; its regularity is n-2 (0 when n = 2, where
-        the interior generating set is empty).
+        (i-1, i) swap; its regularity is n-2 (0 when n = 2, where the
+        interior generating set is empty).
+
+    The products u o t of every base vertex u with all n-1 adjacent
+    transpositions t are ranked once, in one pass.  Interior block i passes
+    when each cell (u, rank(u o t)) of a kept t has count 1 and each of its
+    row sums in the slot is n-2: the n-2 products of a row are distinct, so
+    they are then its only edges, and the block equals the Cayley graph.
+    Only a block that misses this screen is rebuilt from its generator
+    description and compared bit for bit, which names the first differing
+    cell.
     """
     _check_domain(n, 1)  # FJ(n, 1) of the corner must exist
     stacked = _StackedBlocks(n, ordering, 1)
-    spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for every interior rebuild
+    spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for the products and any rebuild
+    rows = np.arange(stacked.b)
+    cells = rows[:, None] * stacked.b + _product_ranks(spec, rows, _rank_form(_adjacent_transpositions(n)))  # flat (u, u o t_j) of a block
 
     checks = []  # a corner's identity plane == 1 is A(FJ(n, 1)), a flank's the identity
     for i in range(1, n + 2):
@@ -434,9 +456,12 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
             checks.append(stacked.screen("corner-subgraph", (i, i)))
             expected_reg = n - 1
         else:
-            rebuilt = _excluded_transpositions(spec, i - 1)
             note = "interior generating set is empty for n = 2" if n == 2 else ""
-            checks.append(stacked.compare("interior-subgraph", (i, i), rebuilt, detail=note))
+            edges = np.take(stacked.C[i - 1, i - 1], np.delete(cells, i - 2, axis=1))  # the counts of the kept products
+            if (edges == 1).all() and (stacked.slot.sums[0, i - 1, i - 1] == n - 2).all():
+                checks.append(BlockAssertion("interior-subgraph", (i, i), True, detail=note))
+            else:
+                checks.append(stacked.compare("interior-subgraph", (i, i), _excluded_transpositions(spec, i - 1), detail=note))
             expected_reg = n - 2
         checks.append(
             BlockAssertion(

@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
 from collections.abc import Sequence
 
@@ -112,12 +113,42 @@ def _lex_vertices(n: int) -> np.ndarray:
     return V
 
 
+class _LastOrdering:
+    """
+    The one-entry memo of ``_vertex_rows``: ``entry`` is None, or the tuple
+    (n, rows, V) of the last ordering it kept, its row objects in order and
+    the rows V that ``check_ordering`` returned for them, replaced whole by
+    each store.  It keeps only a list or tuple that passed and whose rows
+    are exact tuples of exact ints: such a row cannot change, so another
+    ordering of the very same row objects has the same content.
+    """
+
+    entry = None
+
+    def cache_clear(self) -> None:
+        self.entry = None
+
+
+_last_ordering = _LastOrdering()
+
+
 def _vertex_rows(n: int, ordering: Sequence[Sequence[int]] | None) -> np.ndarray:
     # the vertex array of every function that takes an ordering: None or an
-    # empty ordering is lexicographic, anything else goes through check_ordering
+    # empty ordering is lexicographic; a list or tuple of the same row objects
+    # as the memo's entry, for the same n, gets the entry's rows; anything
+    # else goes through check_ordering, and is kept when it is a list or
+    # tuple of exact int tuples, which no caller can mutate
     if ordering is None or not len(ordering):
         return _lex_vertices(n)
-    return check_ordering(ordering, n)
+    if type(ordering) not in (list, tuple):
+        return check_ordering(ordering, n)
+    rows, entry = tuple(ordering), _last_ordering.entry
+    if entry is not None and entry[0] == n and len(entry[1]) == len(rows) and all(map(operator.is_, rows, entry[1])):
+        return entry[2]
+    V = check_ordering(rows, n)
+    if set(map(type, rows)) == {tuple} and set(map(type, chain.from_iterable(rows))) == {int}:
+        _last_ordering.entry = (n, rows, V)
+    return V
 
 
 def _lex_ranks(columns, n: int) -> np.ndarray:

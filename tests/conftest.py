@@ -3,28 +3,43 @@ import time
 import pytest
 
 import fjgraphs as fj
-from fjgraphs import blocks
-from fjgraphs.graphs import _connection_form, _connection_rows, _w0_conjugation
+from fjgraphs import blocks, graphs
+from fjgraphs.graphs import _connection_form, _connection_rows, _last_ordering, _w0_conjugation
 from fjgraphs.metrics import _identity_search
 
-_COLD = (_identity_search, _connection_rows, _connection_form, _w0_conjugation, blocks._stacked_counts)
+_COLD = (_identity_search, _connection_rows, _connection_form, _w0_conjugation, blocks._stacked_counts, _last_ordering)
 
 
 @pytest.fixture(autouse=True)
 def cold_search_slot():
-    """Empty the one-graph BFS slot, the connection-set caches and the stacked-count slot around every test.
+    """Empty the one-graph BFS slot, the connection-set caches, the stacked-count slot and the ordering memo around every test.
 
     A search or rank form made under one test's patches (a changed
     connection set or product ranking) can then never answer a ``bfs`` or
     an edge list of another test, no test reads the counts or the arrays
     of a slot that another test built, and each test can count the cache
-    misses it causes.
+    misses it causes.  ``enumerate_permutations`` is cached, so two tests
+    that shuffle it with the same seed hold the same row objects, and the
+    memo must not let the second skip a validation that the first made.
     """
     for cache in _COLD:
         cache.cache_clear()
     yield
     for cache in _COLD:
         cache.cache_clear()
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The arguments of every ``graphs.check_ordering`` call, as the list the test reads."""
+    real, calls = graphs.check_ordering, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "check_ordering", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

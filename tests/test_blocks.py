@@ -551,17 +551,65 @@ def test_regularity_checks_read_no_block(monkeypatch):
     assert reads == []
 
 
-def test_permutahedron_blocks_on_a_warm_slot_read_only_the_diagonal(monkeypatch):
+def test_passing_permutahedron_blocks_on_a_warm_slot_read_no_block(monkeypatch):
     # after the recursive check of k = 1 has screened every zero, corner and
     # flank block, the permutahedron check takes the diagonal sums from the
-    # slot and reads each interior block once, for its comparison with the rebuild
+    # slot and screens each interior block at the products of its
+    # generators, so a passing check reads no block, and builds no rebuild
     S = list(enumerate_permutations(6))
     random.Random(21).shuffle(S)
     reads = _count_reads(monkeypatch)
     assert verify_recursive_blocks(6, 1, S).passed
     assert reads == []
+    monkeypatch.setattr(blocks_module, "_excluded_transpositions", None)  # a rebuild would raise TypeError
     assert verify_permutahedron_blocks(6, S).passed
-    assert reads == [(i, i) for i in range(2, 7)]
+    assert reads == []
+
+
+def _interior_fault(A, C, fault):
+    # a copy of the block-major C with one fault in row r = len(A) // 2 of
+    # the interior block (3, 3), whose cells ``== 1`` are the 0/1 matrix A:
+    # an edge cell set to 0, a cell that is no edge set to 1, or an edge
+    # moved to such a cell, which leaves the row sum as it was
+    C, r = C.copy(), len(A) // 2
+    edge, other = np.flatnonzero(A[r] == 1)[-1], np.flatnonzero((A[r] == 0) & (np.arange(len(A)) != r))[0]
+    if fault in ("edge-to-0", "moved"):
+        C[2, 2, r, edge] = 0 if fault == "edge-to-0" else 2
+    if fault in ("extra-1", "moved"):
+        C[2, 2, r, other] = 1
+    return C
+
+
+@pytest.mark.parametrize("fault", ["edge-to-0", "extra-1", "moved"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_faulted_interior_block_is_read_once_and_named(monkeypatch, n, fault):
+    # the interior screen misses on each fault, so the check reads the one
+    # faulted block and compares it with the rebuild; its report is the clean
+    # report with the two assertions of block (3, 3) as the cell-by-cell
+    # comparison with the rebuilt Cayley graph gives them: the first differing
+    # cell in row-major order, and the regularity of the faulted block
+    S = list(enumerate_permutations(n))
+    random.Random(n).shuffle(S)
+    clean = verify_permutahedron_blocks(n, S).to_dict()
+    real = blocks_module._stacked_counts
+    slot = real(n, (np.array(S, dtype=np.uint8) - 1).tobytes())
+    rebuilt = excluded_transposition_matrix(n, 2, S)
+    assert np.array_equal(slot.C[2, 2] == 1, rebuilt)
+    C = _interior_fault(rebuilt, slot.C, fault)
+    monkeypatch.setattr(blocks_module, "_stacked_counts", lambda *args: blocks_module._Slot(real(*args).base, C))
+    reads = _count_reads(monkeypatch)
+    report = verify_permutahedron_blocks(n, S).to_dict()
+    assert reads == [(3, 3)]
+    got = (C[2, 2] == 1).astype(np.uint8)
+    r, c = np.argwhere(got != rebuilt)[0]
+    expected = [dict(a) for a in clean["assertions"]]
+    at = [a["block"] for a in expected].index([3, 3])  # the interior assertion, then the regularity of (3, 3)
+    detail = f"entry ({r + 1},{c + 1}) is {got[r, c]}, expected {rebuilt[r, c]}"
+    expected[at : at + 2] = [
+        {"name": "interior-subgraph", "block": [3, 3], "passed": False, "witness": [r + 1, c + 1], "detail": detail},
+        {"name": "block-regularity", "block": [3, 3], "passed": False, "detail": f"regularity {block_regularity(got)}, expected {n - 2}"},
+    ]
+    assert report == {**clean, "passed": False, "assertions": expected}
 
 
 # ---------------------------------------------------------------- the arrays a slot holds of its blocks
@@ -663,15 +711,13 @@ def test_a_flipped_cell_fails_alike_on_warm_and_cold_facts(monkeypatch, flip_sta
         assert [_outcome(call) for call in calls] == cold
 
 
-def test_permutahedron_blocks_validate_the_base_ordering_once(monkeypatch):
-    real, calls = graphs_module.check_ordering, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(graphs_module, "check_ordering", counted)
+def test_permutahedron_blocks_validate_the_base_ordering_once(validations):
+    # one list of int tuples is validated by its first stacked check; the
+    # other seven, and a second pass of all eight, take the memo's rows
     S = list(enumerate_permutations(5))
     random.Random(19).shuffle(S)
     assert verify_permutahedron_blocks(5, S).passed
-    assert len(calls) == 1
+    assert len(validations) == 1
+    for _ in range(2):
+        assert _all_pass([_outcome(call) for call in _stacked_calls(5, S)], 5)
+    assert len(validations) == 1

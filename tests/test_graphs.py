@@ -212,6 +212,63 @@ def test_check_ordering_rejects(case):
         assert tuple(map(tuple, (V + 1).tolist())) == expected
 
 
+def _refusal(n, ordering):
+    with pytest.raises(ValueError) as raised:
+        FlagGraphSpec(n, 1, ordering)
+    return str(raised.value)
+
+
+def test_a_kept_ordering_is_validated_again_once_it_changes(validations):
+    # a list of int tuples is validated once while it holds the same row
+    # objects; a row swapped or overwritten in place, or the same rows as new
+    # tuples, is validated again, and a refused ordering is refused again
+    S = list(enumerate_permutations(4))
+    random.Random(31).shuffle(S)
+    spec = FlagGraphSpec(4, 1, S)
+    assert FlagGraphSpec(4, 2, tuple(S))._vertices is spec._vertices
+    assert len(validations) == 1
+    S[3], S[5] = S[5], S[3]
+    assert FlagGraphSpec(4, 1, S).ordering == tuple(S) != spec.ordering
+    assert len(validations) == 2
+    assert FlagGraphSpec(4, 1, [tuple(list(p)) for p in S]).ordering == tuple(S)
+    assert len(validations) == 3
+    S[3] = S[5]
+    message = _refusal(4, S)
+    assert "exactly once" in message and _refusal(4, S) == message
+    assert len(validations) == 5
+
+
+_ROW_FORMS = {
+    "np.int64 entries": lambda S: [tuple(map(np.int64, p)) for p in S],
+    "0-d array entries": lambda S: [tuple(np.array(x) for x in p) for p in S],
+    "tuple subclass rows": lambda S: [type("Row", (tuple,), {})(p) for p in S],
+    "list rows": lambda S: [list(p) for p in S],
+    "an ndarray": lambda S: np.array(S),
+}
+
+
+@pytest.mark.parametrize("form", _ROW_FORMS, ids=list(_ROW_FORMS))
+def test_an_ordering_of_other_rows_is_validated_on_every_call(validations, form):
+    S = list(enumerate_permutations(3))
+    random.Random(32).shuffle(S)
+    ordering = _ROW_FORMS[form](S)
+    for count in (1, 2):
+        assert FlagGraphSpec(3, 1, ordering).ordering == tuple(S)
+        assert len(validations) == count
+
+
+@pytest.mark.parametrize("form", ["0-d array entries", "list rows", "an ndarray"])
+def test_a_row_mutated_in_place_is_refused_on_the_next_call(form):
+    S = list(enumerate_permutations(3))
+    ordering = _ROW_FORMS[form](S)
+    FlagGraphSpec(3, 1, ordering)
+    if form == "0-d array entries":
+        ordering[0][0][...] = 2
+    else:
+        ordering[0][0] = 2
+    assert "exactly once" in _refusal(3, ordering)
+
+
 # ---------------------------------------------------------------- adjacency
 
 def test_adjacent_worked_examples():
