@@ -178,6 +178,12 @@ def _adjacent_transpositions(n: int) -> np.ndarray:
     return gens
 
 
+@lru_cache(maxsize=None)
+def _adjacent_form(n: int) -> np.ndarray:
+    # the read-only float32 ``_rank_form`` of the n-1 adjacent transpositions of [n], as ``graphs._connection_form`` holds those of a connection set
+    return _read_only(_rank_form(_adjacent_transpositions(n)))
+
+
 def _excluded_transpositions(spec: FlagGraphSpec, skip: int) -> np.ndarray:
     # the matrix of excluded_transposition_matrix under the already validated ordering of spec
     gens = np.delete(_adjacent_transpositions(spec.n), skip - 1, axis=0)
@@ -331,15 +337,22 @@ class _StackedBlocks:
     its base counts ``base`` and C, the block size ``b`` = n! and k.  Each
     block is read into the same bool buffer and compared through a second
     one: a fresh block-sized array per block would have its pages faulted in
-    anew.
+    anew.  Both are allocated on first use, so a check that every screen
+    passes allocates neither.
     """
 
     def __init__(self, n: int, ordering: Sequence[Perm] | None, k: int):
         self.S, self.slot = _stacked_slot(n, ordering)
         self.base, self.C = self.slot.base, self.slot.C
         self.k, self.b = k, factorial(n)
-        self._got = np.empty((self.b, self.b), dtype=bool)
-        self._diff = np.empty((self.b, self.b), dtype=bool)
+
+    @cached_property
+    def _got(self) -> np.ndarray:
+        return np.empty((self.b, self.b), dtype=bool)
+
+    @cached_property
+    def _diff(self) -> np.ndarray:
+        return np.empty((self.b, self.b), dtype=bool)
 
     def read(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), 1-based, valid until the next read."""
@@ -441,7 +454,7 @@ def verify_permutahedron_blocks(n: int, ordering: Sequence[Perm] | None = None) 
     stacked = _StackedBlocks(n, ordering, 1)
     spec = FlagGraphSpec._of_rows(n, 1, stacked.S)  # the rows the reader validated, for the products and any rebuild
     rows = np.arange(stacked.b)
-    cells = rows[:, None] * stacked.b + _product_ranks(spec, rows, _rank_form(_adjacent_transpositions(n)))  # flat (u, u o t_j) of a block
+    cells = rows[:, None] * stacked.b + _product_ranks(spec, rows, _adjacent_form(n))  # flat (u, u o t_j) of a block
 
     checks = []  # a corner's identity plane == 1 is A(FJ(n, 1)), a flank's the identity
     for i in range(1, n + 2):

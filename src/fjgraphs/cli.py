@@ -10,8 +10,9 @@ produce identical reports (timing fields excepted).
 Every subcommand takes --out; a file there appears only once its text is
 whole.  export writes its text piece by piece as the edges are made, so it
 never holds the edge list or the whole text.  spectrum and verify-all also
-take --eigen-cap, the largest dense eigensolve, at least 1; the other size
-guards and the tolerances are the fixed constants of ``config``.
+take --eigen-cap, the largest order of a full spectrum or a dense
+eigensolve, at least 1; the other size guards and the tolerances are the
+fixed constants of ``config``.
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
 2 invalid arguments or a size guard tripped.

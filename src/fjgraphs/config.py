@@ -8,18 +8,19 @@ composes about n! * degree products, at most twice that (a stream and a
 BFS go in fixed chunks, so there it bounds the time, not the memory);
 MATRIX_CAP by ``_check_matrix_cap`` before anything allocates or loops
 over all n! x n! vertex pairs; EIGEN_CAP by ``_check_eigen_order`` before a
-regularity matrix, an adjacency matrix for a spectrum or an eigensolver's
-float64 copy.  Only that order can be set per call (``eigen_cap``,
-``fjgraph --eigen-cap``), and ``_check_eigen_cap`` refuses a cap below 1.
-The tolerances are fixed too: every matrix the package solves is built
-from integers, so no tolerance is a setting.
+regularity matrix, any work on a full spectrum or an eigensolver's float64
+copy.  Only that order can be set per call (``eigen_cap``, ``fjgraph
+--eigen-cap``), and ``_check_eigen_cap`` refuses a cap below 1.  The
+tolerances are fixed too: every matrix the package solves is built from
+integers or from the fixed entries of Young's orthogonal form, so no
+tolerance is a setting.
 """
 
 from math import factorial
 
 GRAPH_CAP = 8       # largest n whose vertex orderings are enumerated (8! = 40320); the uint32 pair bits of the swap bound, C(n,2) of them, need n <= 8 (the uint16 seen sets of the ranks hold n <= 12)
 MATRIX_CAP = 7      # largest n for dense n! x n! matrices and all-pairs loops (7! = 5040)
-EIGEN_CAP = 720     # largest order of a dense eigensolve or a regularity matrix
+EIGEN_CAP = 720     # largest order of a full spectrum, a dense eigensolve or a regularity matrix
 EDGE_CAP = 2**24    # most edges, n! * degree / 2, of an edge list, an edge stream or a BFS: admits FJ(7,6) and FJ(8,4), not FJ(8,5)
 
 EIG_TOL = 1e-12     # symmetry tolerance of the eigensolver, relative to the largest entry

@@ -310,6 +310,41 @@ def _connection_rows(n: int, k: int) -> np.ndarray:
     return rows
 
 
+def _connection_sums(s: np.ndarray, n: int) -> np.ndarray:
+    """
+    rho(X_k) for k = 0..n-1, as one array indexed by k: X_k is the sum of the
+    connection set of FJ(n, k) in the group algebra of S_n, and ``s`` holds
+    rho of the adjacent transpositions, s[i] swapping positions i and i+1
+    (0-based), as an (n-1, ..., d, d) array; axes between the first and the
+    last two are a batch of representations, and the dtype is that of ``s``.
+    k = 0 gives rho(identity) = I.  The set is never listed.  With J[a, b]
+    the sum of all permutations of the positions a..b and X[a, b] the sum of
+    the irreducible ones, the cosets of the permutations that fix b, and the
+    end of the first block, give
+      J[a, b] = J[a, b-1] (1 + s[b-1] (1 + s[b-2] (... (1 + s[a]) ...))),
+      X[a, b] = J[a, b] - sum_{i=a}^{b-1} X[a, i] J[i+1, b],
+    and one pass over the block ends, graded by the number of blocks,
+    multiplies the X of n-k consecutive blocks.  Only the Coxeter relations
+    of the s[i] are used, so any representation evaluates it.
+    """
+    eye = np.eye(s.shape[-1], dtype=s.dtype)
+    J, X = {}, {}
+    for a in range(n):
+        J[a, a] = coset = eye
+        for b in range(a + 1, n):
+            coset = eye + s[b - 1] @ coset
+            J[a, b] = J[a, b - 1] @ coset
+    for a in range(n):
+        for b in range(a, n):
+            X[a, b] = J[a, b] - sum((X[a, i] @ J[i + 1, b] for i in range(a, b)), np.zeros_like(eye))
+    ends = [np.broadcast_to(eye, s.shape[1:])[None]]  # ends[b][B]: the permutations of positions 0..b-1 with B blocks
+    for b in range(1, n + 1):
+        ends.append(np.zeros((b + 1, *s.shape[1:]), dtype=s.dtype))
+        for i in range(b):
+            ends[b][1 : i + 2] += ends[i] @ X[i, b - 1]
+    return ends[n][:0:-1]  # n blocks first: k = n - blocks
+
+
 @lru_cache(maxsize=None)
 def _conjugate_ranks(n: int) -> np.ndarray:
     """

@@ -11,16 +11,27 @@ eigenvalue of the small matrix is an eigenvalue of the graph.  That turns an
 n!-sized eigenproblem into an n-sized one for part of the spectrum,
 including the largest eigenvalue n-1 (constant row sums on both sides).
 
-Every eigenvalue comes from one route, LAPACK (``np.linalg.eigvalsh``) in
-``eig_symmetric``; the tests check it against a cyclic Jacobi solver of
-their own and against the closed forms.  The tolerances are the fixed
-constants of ``config``.
+The full spectrum of every FJ(n, k) comes without its n! x n! matrix.
+FJ(n, k) is the Cayley graph of S_n on its connection set, so the
+adjacency matrix is the right regular representation of the connection sum
+X_k, and it splits into the blocks rho_lambda(X_k) of the irreducible
+representations, one per partition lambda of n, each repeated f^lambda
+times.  ``adjacency_spectrum`` evaluates them in Young's orthogonal form
+by the kernel ``graphs._connection_sums``, once per n for every k.
+
+Every eigenvalue comes from LAPACK (``np.linalg.eigvalsh``): of a dense
+matrix in ``eig_symmetric``, of each irrep block in ``adjacency_spectrum``.
+The tests check the first against a cyclic Jacobi solver of their own and
+against the closed forms, and the second against the first on the
+adjacency matrix of every FJ(n, k) up to n = 6.  The tolerances are the
+fixed constants of ``config``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import lru_cache
+from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +46,8 @@ from .config import (
     _check_graph_cap,
     _check_matrix_cap,
 )
-from .blocks import _stacked_slot, adjacency_matrix
+from .blocks import _read_only, _stacked_slot
+from .graphs import _check_domain, _connection_sums, _vertex_rows
 from .perms import Perm
 
 
@@ -118,7 +130,7 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
 def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
     """
     Eigenvalues of a dense symmetric matrix, by LAPACK through
-    ``np.linalg.eigvalsh``: the package's one eigensolver.
+    ``np.linalg.eigvalsh``.
 
     An entry may differ from its mirror by at most ``config.EIG_TOL`` times
     the largest absolute entry (or 1, if larger); the matrix is then
@@ -159,18 +171,98 @@ def eig_tridiagonal(matrix) -> Spectrum:
     return eig_symmetric(T)
 
 
+def _partitions(n: int, top: int | None = None):
+    # the partitions of n into parts of at most ``top``, in decreasing lexicographic order
+    if n == 0:
+        yield ()
+    for part in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _tableaux(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # the standard Young tableaux of ``shape``, each as the row of each entry 1..n in turn: n sits in a corner
+    if not any(shape):
+        return [()]
+    corners = [r for r, length in enumerate(shape) if length and (r + 1 == len(shape) or shape[r + 1] < length)]
+    return [word + (r,) for r in corners for word in _tableaux(shape[:r] + (shape[r] - 1,) + shape[r + 1 :])]
+
+
+@lru_cache(maxsize=None)
+def _young_forms(n: int) -> tuple[np.ndarray, ...]:
+    """
+    Young's orthogonal form of S_n: for each partition lambda of n, in
+    decreasing lexicographic order, the read-only (n-1, f, f) float64 array
+    of rho_lambda(s_1), ..., rho_lambda(s_{n-1}) on the f standard tableaux
+    of shape lambda.  s_i acts as +1 on a tableau where i and i+1 share a
+    row, and as -1 where they share a column.  Otherwise, with r the content
+    (column minus row) of i+1 minus that of i, its diagonal entry is 1/r and
+    its entry to the tableau with i and i+1 swapped is sqrt(1 - 1/r^2); the
+    row and column cases are r = 1 and r = -1.
+    """
+    forms = []
+    for shape in _partitions(n):
+        words = _tableaux(shape)
+        index = {word: t for t, word in enumerate(words)}
+        s = np.zeros((n - 1, len(words), len(words)))
+        for t, word in enumerate(words):
+            content = [word[:e].count(row) - row for e, row in enumerate(word)]
+            for i in range(n - 1):
+                r = content[i + 1] - content[i]
+                s[i, t, t] = 1 / r
+                if abs(r) > 1:
+                    s[i, t, index[word[:i] + (word[i + 1], word[i]) + word[i + 2 :]]] = sqrt(1 - 1 / r**2)
+        forms.append(_read_only(s))
+    return tuple(forms)
+
+
+@lru_cache(maxsize=None)
+def _irrep_sums(n: int) -> tuple[np.ndarray, ...]:
+    # rho_lambda(X_k) for k = 0..n-1, one read-only (n, f, f) array per partition
+    # in the order of ``_young_forms``, from one kernel pass over the forms
+    # zero-padded to the largest f: sums and products keep each padded block
+    # apart from its form, so the form's block is exact
+    forms = _young_forms(n)
+    size = max(s.shape[-1] for s in forms)
+    padded = np.zeros((n - 1, len(forms), size, size))
+    for j, s in enumerate(forms):
+        padded[:, j, : s.shape[-1], : s.shape[-1]] = s
+    sums = _connection_sums(padded, n)
+    return tuple(_read_only(sums[:, j, : s.shape[-1], : s.shape[-1]].copy()) for j, s in enumerate(forms))
+
+
 def adjacency_spectrum(
     n: int,
     k: int = 1,
     ordering: Sequence[Perm] | None = None,
     eigen_cap: int = EIGEN_CAP,
 ) -> Spectrum:
-    """Full spectrum of FJ(n, k): check the order n! against ``eigen_cap``, build the adjacency matrix, solve it densely."""
+    """
+    Full spectrum of FJ(n, k), of order n!, without its n! x n! matrix.
+    FJ(n, k) is the Cayley graph of S_n on its connection set, so its
+    adjacency matrix is the right regular representation of the connection
+    sum X_k, and its spectrum is the union over the partitions lambda of n
+    of the eigenvalues of rho_lambda(X_k) in Young's orthogonal form, each
+    taken f^lambda times.  The blocks rho_lambda(X_k) of every k come from
+    one pass of ``graphs._connection_sums`` per n, kept for the process, and
+    each is solved by LAPACK ``eigvalsh``.  FJ(n, 0) has no edges, so all
+    its n! eigenvalues are 0.  The ordering only permutes the matrix: it is
+    validated and not read further.  The refusals come in a fixed order, all
+    before any work: n past 1000 by the matrix cap, the order n! above
+    ``eigen_cap`` (CapExceeded), the domain of (n, k), n above
+    ``config.MATRIX_CAP`` (the reach of the dense matrices, kept) and a bad
+    ordering.
+    """
     if n > 1000:  # past 1000!, which has 2568 digits, n! is slow to compute and to print: the matrix cap refuses such an n
         _check_matrix_cap(n)
     if n >= 1:
         _check_eigen_order(factorial(n), eigen_cap)
-    return eig_symmetric(adjacency_matrix(n, k, ordering), cap=eigen_cap)
+    _check_domain(n, k)
+    _check_matrix_cap(n)
+    _vertex_rows(n, ordering)
+    if k == 0:
+        return Spectrum((0.0,), (factorial(n),))
+    return Spectrum.from_eigenvalues(np.concatenate([np.repeat(np.linalg.eigvalsh(sums[k]), len(sums[k])) for sums in _irrep_sums(n)]))
 
 
 def lift_vector(vec, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fjgraphs import cli, graphs, metrics, spectra, verify
+from fjgraphs import blocks, cli, graphs, metrics, spectra, verify
 from fjgraphs.cli import main
 
 
@@ -341,10 +341,11 @@ def test_out_of_range_size_exits_2(capsys, monkeypatch, argv, message):
 
 
 def test_spectrum_over_the_eigen_cap_builds_no_matrix(capsys, monkeypatch):
-    def no_matrix(*args):
-        raise AssertionError("an adjacency matrix was built before the eigensolver cap")
+    def no_work(*args):
+        raise AssertionError("an adjacency matrix or a connection sum was built before the eigensolver cap")
 
-    monkeypatch.setattr(spectra, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(blocks, "adjacency_matrix", no_work)
+    monkeypatch.setattr(spectra, "_connection_sums", no_work)
     code, out, err = run(capsys, "spectrum", "--n", "7", "--full")
     assert code == 2 and out == ""
     assert err == "error: order 5040 exceeds the eigensolver cap 720\n"

@@ -1,8 +1,10 @@
-"""Regularity matrices, the eigensolver, lifting and containment.
+"""Regularity matrices, the eigensolvers, lifting and containment.
 
-The one eigensolver (LAPACK, reached through ``eig_symmetric`` and, for
+The dense eigensolver (LAPACK, reached through ``eig_symmetric`` and, for
 tridiagonal matrices, ``eig_tridiagonal``) is checked against the cyclic
-Jacobi oracle in ``jacobi_oracle`` and against the closed forms.
+Jacobi oracle in ``jacobi_oracle`` and against the closed forms, and so are
+the full spectra of ``adjacency_spectrum``, which solves the blocks of
+Young's orthogonal form (``test_irreps`` holds them to the dense route).
 """
 
 import json
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from jacobi_oracle import jacobi_eigenvalues
 
+import fjgraphs.blocks as blocks_module
 import fjgraphs.spectra as spectra_module
 from fjgraphs import (
     CapExceeded,
@@ -130,10 +133,11 @@ def test_eigensolvers_check_the_cap_before_the_float64_copy(solve, most):
 
 
 def test_spectra_over_the_eigen_cap_build_no_matrix(monkeypatch):
-    def no_matrix(*args):
-        raise AssertionError("an adjacency matrix was built before the eigensolver cap")
+    def no_work(*args):
+        raise AssertionError("an adjacency matrix or a connection sum was built before the eigensolver cap")
 
-    monkeypatch.setattr(spectra_module, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(blocks_module, "adjacency_matrix", no_work)
+    monkeypatch.setattr(spectra_module, "_connection_sums", no_work)
     with pytest.raises(CapExceeded, match="order 5040 exceeds the eigensolver cap 720"):
         adjacency_spectrum(7, 1)
     with pytest.raises(CapExceeded, match="order 120 exceeds the eigensolver cap 100"):
