@@ -39,10 +39,11 @@ keeps to every vertex in order, which holds no edge aside.  Conjugation
 v -> w0 o v o w0 reverses the order of the blocks of a permutation and
 keeps each block irreducible, so it preserves every connection set and
 fixes the identity; a search from the identity expands one vertex of each
-conjugate pair, and so composes about n! * degree products.  That search
-checks the invariance on the connection rows themselves
-(``_w0_conjugation``), so a connection set patched in that conjugation
-does not preserve is searched vertex by vertex.
+conjugate pair, and probes one of each orbit under conjugation and
+inversion (``metrics._identity_search``).  That search checks each
+map on the connection rows themselves (``_preserves``), so a connection
+set patched in that a map does not preserve is searched without that
+map.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ from .perms import (
     rank,
 )
 
-CHUNK_CELLS = 1 << 18  # cells computed at once, products u o g or prefix-mismatch counts: bounds the working memory of every chunked pass
+# Cells computed at once, products u o g or prefix-mismatch counts: bounds the working memory of every chunked
+# pass.  A product chunk's temporaries (float32 products and bits, int32 ranks, masks) take about 1 MB, so
+# they stay within a 2 MB L2 cache; 2**18 cells took about 4 MB and ran slower in every Cayley kernel.
+CHUNK_CELLS = 1 << 16
 CSV_ROWS = 1 << 14  # edges gathered per text piece (one word buffer) in the exports, and per step of EdgeList iteration
 
 
@@ -360,25 +364,10 @@ def _conjugate_ranks(n: int) -> np.ndarray:
     return conjugates
 
 
-@lru_cache(maxsize=None)
-def _w0_conjugation(n: int, k: int) -> np.ndarray:
-    """
-    ``_conjugate_ranks(n)`` when conjugation by w0 maps the connection rows
-    of FJ(n, k) onto themselves, else the identity map on the n! ranks;
-    cached per (n, k), like the rows it reads.  The conjugation reverses
-    the order of the blocks of a row and keeps each one irreducible, so it
-    preserves every connection set G(n, k), and with it the distances from
-    the identity; the check reads the rows themselves, so a connection set
-    patched in over them that the conjugation does not preserve gets the
-    identity map.
-    """
-    conjugates = _conjugate_ranks(n)
+def _preserves(n: int, k: int, image: np.ndarray) -> bool:
+    # does the map `image` of lexicographic ranks send the connection rows of FJ(n, k), as they stand, onto themselves?
     ranks = np.sort(_lex_ranks(_connection_rows(n, k).T, n))
-    if np.array_equal(np.sort(conjugates[ranks]), ranks):
-        return conjugates
-    fixed = np.arange(len(conjugates), dtype=np.int32)
-    fixed.flags.writeable = False
-    return fixed
+    return np.array_equal(np.sort(image[ranks]), ranks)
 
 
 @lru_cache(maxsize=None)
@@ -549,11 +538,15 @@ def _rank_form(gens: np.ndarray) -> np.ndarray:
     return form
 
 
-def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> np.ndarray:
+def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray, dtype=np.int32) -> np.ndarray:
     """
     Ranks in ``spec``'s ordering of the products u o g, for the vertices u
     at ranks ``rows`` and the generators g whose ``_rank_form`` rows are
-    ``form``: a (len(rows), len(form)) int32 array.  The inversion bits of
+    ``form``: a (len(rows), len(form)) array of ``dtype``, or of the int32
+    ``_positions`` under another ordering than the lexicographic one.  The
+    search from the identity asks for intp, with which numpy gathers and
+    scatters on its fast path; every other caller keeps int32, which sorts
+    faster than int64 and takes half the memory.  The inversion bits of
     the vertices, one comparison per position pair, and a row of ones make
     a (C(n,2) + 1, len(rows)) float32 matrix, and one matrix product with
     the form gives the lexicographic ranks.  It is exact: every partial sum
@@ -565,20 +558,27 @@ def _product_ranks(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> n
     bits = np.empty((len(a) + 1, len(rows)), dtype=np.float32)
     np.greater(Ut[a], Ut[b], out=bits[:-1])
     bits[-1] = 1
-    ranks = (bits.T @ form.T).astype(np.int32)
+    ranks = (bits.T @ form.T).astype(dtype)
     return ranks if spec._lexicographic else spec._positions[ranks]
 
 
-def _sorted_products(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_products(spec: FlagGraphSpec, rows: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     The chunk kernel of the edge stream and of ``build_edges``: the ranks
     of the products u o g of the vertices at ranks ``rows``, each row
-    sorted, and the mask that splits each row at its own rank, True where
-    the product lies after its vertex (b > a).
+    sorted; the mask that splits each row at its own rank, True where the
+    product lies after its vertex (b > a); and each row's split point, the
+    number of its products before the first True cell.  A sorted row's
+    mask is False, then True, so the split point is its first True column,
+    or the row length when it has none, and the forward edges of row r are
+    ``np.repeat(rows, len(form) - split)`` beside ``b[mask]``, with no
+    boolean index into a broadcast view.
     """
     b = _product_ranks(spec, rows, form)
     b.sort(axis=1)
-    return b, b > rows[:, None]
+    forward = b > rows[:, None]
+    split = np.where(forward[:, -1], forward.argmax(axis=1), len(form))
+    return b, forward, split
 
 
 def _edge_chunks(spec: FlagGraphSpec):
@@ -593,9 +593,9 @@ def _edge_chunks(spec: FlagGraphSpec):
         return
     form = _connection_form(spec.n, spec.k)
     for rows in _chunks(np.arange(spec.vertex_count, dtype=np.int32), form):
-        b, forward = _sorted_products(spec, rows, form)
-        a, b = np.broadcast_to(rows[:, None], b.shape)[forward], b[forward]
-        del forward
+        b, forward, split = _sorted_products(spec, rows, form)
+        a, b = np.repeat(rows, len(form) - split), b[forward]
+        del forward, split
         yield a, b
 
 
@@ -611,28 +611,34 @@ def _mirrored_edges(spec: FlagGraphSpec) -> np.ndarray:
     of the second in reverse order.  Each chunk writes its forward edges at
     the front of the array and its mirrored ones at the back, and the two
     ends meet where the edges of the first half end, with no edge held
-    aside.  A write that would cross the meeting point raises
-    TheoremViolation before it is made, and so does a gap left between the
-    two ends after the last chunk.
+    aside.  The vertex ends come from the rows' split points
+    (``np.repeat``), and every product that is not forward is taken as
+    backward: no product equals its own vertex, because the identity is no
+    generator, which is checked on the connection rows first.  A write that
+    would cross the meeting point raises TheoremViolation before it is
+    made, and so do the identity among the generators and a gap left
+    between the two ends after the last chunk.
     """
-    edges = np.empty((_check_edge_budget(spec.n, spec.k), 2), dtype=np.int32)
+    expected = _check_edge_budget(spec.n, spec.k)
+    if (_connection_rows(spec.n, spec.k) == np.arange(spec.n)).all(axis=1).any():
+        raise TheoremViolation(f"the connection set of FJ({spec.n},{spec.k}) holds the identity, a loop at every vertex")
+    edges = np.empty((expected, 2), dtype=np.int32)
     last, front, back = spec.vertex_count - 1, 0, len(edges)
     form = _connection_form(spec.n, spec.k)
     for rows in _chunks(np.arange(spec.vertex_count // 2, dtype=np.int32), form):
-        b, split = _sorted_products(spec, rows, form)
-        a = np.broadcast_to(rows[:, None], b.shape)
-        count = np.count_nonzero(split)
+        b, forward, behind = _sorted_products(spec, rows, form)
+        count = b.size - int(behind.sum())
         _check_room(spec, front + count, back, len(edges))
-        edges[front : front + count, 0] = a[split]
-        edges[front : front + count, 1] = b[split]
+        edges[front : front + count, 0] = np.repeat(rows, len(form) - behind)
+        edges[front : front + count, 1] = b[forward]
         front += count
-        np.less(b, rows[:, None], out=split)  # now the backward products, b < a
-        count = np.count_nonzero(split)
+        np.logical_not(forward, out=forward)  # now the backward products, b < a
+        count = b.size - count
         _check_room(spec, front, back - count, len(edges))
         back -= count
-        np.subtract(last, a[split][::-1], out=edges[back : back + count, 0])
-        np.subtract(last, b[split][::-1], out=edges[back : back + count, 1])
-        del a, b, split  # before the next chunk is ranked
+        np.subtract(last, np.repeat(rows, behind)[::-1], out=edges[back : back + count, 0])
+        np.subtract(last, b[forward][::-1], out=edges[back : back + count, 1])
+        del b, forward, behind  # before the next chunk is ranked
     if front != back:
         raise TheoremViolation(
             f"FJ({spec.n},{spec.k}) has {len(edges) - (back - front)} edges, not n! * degree / 2 = {len(edges)}"

@@ -18,10 +18,12 @@ from .graphs import (
     FlagGraphSpec,
     _check_edge_budget,
     _chunks,
+    _conjugate_ranks,
     _connection_form,
     _lex_ranks,
+    _lex_vertices,
+    _preserves,
     _product_ranks,
-    _w0_conjugation,
     build_edges,
     generators,  # not called here; fjbench's tracer wraps it in this namespace
 )
@@ -74,8 +76,36 @@ def bfs(spec: FlagGraphSpec, source) -> DistanceProfile:
     else:
         inverse = np.empty(spec.n, dtype=np.uint8)
         inverse[np.array(source) - 1] = np.arange(spec.n, dtype=np.uint8)
-        distances = lex[_lex_ranks(inverse[spec._vertices].T, spec.n)]
+        distances = lex[_lex_ranks(np.take(inverse, spec._vertices.T), spec.n).astype(np.intp)]
     return DistanceProfile(source, distances, eccentricity, reached)
+
+
+@lru_cache(maxsize=None)
+def _orbit_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The lexicographic ranks of v^-1 and of w0 o v o w0, w0 the reversal,
+    for each permutation v of [n] at its own rank: two read-only intp
+    arrays (645 KB at n = 8), cached per n whatever the connection set, so
+    a search gathers and scatters through them on numpy's fast path.  Both
+    maps are involutions that fix the identity, and they commute, since
+    w0 o v^-1 o w0 is the inverse of w0 o v o w0.
+    """
+    V = _lex_vertices(n)
+    inverse = np.empty_like(V)  # inverse[r, x]: the position of x in row r
+    np.put_along_axis(inverse, V, np.arange(n, dtype=np.uint8), axis=1)
+    maps = _lex_ranks(inverse.T, n).astype(np.intp), _conjugate_ranks(n).astype(np.intp)
+    for image in maps:
+        image.flags.writeable = False
+    return maps
+
+
+@lru_cache(maxsize=None)
+def _search_maps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # the inversion and w0-conjugation maps of _orbit_maps(n), each kept if it maps the connection rows of FJ(n, k),
+    # as they stand, onto themselves, else the identity map; cached per (n, k), as references to the arrays of n
+    maps = _orbit_maps(n)
+    order = np.arange(len(maps[0]))
+    return tuple(image if _preserves(n, k, image) else order for image in maps)
 
 
 @lru_cache(maxsize=1)
@@ -105,50 +135,63 @@ def _identity_search(n: int, k: int) -> tuple[np.ndarray, int, int]:
     bottom-up levels compose all |unreached| * degree products, so they go
     bottom-up only when |frontier| > |unreached|.
 
-    Both directions expand one vertex of each pair {v, w0 o v o w0}, w0 the
-    reversal.  Conjugation by w0 preserves the connection set and fixes the
-    identity, so it is an automorphism that preserves the distances from the
-    identity, and every vertex the search reaches gets its conjugate at the
-    same level.  Top-down expands the frontier vertices whose rank is at
-    most their conjugate's, and bottom-up probes only those unreached
-    vertices.  The map is ``graphs._w0_conjugation``, the identity map for a
-    connection set that conjugation does not preserve.  Both costs halve, so
-    the direction rule weighs them as before, and a search composes about
-    n! * degree products: a top-down level about |frontier| * degree / 2,
-    a bottom-up one fewer than |frontier| * degree.  Products are ranked
-    through the cached rank form of the connection rows
-    (``graphs._connection_form``, read by ``graphs._product_ranks``) in
-    vertex chunks of about ``graphs.CHUNK_CELLS``, so the peak memory is
-    fixed whatever the degree.
+    Two maps preserve the distances from the identity, and each direction
+    uses what it may.  Conjugation by w0 preserves the connection set and
+    fixes the identity, so it is a graph automorphism: top-down expands
+    only the frontier vertices whose rank is at most their conjugate's,
+    and marks each product and its conjugate.  Inversion is no
+    automorphism, but a connection set closed under inverses gives
+    d(id, v^-1) = d(id, v), since a path g1 ... gm to v reverses to
+    gm^-1 ... g1^-1.  So bottom-up probes only the least-ranked vertex of
+    each orbit {v, v^-1, w0 o v o w0, w0 o v^-1 o w0}, at most a quarter
+    of the unreached vertices, and gives the level to the whole orbit of
+    each vertex it finds.  Every level leaves each orbit wholly reached or
+    wholly unreached, so no vertex is missed.  The maps are
+    ``_orbit_maps(n)``, each checked once per graph on the connection rows
+    themselves (``_search_maps``), and the identity map stands in for one
+    that a connection set patched in over them does not preserve.  A
+    top-down level composes about |frontier| * degree / 2 products, and a
+    bottom-up one at most degree products for each unreached least orbit
+    member, about a quarter of |unreached|.  Products are ranked through
+    the cached rank form of the connection rows
+    (``graphs._connection_form``, read by ``graphs._product_ranks``) as
+    intp, cast once from the float32 product, so every gather and scatter
+    on the distances and through the maps takes numpy's fast path.  They
+    come in vertex chunks of about ``graphs.CHUNK_CELLS``, so the peak
+    memory is fixed whatever the degree.
     """
     spec = FlagGraphSpec(n, k)
     form = _connection_form(n, k)
-    twin = _w0_conjugation(n, k)
-    lead = np.arange(spec.vertex_count) <= twin  # the vertex of each pair that the search expands
+    inverse, twin = _search_maps(n, k)
+    order = np.arange(spec.vertex_count)
+    twin_inverse = twin[inverse]
+    pair_lead = order <= twin  # the vertex of each conjugate pair that top-down expands
+    orbit_lead = pair_lead & (order <= inverse) & (order <= twin_inverse)  # the vertex of each orbit that bottom-up probes
+    del order
 
     dist = np.full(spec.vertex_count, UNREACHED, dtype=np.uint16)
     dist[0] = 0  # the identity is lexicographic rank 0
-    frontier = np.zeros(1, dtype=np.int32)
+    frontier = np.zeros(1, dtype=np.intp)
     unreached = spec.vertex_count - 1
     alpha = _BOTTOM_UP_ALPHA if len(form) > _BOTTOM_UP_BATCH else _NARROW_ALPHA
     level = 0
     while frontier.size and unreached:
         level += 1
         if alpha * frontier.size > unreached:
-            todo = np.flatnonzero((dist == UNREACHED) & lead)
+            todo = np.flatnonzero((dist == UNREACHED) & orbit_lead)
             for start in range(0, len(form), _BOTTOM_UP_BATCH):
                 batch = form[start : start + _BOTTOM_UP_BATCH]
                 for rows in _chunks(todo, batch):
-                    found = rows[(dist[_product_ranks(spec, rows, batch)] == level - 1).any(axis=1)]
-                    dist[found] = level
-                    dist[twin[found]] = level
+                    found = rows[(dist[_product_ranks(spec, rows, batch, np.intp)] == level - 1).any(axis=1)]
+                    for image in (found, inverse[found], twin[found], twin_inverse[found]):
+                        dist[image] = level
                 todo = todo[dist[todo] == UNREACHED]
                 if not todo.size:
                     break
             unreached = np.count_nonzero(dist == UNREACHED)
         else:
-            for rows in _chunks(frontier[lead[frontier]], form):
-                b = _product_ranks(spec, rows, form).ravel()
+            for rows in _chunks(frontier[pair_lead[frontier]], form):
+                b = _product_ranks(spec, rows, form, np.intp).ravel()
                 b = b[dist[b] == UNREACHED]
                 dist[b] = level
                 dist[twin[b]] = level

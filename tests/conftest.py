@@ -4,14 +4,15 @@ import pytest
 
 import fjgraphs as fj
 from fjgraphs import blocks, graphs, spectra
-from fjgraphs.graphs import _connection_form, _connection_rows, _last_ordering, _w0_conjugation
-from fjgraphs.metrics import _identity_search
+from fjgraphs.graphs import _connection_form, _connection_rows, _last_ordering
+from fjgraphs.metrics import _identity_search, _orbit_maps, _search_maps
 
 _COLD = (
     _identity_search,
+    _orbit_maps,
+    _search_maps,
     _connection_rows,
     _connection_form,
-    _w0_conjugation,
     blocks._adjacent_form,
     blocks._stacked_counts,
     _last_ordering,
@@ -21,11 +22,11 @@ _COLD = (
 
 @pytest.fixture(autouse=True)
 def cold_search_slot():
-    """Empty the one-graph BFS slot, the connection-set caches, the stacked-count slot, the ordering memo and the irrep sums around every test.
+    """Empty the one-graph BFS slot and its orbit maps, the connection-set caches, the stacked-count slot, the ordering memo and the irrep sums around every test.
 
-    A search or rank form made under one test's patches (a changed
-    connection set or product ranking) can then never answer a ``bfs`` or
-    an edge list of another test, no test reads the counts or the arrays
+    A search, orbit map or rank form made under one test's patches (a
+    changed connection set or product ranking) can then never answer a
+    ``bfs`` or an edge list of another test, no test reads the counts or the arrays
     of a slot that another test built, no spectrum reads connection sums
     that another test computed, and each test can count the cache misses
     it causes.  ``enumerate_permutations`` is cached, so two tests

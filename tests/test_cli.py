@@ -292,6 +292,36 @@ def test_invalid_arguments_exit_2(capsys):
             assert info.value.code == 2
 
 
+def test_one_parser_per_process_prints_what_fresh_parsers_print(capsys, monkeypatch):
+    # main builds its parser once; a usage error that exits with status 2 must leave nothing in it that
+    # changes the next command's output, so both runs print the same bytes to stdout and stderr
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+    sequence = (
+        ["diameter", "--n", "4"],
+        ["export", "--n", "4", "--k", "2", "--format", "csv"],
+        ["no-such-command"],
+        ["blocks", "--n", "3", "--k", "2", "--check", "recursive"],
+        ["diameter", "--n", "3", "--k", "3"],
+    )
+
+    def outputs():
+        got = []
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    cached = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == cached
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 2]
+    assert cached[1][1].startswith("u,v\n") and "usage: fjgraph" in cached[0][2]
+
+
 def test_invalid_nk_exits_2(capsys):
     code, _, err = run(capsys, "diameter", "--n", "3", "--k", "3")
     assert code == 2 and "k < n" in err

@@ -515,8 +515,8 @@ def test_pairwise_edges_never_holds_the_full_count_matrix():
 @pytest.mark.parametrize("route, working_mib", [(build_edges, 8), (pairwise_edges, 2)])
 def test_edge_routes_fill_one_array(route, working_mib):
     # FJ(7,4): 824,040 edges, 6.3 MiB as int32 pairs (12.6 MiB as int64,
-    # which the absolute bound refuses).  Measured beside the result: 4.0 MiB
-    # of products (build_edges), 1.0 MiB of row blocks (pairwise_edges).
+    # which the absolute bound refuses).  Measured beside the result: 0.5 MiB
+    # of products (build_edges), 0.3 MiB of row blocks (pairwise_edges).
     spec = FlagGraphSpec(7, 4)
     tracemalloc.start()
     try:
@@ -561,6 +561,20 @@ def test_two_ended_fill_raises_before_its_ends_cross(monkeypatch):
     with pytest.raises(TheoremViolation, match="more than n! \\* degree / 2 = 24 edges"):
         build_edges(FlagGraphSpec(4, 2))
     assert chunks and set(chunks) == {1} and len(chunks) < 12
+
+
+@pytest.mark.parametrize("replaced", [0, 1])
+def test_the_identity_among_the_generators_raises(replaced, monkeypatch):
+    # the mirrored fill takes every product that is not forward as backward, which holds only because
+    # no product u o g equals u; the identity added to G(4,2), or in place of a generator, breaks it
+    rows = graphs._connection_rows(4, 2)
+    patched = np.vstack([np.arange(4, dtype=np.uint8), rows[replaced:]])
+    monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: patched)
+    with pytest.raises(TheoremViolation):
+        build_edges(FlagGraphSpec(4, 2))
+    if replaced:  # the stream drops the loops, and so falls one generator short
+        with pytest.raises(TheoremViolation, match="edges"):
+            list(graphs._edge_stream(FlagGraphSpec(4, 2)))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(n)] + [(8, 1), (8, 2), (8, 3)])
@@ -757,7 +771,7 @@ def test_streamed_exports_equal_the_string_exports(fmt, monkeypatch):
 def assert_streamed_export_holds_no_edge_list(fmt, public):
     # FJ(7,4): 824,040 edges, whose int32 list alone is 6.3 MiB; the stream
     # holds one chunk of edges, the word tables and one piece of text at a
-    # time, 4.4 to 5.5 MiB here
+    # time, 1.5 to 3.2 MiB here
     spec = FlagGraphSpec(7, 4)
     tracemalloc.start()
     try:

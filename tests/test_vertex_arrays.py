@@ -24,7 +24,9 @@ from fjgraphs import (
     edges_to_json,
     enumerate_permutations,
     excluded_transposition_matrix,
+    generators,
     identity,
+    inverse,
     kendall_distance,
     pairwise_edges,
     prefix_mismatch_count,
@@ -79,9 +81,9 @@ def count_products(monkeypatch):
     count = [0]
     real = metrics._product_ranks
 
-    def counting(spec, rows, form):
+    def counting(spec, rows, form, *dtype):
         count[0] += len(rows) * len(form)
-        return real(spec, rows, form)
+        return real(spec, rows, form, *dtype)
 
     monkeypatch.setattr(metrics, "_product_ranks", counting)
     search_every_call(monkeypatch)
@@ -246,7 +248,8 @@ def test_bfs_of_a_connection_set_that_w0_conjugation_moves(alpha, monkeypatch):
     # connected, but conjugation by w0 maps (1 2) to (4 5), which is not among them
     gens = ((2, 1, 3, 4, 5), (1, 3, 2, 4, 5), (1, 2, 4, 3, 5), (5, 2, 3, 4, 1))
     monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: np.array(gens, dtype=np.uint8) - 1)
-    assert np.array_equal(graphs._w0_conjugation(5, 1), np.arange(120))
+    inverted, twin = metrics._search_maps(5, 1)  # every transposition is its own inverse
+    assert inverted is metrics._orbit_maps(5)[0] and np.array_equal(twin, np.arange(120))
     force_alpha(monkeypatch, alpha)
     spec = FlagGraphSpec(5, 1)
     for source in (identity(5), (3, 1, 5, 2, 4)):
@@ -264,8 +267,75 @@ def test_conjugate_ranks_are_the_w0_conjugation(n):
     assert conjugates.dtype == np.int32 and not conjugates.flags.writeable
     assert conjugates.tolist() == [rank(compose(w0, compose(v, w0))) for v in enumerate_permutations(n)]
     assert np.array_equal(conjugates[conjugates], np.arange(len(conjugates)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_maps_are_inversion_and_w0_conjugation(n):
+    inverted, twin = metrics._orbit_maps(n)
+    conjugates = graphs._conjugate_ranks(n)
+    assert inverted.dtype == twin.dtype == np.intp and not inverted.flags.writeable and not twin.flags.writeable
+    assert inverted.tolist() == [rank(inverse(v)) for v in enumerate_permutations(n)]
+    assert np.array_equal(inverted[inverted], np.arange(len(inverted)))
+    assert np.array_equal(twin, conjugates) and np.array_equal(inverted[conjugates], conjugates[inverted])
+    assert metrics._orbit_maps(n) is metrics._orbit_maps(n)
+
+
+def least_orbit_members(n):
+    # the vertices, by lexicographic rank, ranked lowest in their orbit {v, v^-1, w0 v w0, w0 v^-1 w0}
+    inverted, twin = metrics._orbit_maps(n)
+    order = np.arange(len(inverted))
+    return (order <= inverted) & (order <= twin) & (order <= twin[inverted])
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+def test_bottom_up_levels_probe_only_the_least_member_of_each_orbit(n, k, monkeypatch):
+    # with every level bottom-up, a vertex at distance d is probed at levels 1..d, each time with at most
+    # every generator; the search that probed one vertex of each conjugate pair ranked about twice as many
+    probed, real = [], metrics._product_ranks
+
+    def recording(spec, rows, form, *dtype):
+        probed.append((rows.copy(), len(form)))
+        return real(spec, rows, form, *dtype)
+
+    monkeypatch.setattr(metrics, "_product_ranks", recording)
+    force_alpha(monkeypatch, 10**9)
+    distances = bfs(FlagGraphSpec(n, k), identity(n)).distances.astype(np.int64)
+    least = least_orbit_members(n)
+    assert least[np.concatenate([rows for rows, _ in probed])].all()
+    assert 0 < sum(len(rows) * width for rows, width in probed) <= degree(n, k) * distances[least].sum()
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+def test_orbit_search_equals_top_down_and_the_generator_bfs(n, k, monkeypatch):
+    spec = FlagGraphSpec(n, k)
+    force_alpha(monkeypatch, 10**9)
+    bottom_up = bfs(spec, identity(n))
+    force_alpha(monkeypatch, 0)
+    top_down = bfs(spec, identity(n))
+    assert np.array_equal(bottom_up.distances, top_down.distances) and bottom_up.connected
+    assert bottom_up.eccentricity == top_down.eccentricity
+    if n <= 5:
+        expected = generator_bfs(generators(n, k), identity(n))
+        assert bottom_up.distances.tolist() == [expected[p] for p in spec.ordering]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_connection_set_keeps_both_orbit_maps(n):
     for k in range(1, n):
-        assert graphs._w0_conjugation(n, k) is conjugates
+        assert all(got is kept for got, kept in zip(metrics._search_maps(n, k), metrics._orbit_maps(n)))
+
+
+def test_search_maps_fall_back_to_the_identity_off_a_closed_set(monkeypatch):
+    # the 3-cycle (1 2 3) without its inverse is closed under neither map, so its directed search
+    # keeps to top-down levels with neither
+    gens = ((2, 3, 1, 4), (1, 2, 4, 3))
+    monkeypatch.setattr(graphs, "_connection_rows", lambda n, k: np.array(gens, dtype=np.uint8) - 1)
+    for image in metrics._search_maps(4, 1):
+        assert np.array_equal(image, np.arange(24))
+    force_alpha(monkeypatch, 0)
+    expected = generator_bfs(gens, identity(4))
+    profile = bfs(FlagGraphSpec(4, 1), identity(4))
+    assert len(expected) == 24 and profile.distances.tolist() == [expected[p] for p in enumerate_permutations(4)]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
