@@ -10,9 +10,11 @@ produce identical reports (timing fields excepted).
 Every subcommand takes --out; a file there appears only once its text is
 whole.  export writes its text piece by piece as the edges are made, so it
 never holds the edge list or the whole text.  spectrum and verify-all also
-take --eigen-cap, the largest order of a full spectrum or a dense
-eigensolve, at least 1; the other size guards and the tolerances are the
-fixed constants of ``config``.
+take --eigen-cap, at least 1, which bounds only the order n! of a full
+spectrum: the n x n regularity matrix is solved under the fixed cap of
+``config``, so ``spectrum --n 5 --eigen-cap 3`` solves M(5), and
+``--n 800 --eigen-cap 1000`` is refused at order 800.  The other size
+guards and the tolerances are the fixed constants of ``config``.
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
 2 invalid arguments or a size guard tripped.
@@ -172,7 +174,7 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 def _add_spectral(parser: argparse.ArgumentParser) -> None:
     _add_out(parser)
-    parser.add_argument("--eigen-cap", type=int, default=EIGEN_CAP, help="largest eigensolver order")
+    parser.add_argument("--eigen-cap", type=int, default=EIGEN_CAP, help="largest order n! of a full spectrum (the regularity matrix keeps the fixed cap)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,11 +9,12 @@ BFS go in fixed chunks, so there it bounds the time, not the memory);
 MATRIX_CAP by ``_check_matrix_cap`` before anything allocates or loops
 over all n! x n! vertex pairs; EIGEN_CAP by ``_check_eigen_order`` before a
 regularity matrix, any work on a full spectrum or an eigensolver's float64
-copy.  Only that order can be set per call (``eigen_cap``, ``fjgraph
---eigen-cap``), and ``_check_eigen_cap`` refuses a cap below 1.  The
-tolerances are fixed too: every matrix the package solves is built from
-integers or from the fixed entries of Young's orthogonal form, so no
-tolerance is a setting.
+copy.  Only the order n! of a full spectrum can be capped per call
+(``eigen_cap``, ``fjgraph --eigen-cap``); the regularity matrix and
+``eig_symmetric`` keep EIGEN_CAP, and ``_check_eigen_cap`` refuses a cap
+below 1.  The tolerances are fixed too: every matrix the package solves is
+built from integers or from the fixed entries of Young's orthogonal form,
+so no tolerance is a setting.
 """
 
 from math import factorial

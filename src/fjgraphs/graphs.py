@@ -16,8 +16,12 @@ one form only, an (n!, n) uint8 array of 0-based rows; tuples and labels
 are read from it.  The connection set of each (n, k) is held the same
 way, as one cached read-only (degree, n) uint8 array of 0-based rows
 filtered from the lexicographic vertex array, with its float32 rank form;
-``generators`` and ``neighbors`` are tuple views of those rows.  Specs are
-immutable; all queries here are read-only.
+``generators`` and ``neighbors`` are tuple views of those rows.  The
+degrees are not counted off those rows: ``degree`` and
+``irreducible_count`` read the connection sums of every k of one n at
+once (``_degrees``), and the rows stay the independent count that the
+battery compares them with.  Specs are immutable; all queries here are
+read-only.
 
 Edge lists and BFS run on that array.  The lexicographic rank of a product
 u o g is an affine function of the inversion bits of u, one bit per
@@ -274,22 +278,18 @@ def irreducible_patterns(m: int) -> tuple[Perm, ...]:
     return generators(m, m - 1)
 
 
-@lru_cache(maxsize=None)
 def irreducible_count(m: int) -> int:
     """
-    Number of irreducible permutations of [m].  Splitting any permutation at
-    the end of its first irreducible block gives the recurrence
-    m! = sum_{i=1..m} irreducible_count(i) * (m-i)!, solved here directly.
+    Number of irreducible permutations of [m]: the degree of FJ(m, m-1),
+    read from the connection sums of ``_degrees``.  m below 1 raises
+    ValueError before any sum is taken.
 
     >>> [irreducible_count(m) for m in range(1, 6)]
     [1, 1, 3, 13, 71]
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = factorial(m)
-    for i in range(1, m):
-        total -= irreducible_count(i) * factorial(m - i)
-    return total
+    return _degrees(m)[m - 1]
 
 
 @lru_cache(maxsize=None)
@@ -350,18 +350,10 @@ def _connection_sums(s: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _conjugate_ranks(n: int) -> np.ndarray:
-    """
-    The lexicographic rank of w0 o v o w0, with w0 the reversal, for each
-    permutation v of [n] at its own rank, as a read-only int32 array: an
-    involution that fixes the identity, rank 0.  The conjugate reverses the
-    row of v and complements its values, and complementing the values
-    reverses the lexicographic order, so its rank is n! - 1 - lexrank(v o w0).
-    """
-    V = _lex_vertices(n)
-    conjugates = (len(V) - 1) - _lex_ranks(V[:, ::-1].T, n)
-    conjugates.flags.writeable = False
-    return conjugates
+def _degrees(n: int) -> tuple[int, ...]:
+    # the connection-set sizes of FJ(n, k), k = 0..n-1, as Python ints (21! passes int64): the connection sums in
+    # the trivial representation, every s[i] = 1, over object entries; k = 0 counts the identity alone
+    return tuple(_connection_sums(np.ones((n - 1, 1, 1), dtype=object), n)[:, 0, 0].tolist())
 
 
 def _preserves(n: int, k: int, image: np.ndarray) -> bool:
@@ -395,17 +387,13 @@ def generators(n: int, k: int) -> tuple[Perm, ...]:
     return tuple(map(tuple, (_connection_rows(n, k) + 1).tolist()))
 
 
-@lru_cache(maxsize=None)
 def degree(n: int, k: int) -> int:
     """
     Common vertex degree of FJ(n, k): the connection-set size, the number of
-    permutations of [n] with n-k irreducible blocks.  Splitting off the first
-    block gives the count of permutations of [m] with j blocks as
-    ways_j(m) = sum_i irreducible_count(i) * ways_{j-1}(m-i), taken here
-    block by block from ways_0, which counts the empty permutation alone.
-    Only m = j + d with 0 <= d <= k can still reach n with n-k blocks, so
-    ``ways[d]`` holds ways_j(j + d).  FJ(n, 0) is represented without
-    self-loops, so its degree is 0.
+    permutations of [n] with n-k irreducible blocks, read from the
+    connection sums of ``_degrees`` once (n, k) is checked.  FJ(n, 0) is
+    represented without self-loops, so its degree is 0, although its
+    connection set is the identity.
 
     >>> degree(4, 2)
     7
@@ -413,13 +401,7 @@ def degree(n: int, k: int) -> int:
     4
     """
     _check_domain(n, k)
-    if k == 0:
-        return 0
-    irreducible = [irreducible_count(i) for i in range(1, k + 2)]  # a block of size i raises d by i-1
-    ways = [1] + [0] * k
-    for _ in range(n - k):
-        ways = [sum(irreducible[e] * ways[d - e] for e in range(d + 1)) for d in range(k + 1)]
-    return ways[k]
+    return _degrees(n)[k] if k else 0
 
 
 def neighbors(spec: FlagGraphSpec, u: Sequence[int]) -> list[Perm]:

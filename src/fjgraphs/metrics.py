@@ -18,7 +18,6 @@ from .graphs import (
     FlagGraphSpec,
     _check_edge_budget,
     _chunks,
-    _conjugate_ranks,
     _connection_form,
     _lex_ranks,
     _lex_vertices,
@@ -86,14 +85,17 @@ def _orbit_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     The lexicographic ranks of v^-1 and of w0 o v o w0, w0 the reversal,
     for each permutation v of [n] at its own rank: two read-only intp
     arrays (645 KB at n = 8), cached per n whatever the connection set, so
-    a search gathers and scatters through them on numpy's fast path.  Both
-    maps are involutions that fix the identity, and they commute, since
+    a search gathers and scatters through them on numpy's fast path.  The
+    conjugate reverses the row of v and complements its values, and
+    complementing the values reverses the lexicographic order, so its rank
+    is n! - 1 - lexrank(v o w0), v o w0 being the reversed row.  Both maps
+    are involutions that fix the identity, and they commute, since
     w0 o v^-1 o w0 is the inverse of w0 o v o w0.
     """
     V = _lex_vertices(n)
     inverse = np.empty_like(V)  # inverse[r, x]: the position of x in row r
     np.put_along_axis(inverse, V, np.arange(n, dtype=np.uint8), axis=1)
-    maps = _lex_ranks(inverse.T, n).astype(np.intp), _conjugate_ranks(n).astype(np.intp)
+    maps = _lex_ranks(inverse.T, n).astype(np.intp), (len(V) - 1) - _lex_ranks(V[:, ::-1].T, n).astype(np.intp)
     for image in maps:
         image.flags.writeable = False
     return maps

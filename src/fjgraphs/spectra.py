@@ -127,7 +127,7 @@ def regularity_matrix_from_blocks(n: int, ordering: Sequence[Perm] | None = None
     return rows[..., 0].astype(np.int64)
 
 
-def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
+def eig_symmetric(matrix) -> Spectrum:
     """
     Eigenvalues of a dense symmetric matrix, by LAPACK through
     ``np.linalg.eigvalsh``.
@@ -135,9 +135,9 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
     An entry may differ from its mirror by at most ``config.EIG_TOL`` times
     the largest absolute entry (or 1, if larger); the matrix is then
     symmetrized before the solve.  A complex matrix raises ValueError, an
-    order above ``cap`` CapExceeded.  The tests check this route against a
-    cyclic Jacobi solver of their own, against the closed forms and against
-    the trace and Frobenius-norm identities.
+    order above the fixed ``config.EIGEN_CAP`` CapExceeded.  The tests check
+    this route against a cyclic Jacobi solver of their own, against the
+    closed forms and against the trace and Frobenius-norm identities.
 
     >>> eig_symmetric([[0, 1], [1, 0]]).values
     (1.0, -1.0)
@@ -147,7 +147,7 @@ def eig_symmetric(matrix, cap: int = EIGEN_CAP) -> Spectrum:
         raise ValueError("a square matrix is required")
     if A.dtype.kind == "c":  # the float64 copy would drop the imaginary parts
         raise ValueError(f"a real matrix is required, got {A.dtype}")
-    _check_eigen_order(A.shape[0], cap)  # before the float64 copy
+    _check_eigen_order(A.shape[0])  # before the float64 copy
     A = A.astype(np.float64)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")

@@ -13,6 +13,7 @@ _COLD = (
     _search_maps,
     _connection_rows,
     _connection_form,
+    graphs._degrees,
     blocks._adjacent_form,
     blocks._stacked_counts,
     _last_ordering,
@@ -22,13 +23,13 @@ _COLD = (
 
 @pytest.fixture(autouse=True)
 def cold_search_slot():
-    """Empty the one-graph BFS slot and its orbit maps, the connection-set caches, the stacked-count slot, the ordering memo and the irrep sums around every test.
+    """Empty the one-graph BFS slot and its orbit maps, the connection-set caches and degrees, the stacked-count slot, the ordering memo and the irrep sums around every test.
 
     A search, orbit map or rank form made under one test's patches (a
     changed connection set or product ranking) can then never answer a
     ``bfs`` or an edge list of another test, no test reads the counts or the arrays
-    of a slot that another test built, no spectrum reads connection sums
-    that another test computed, and each test can count the cache misses
+    of a slot that another test built, no spectrum or degree reads connection
+    sums that another test computed, and each test can count the cache misses
     it causes.  ``enumerate_permutations`` is cached, so two tests
     that shuffle it with the same seed hold the same row objects, and the
     memo must not let the second skip a validation that the first made.

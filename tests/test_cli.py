@@ -381,6 +381,14 @@ def test_spectrum_over_the_eigen_cap_builds_no_matrix(capsys, monkeypatch):
     assert err == "error: order 5040 exceeds the eigensolver cap 720\n"
 
 
+def test_the_eigen_cap_bounds_only_the_order_of_a_full_spectrum(capsys):
+    # the n x n regularity matrix is solved under the fixed cap of 720, whatever --eigen-cap says
+    code, doc, _ = run_json(capsys, "spectrum", "--n", "5", "--eigen-cap", "3")
+    assert code == 0 and len(doc["m_eigenvalues"]) == 5
+    assert run(capsys, "spectrum", "--n", "5", "--full", "--eigen-cap", "3") == (2, "", "error: order 120 exceeds the eigensolver cap 3\n")
+    assert run(capsys, "spectrum", "--n", "800", "--eigen-cap", "1000") == (2, "", "error: order 800 exceeds the eigensolver cap 720\n")
+
+
 def test_out_path_in_a_missing_directory_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "diameter", "--n", "3", "--k", "1", "--out", str(target))

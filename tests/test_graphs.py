@@ -409,6 +409,19 @@ def test_degrees_of_every_k_count_every_other_permutation():
         assert sum(degree(n, k) for k in range(1, n)) == factorial(n) - 1
 
 
+def test_degrees_run_the_connection_sum_kernel_once_per_n(monkeypatch):
+    # every k of one n and irreducible_count(n) read one tuple, the trivial connection sums over Python ints:
+    # int64 would overflow past 20!, and json.dumps refuses numpy ints
+    real, calls = graphs._connection_sums, []
+    monkeypatch.setattr(graphs, "_connection_sums", lambda s, n: calls.append(n) or real(s, n))
+    for n in (8, 40):
+        degrees = [degree(n, k) for k in range(n)] + [irreducible_count(n)]
+        assert all(type(d) is int for d in degrees)
+        assert degrees[0] == 0 and degrees[-1] == degrees[-2]  # FJ(n, 0) has no edges; irreducible is k = n - 1
+    assert degrees[-1] > 2**63 and json.loads(json.dumps(degrees)) == degrees
+    assert calls == [8, 40]
+
+
 # ---------------------------------------------------------------- neighbors
 
 def test_neighbors_examples():
@@ -679,7 +692,7 @@ _MATRIX_CAP_8 = "n=8 exceeds the matrix cap 7"
         (prefix_mismatch_matrix, ([list(range(1, 9))],), _MATRIX_CAP_8),
         (insertion_embedding_check, (8, 1), _MATRIX_CAP_8),
         (spectra.regularity_matrix, (721,), "order 721 exceeds the eigensolver cap 720"),
-        (spectra.eig_symmetric, (np.eye(5), 4), "order 5 exceeds the eigensolver cap 4"),
+        (spectra.eig_symmetric, (np.eye(721),), "order 721 exceeds the eigensolver cap 720"),
         (spectra.adjacency_spectrum, (6, 1, None, 100), "order 720 exceeds the eigensolver cap 100"),
         pytest.param(
             spectra.adjacency_spectrum, (1000, 1), f"order {factorial(1000)} exceeds the eigensolver cap 720", id="adjacency_spectrum-1000"
